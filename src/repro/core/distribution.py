@@ -246,52 +246,49 @@ class KolmogorovSmirnovTest(_UnivariateTest):
     def signature_similarity_matrix(self, signatures):
         """All-pairs ``sim_p`` over a list of signatures in one pass.
 
-        For each problem ``i`` a *single* ``searchsorted`` resolves
-        :math:`\\hat F_i` at every other problem's support points (the
-        concatenated flats of all signatures), instead of one call per
-        pair — the per-call overhead and cache misses of P² small
-        binary searches dominate graph construction otherwise. Pairwise
-        results are identical to :meth:`signature_similarity`.
-
-        Uses O(P²·F) intermediate memory for the per-feature gap
-        tensor.
+        One merged-rank kernel serves every mix of sample sizes: the M
+        support points of all problems (their concatenated flats) are
+        stably sorted once into ``merged``. Per problem ``i``, a bincount
+        of where its own points land in ``merged`` and a running sum
+        count ``i``'s values at or below every support point (the
+        integers of a right-sided ``searchsorted``), gathered back to
+        concatenated order through the inverse permutation. Dividing by
+        ``n_i``, subtracting the self-CDFs and one ``maximum.reduceat``
+        over the (problem, feature) segments fill row ``i`` of the
+        O(P²·F) gap tensor with a fixed number of numpy calls and O(M)
+        reused temporaries. The integers and float operations are those
+        of :meth:`signature_similarity`, so results are bit-identical.
         """
         n_problems = len(signatures)
         n_features = self._check_shared_feature_space(signatures)
-        all_flat = np.concatenate([sig.flat for sig in signatures])
-        sizes = [sig.n_samples for sig in signatures]
-        uniform = len(set(sizes)) == 1
-        bounds = np.cumsum([0] + [sig.flat.size for sig in signatures])
-        if uniform:
-            # Equal-size problems: one reshape handles every block.
-            n_samples = sizes[0]
-            self_cdfs = np.stack([sig.self_cdf.T for sig in signatures])
-            column_offsets = (np.arange(n_features) * n_samples)[None, :, None]
-        # gaps[i, j] = per-feature sup |F_i - F_j| over j's sample points.
-        gaps = np.empty((n_problems, n_problems, n_features))
+        merged = np.concatenate([sig.flat for sig in signatures])
+        order = merged.argsort(kind="stable")
+        merged = merged[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self_cdf = np.concatenate([sig.self_cdf.T.ravel() for sig in signatures])
+        segments = np.repeat([sig.n_samples for sig in signatures], n_features)
+        starts = np.cumsum(segments) - segments
+        # Column offsets put feature f on its own range: it owns the f-th
+        # of n_features equal blocks of ``merged``, with i's f·n_i values
+        # of earlier features below it. Taking n_i back at each block
+        # start cancels those, so the running counts are per-feature.
+        block = order.size // n_features
+        counts = np.empty_like(order)
+        cdf = np.empty(order.size)
+        # gaps[i, j·F + f] = sup |F_i - F_j| over j's points of feature f.
+        gaps = np.empty((n_problems, n_problems * n_features))
         for i, sig_i in enumerate(signatures):
-            positions = sig_i.flat.searchsorted(all_flat, side="right")
-            if uniform:
-                cdf_i = (
-                    positions.reshape(n_problems, n_features, n_samples)
-                    - column_offsets
-                ) / sig_i.n_samples
-                gaps[i] = np.abs(cdf_i - self_cdfs).max(axis=2)
-            else:
-                for j, sig_j in enumerate(signatures):
-                    if j == i:
-                        continue
-                    cdf_i_at_j = sig_i._deflatten(
-                        positions[bounds[j]:bounds[j + 1]], sig_i.n_samples
-                    ) / sig_i.n_samples
-                    gaps[i, j] = np.abs(
-                        cdf_i_at_j - sig_j.self_cdf
-                    ).max(axis=0)
-            gaps[i, i] = 0.0
+            landed = merged.searchsorted(sig_i.flat, side="left")
+            below = np.bincount(landed, minlength=order.size)
+            below[block::block] -= sig_i.n_samples
+            np.take(below.cumsum(out=below), rank, out=counts)
+            np.divide(counts, sig_i.n_samples, out=cdf)
+            np.abs(np.subtract(cdf, self_cdf, out=cdf), out=cdf)
+            np.maximum.reduceat(cdf, starts, out=gaps[i])
+        gaps = gaps.reshape(n_problems, n_problems, n_features)
         statistics = np.maximum(gaps, gaps.transpose(1, 0, 2))
-        return self._aggregate_similarity_matrix(
-            signatures, 1.0 - statistics
-        )
+        return self._aggregate_similarity_matrix(signatures, 1.0 - statistics)
 
 
 class WassersteinTest(_UnivariateTest):

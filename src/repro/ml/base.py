@@ -9,6 +9,7 @@ estimator contract (``fit`` / ``predict`` / ``predict_proba`` / ``get_params``
 from __future__ import annotations
 
 import copy
+import functools
 import inspect
 
 import numpy as np
@@ -26,13 +27,16 @@ class BaseEstimator:
     """
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def _param_names(cls):
+        # Cached per class: clone() asks on every copy, and the names
+        # depend only on the class's own __init__.
         signature = inspect.signature(cls.__init__)
-        return [
+        return tuple(
             name
             for name, p in signature.parameters.items()
             if name != "self" and p.kind != p.VAR_KEYWORD
-        ]
+        )
 
     def get_params(self):
         """Return the constructor parameters as a dict."""

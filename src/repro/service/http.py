@@ -178,6 +178,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.send_header("X-Request-Id", self.request_id)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         if retry_after is not None:
             self.send_header(
                 "Retry-After", str(max(1, math.ceil(retry_after)))
@@ -198,15 +200,26 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             retry_after=getattr(error, "retry_after", None),
         )
 
+    def _content_length(self):
+        """The declared body length. Anything but a non-negative decimal
+        integer is a 400 (``-1`` would make ``rfile.read`` block until
+        the client hangs up), and the connection closes because the
+        body boundary is lost."""
+        value = (self.headers.get("Content-Length") or "0").strip()
+        if not (value.isascii() and value.isdigit()):
+            self.close_connection = True
+            raise InvalidRequest(f"invalid Content-Length {value!r}")
+        return int(value)
+
     def _drain_body(self):
         """Consume an unread request body so HTTP/1.1 keep-alive
         connections stay in sync after an early (404) reply."""
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         if length:
             self.rfile.read(length)
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise InvalidRequest("request body must be a JSON object")

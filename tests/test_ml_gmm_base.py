@@ -1,5 +1,7 @@
 """Gaussian mixture + estimator base-class tests (vs scipy oracle)."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -114,3 +116,30 @@ def test_from_dict_rejects_wrong_class():
 
 def test_repr_contains_params():
     assert "alpha=1.0" in repr(_Stub())
+
+
+def test_param_names_are_cached_per_class(monkeypatch):
+    """Parameter names are introspected once per class, and a subclass
+    with its own ``__init__`` gets its own names, not its parent's."""
+
+    class _Child(_Stub):
+        def __init__(self, gamma=3, **kwargs):
+            super().__init__(**kwargs)
+            self.gamma = gamma
+
+    class _Inheriting(_Stub):
+        pass
+
+    assert _Stub._param_names() == ("alpha", "beta")
+    assert _Child._param_names() == ("gamma",)
+    assert _Inheriting._param_names() == ("alpha", "beta")
+
+    def no_introspection(*args, **kwargs):
+        raise AssertionError("parameter names were introspected again")
+
+    monkeypatch.setattr(inspect, "signature", no_introspection)
+    assert _Stub._param_names() == ("alpha", "beta")
+    assert _Child._param_names() == ("gamma",)
+    twin = clone(_Child(gamma=5))
+    assert isinstance(twin, _Child) and twin.get_params() == {"gamma": 5}
+    assert clone(_Stub(alpha=4)).get_params() == {"alpha": 4, "beta": "x"}

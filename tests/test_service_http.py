@@ -3,6 +3,7 @@ port): routing, JSON (de)serialisation, typed error status mapping,
 and fit -> solve -> save through the wire."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -151,6 +152,38 @@ def test_keep_alive_survives_posting_to_unknown_route(gateway):
         assert payload["predictions"]
     finally:
         connection.close()
+
+
+@pytest.mark.parametrize("path", ["/solve", "/nope"])
+def test_malformed_content_length_is_400_not_a_hang(gateway, path):
+    """A Content-Length that is not a non-negative integer answers 400
+    ``invalid_request`` and closes the connection: ``abc`` must not be a
+    500, and ``-1`` must not block the handler thread in
+    ``rfile.read(-1)`` until the client hangs up. Unknown routes (which
+    drain the body) reject it too, and the gateway keeps serving."""
+    host, port = gateway.server_address[:2]
+    for value in ("abc", "-1"):
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(
+                f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {value}\r\n\r\n{{}}".encode("ascii")
+            )
+            reply = b""
+            # The server must close the socket; a hang times out.
+            while True:
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), (value, head)
+        assert b"connection: close" in head.lower(), head
+        envelope = json.loads(body.decode("utf-8"))
+        assert envelope["error"]["code"] == "invalid_request"
+        assert "Content-Length" in envelope["error"]["message"]
+    with urllib.request.urlopen(gateway.url + "/livez", timeout=5) as reply:
+        assert json.loads(reply.read().decode("utf-8")) == {"live": True}
 
 
 def test_concurrent_http_clients_coalesce():

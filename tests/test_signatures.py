@@ -291,8 +291,8 @@ def test_graph_build_uses_batched_wd_psi(name):
 
 
 def test_ks_matrix_handles_unequal_sizes_and_constant_features():
-    """The batched KS kernel's non-uniform and constant-weight branches
-    must match the pair path."""
+    """The batched KS kernel must match the pair path on unequal sizes
+    and on constant features (the uniform-weight fallback)."""
     rng = np.random.default_rng(11)
     matrices = [
         rng.random((30, 3)),
