@@ -82,7 +82,13 @@ def pool_problems(problems):
     Returns ``(features, labels, pair_ids)``; labels are ``None`` when
     any problem lacks them, pair ids fall back to synthetic unique ids
     when missing so graph-based AL still functions.
+
+    The pool is in problem-key order. Callers pass the members of a
+    cluster, a set whose iteration order follows the process's string
+    hash seed; a replay in another process must label and train on the
+    same rows in the same order.
     """
+    problems = sorted(problems, key=lambda p: p.key)
     features = np.vstack([p.features for p in problems])
     labels = None
     if all(p.labels is not None for p in problems):

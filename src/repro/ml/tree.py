@@ -1,9 +1,17 @@
 """CART decision-tree classifier (gini / entropy) implemented on numpy.
 
-Split search is vectorised per feature: candidate thresholds are the
-midpoints between consecutive distinct sorted values and impurities of
-both children are evaluated with cumulative class counts, so a node costs
-``O(n_features * n log n)``.
+Split search scores every candidate feature in one pass: the node's
+rows are stable-sorted column-wise, one cumulative sum gives the
+class-first ``(n_classes, n - 1, k)`` counts left of every position,
+and impurities reduce that leading class axis. Candidate thresholds are
+the midpoints between consecutive distinct sorted values, so a node
+costs ``O(k * n log n)`` in a fixed number of numpy calls.
+
+Class-first is a speed choice: numpy reduces a short last axis one row
+at a time, but sums a leading axis one whole slice per class. For fewer
+than 8 classes it adds the class terms in the same order either way, so
+gains (and therefore trees) match a per-feature, last-axis search bit
+for bit; ``tests/tree_reference.py`` keeps that search as the oracle.
 """
 
 from __future__ import annotations
@@ -19,20 +27,21 @@ _LEAF = -1
 
 
 def _gini(counts):
-    """Gini impurity of rows of class ``counts`` (vectorised)."""
-    total = counts.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        proportions = np.where(total > 0, counts / total, 0.0)
-    return 1.0 - np.sum(proportions**2, axis=-1)
+    """Gini impurity of class ``counts`` along axis 0 (class-first).
+
+    Every caller's totals are positive: a node, and each child of a
+    candidate split, holds at least one row.
+    """
+    proportions = counts / counts.sum(axis=0)
+    return 1.0 - np.sum(proportions**2, axis=0)
 
 
 def _entropy(counts):
-    """Shannon entropy of rows of class ``counts`` (vectorised)."""
-    total = counts.sum(axis=-1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        proportions = np.where(total > 0, counts / total, 0.0)
+    """Shannon entropy of class ``counts`` along axis 0 (class-first)."""
+    proportions = counts / counts.sum(axis=0)
+    with np.errstate(divide="ignore"):
         logs = np.where(proportions > 0, np.log2(proportions), 0.0)
-    return -np.sum(proportions * logs, axis=-1)
+    return -np.sum(proportions * logs, axis=0)
 
 
 _CRITERIA = {"gini": _gini, "entropy": _entropy}
@@ -161,67 +170,60 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         return max(1, min(n, int(mf)))
 
     def _best_split(self, X, y_enc, indices, n_classes, impurity_fn):
-        """Return ``(feature, threshold, left_idx, right_idx)`` or ``None``."""
+        """Return ``(feature, threshold, left_idx, right_idx)`` or ``None``.
+
+        Scores every split position of every candidate feature at once.
+        Row ``i`` of the ``(n - 1, k)`` gain matrix splits after the
+        ``i + 1`` smallest values of a column; it is a candidate when
+        its two neighbours differ and both children keep
+        ``min_samples_leaf`` rows. The winner is the largest gain above
+        ``1e-12``, ties going to the earlier feature (in draw order),
+        then the earlier position: the split a per-feature scan with a
+        strict ``>`` keeps.
+        """
         n_candidates = self._n_split_features()
         if n_candidates < self.n_features_in_:
-            candidate_features = self._rng.choice(
+            features = self._rng.choice(
                 self.n_features_in_, size=n_candidates, replace=False
             )
         else:
-            candidate_features = np.arange(self.n_features_in_)
+            features = np.arange(self.n_features_in_)
 
-        y_node = y_enc[indices]
-        parent_counts = np.bincount(y_node, minlength=n_classes).astype(float)
         n_node = len(indices)
-        parent_impurity = impurity_fn(parent_counts)
-
-        best_gain = 1e-12
-        best = None
-        for feature in candidate_features:
-            column = X[indices, feature]
-            order = np.argsort(column, kind="mergesort")
-            sorted_vals = column[order]
-            sorted_y = y_node[order]
-            # Cumulative class counts for every prefix.
-            one_hot = np.zeros((n_node, n_classes))
-            one_hot[np.arange(n_node), sorted_y] = 1.0
-            prefix = np.cumsum(one_hot, axis=0)
-            # Valid split positions: between distinct values, honouring
-            # min_samples_leaf on both sides.
-            distinct = sorted_vals[1:] != sorted_vals[:-1]
-            positions = np.nonzero(distinct)[0] + 1  # left size = position
-            if positions.size == 0:
-                continue
-            leaf_ok = (positions >= self.min_samples_leaf) & (
-                n_node - positions >= self.min_samples_leaf
-            )
-            positions = positions[leaf_ok]
-            if positions.size == 0:
-                continue
-            left_counts = prefix[positions - 1]
-            right_counts = parent_counts - left_counts
-            n_left = positions.astype(float)
-            n_right = n_node - n_left
-            child_impurity = (
-                n_left * impurity_fn(left_counts)
-                + n_right * impurity_fn(right_counts)
-            ) / n_node
-            gains = parent_impurity - child_impurity
-            best_pos = int(np.argmax(gains))
-            if gains[best_pos] > best_gain:
-                position = positions[best_pos]
-                threshold = 0.5 * (
-                    sorted_vals[position - 1] + sorted_vals[position]
-                )
-                best_gain = gains[best_pos]
-                left_mask = column <= threshold
-                best = (
-                    int(feature),
-                    float(threshold),
-                    indices[left_mask],
-                    indices[~left_mask],
-                )
-        return best
+        block = X[indices][:, features]
+        order = np.argsort(block, axis=0, kind="stable")
+        sorted_vals = np.take_along_axis(block, order, axis=0)
+        y_node = y_enc[indices]
+        sorted_y = y_node[order[:-1]]
+        classes = np.arange(n_classes)[:, None, None]
+        left_counts = np.cumsum(sorted_y == classes, axis=1).astype(float)
+        parent_counts = np.bincount(y_node, minlength=n_classes).astype(float)
+        right_counts = parent_counts[:, None, None] - left_counts
+        n_left = np.arange(1.0, n_node)[:, None]
+        n_right = n_node - n_left
+        gains = impurity_fn(parent_counts) - (
+            n_left * impurity_fn(left_counts)
+            + n_right * impurity_fn(right_counts)
+        ) / n_node
+        splittable = (
+            (sorted_vals[1:] != sorted_vals[:-1])
+            & (n_left >= self.min_samples_leaf)
+            & (n_right >= self.min_samples_leaf)
+        )
+        gains[~splittable] = -np.inf
+        # Flattening the transpose orders candidates feature-major, so
+        # argmax's first maximum is the scan's first.
+        column, row = divmod(int(np.argmax(gains.T)), n_node - 1)
+        if not gains[row, column] > 1e-12:
+            return None
+        threshold = 0.5 * (sorted_vals[row, column] + sorted_vals[row + 1, column])
+        left_mask = block[:, column] <= threshold
+        return (
+            int(features[column]),
+            float(threshold),
+            indices[left_mask],
+            indices[~left_mask],
+        )
 
     # -- prediction ------------------------------------------------------
 
@@ -256,8 +258,13 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         return counts / np.maximum(totals, 1e-12)
 
     def predict(self, X):
-        """Majority-class prediction."""
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
+        """Majority-class prediction: the argmax of each leaf's counts.
+
+        Leaf totals are positive, so this is the argmax of
+        :meth:`predict_proba` without normalising every row.
+        """
+        leaves = self._leaf_indices(X)
+        return self.classes_[np.argmax(self.value_.T[:, leaves], axis=0)]
 
     @property
     def tree_depth_(self):

@@ -6,9 +6,9 @@ into something that serves concurrent traffic:
 - :mod:`~repro.service.types` — ``SolveRequest`` / ``SolveResponse`` /
   ``FitRequest`` / ``RepositoryStats``, each JSON-(de)serialisable;
 - :mod:`~repro.service.errors` — the explicit failure vocabulary
-  (``NotFitted``, ``InvalidRequest``, ``Overloaded``, ``RateLimited``,
-  ``Unavailable`` when the durability WAL degrades, client-side
-  ``TransportError``);
+  (``NotFitted``, ``InvalidRequest``, ``RequestTimeout``,
+  ``Overloaded``, ``RateLimited``, ``Unavailable`` when the durability
+  WAL degrades, client-side ``TransportError``);
 - :mod:`~repro.service.service` — :class:`MoRERService`, a read-write-
   locked façade whose background scheduler coalesces concurrent
   ``sel_cov`` requests into one :meth:`MoRER.solve_batch` per tick;
@@ -29,6 +29,7 @@ from .errors import (
     NotFitted,
     Overloaded,
     RateLimited,
+    RequestTimeout,
     ServiceError,
     TransportError,
     Unavailable,
@@ -66,6 +67,7 @@ __all__ = [
     "ServiceError",
     "NotFitted",
     "InvalidRequest",
+    "RequestTimeout",
     "Overloaded",
     "RateLimited",
     "Unavailable",

@@ -2,7 +2,7 @@
 
 Core MoRER raises Python-idiomatic exceptions (``ValueError`` for bad
 arguments, :class:`~repro.core.NotFittedError` for lifecycle misuse).
-At the service boundary those become three explicit, client-meaningful
+At the service boundary those become explicit, client-meaningful
 conditions — each with a stable machine-readable ``code`` and an HTTP
 status the gateway maps to — instead of leaking implementation
 exception types to remote callers.
@@ -14,6 +14,7 @@ __all__ = [
     "ServiceError",
     "NotFitted",
     "InvalidRequest",
+    "RequestTimeout",
     "Overloaded",
     "RateLimited",
     "Unavailable",
@@ -53,6 +54,15 @@ class InvalidRequest(ServiceError):
 
     code = "invalid_request"
     http_status = 400
+
+
+class RequestTimeout(ServiceError):
+    """The client stopped sending a request body before its declared
+    ``Content-Length`` arrived. The gateway answers and closes the
+    connection, since the body boundary is lost."""
+
+    code = "request_timeout"
+    http_status = 408
 
 
 class Overloaded(ServiceError):
@@ -114,7 +124,8 @@ class TransportError(ServiceError):
 #: typed error a remote gateway reported.
 _ERRORS_BY_CODE = {
     cls.code: cls for cls in (ServiceError, NotFitted, InvalidRequest,
-                              Overloaded, RateLimited, Unavailable)
+                              RequestTimeout, Overloaded, RateLimited,
+                              Unavailable)
 }
 
 

@@ -32,7 +32,8 @@ POST      ``/save``       ``{"path": str}`` -> ``{"saved": str}``
 ========  ==============  ====================================================
 
 Typed service errors map to their ``http_status`` (400
-``invalid_request``, 409 ``not_fitted``, 429 ``overloaded`` /
+``invalid_request``, 408 ``request_timeout`` for a body that stalls
+short of its ``Content-Length``, 409 ``not_fitted``, 429 ``overloaded`` /
 ``rate_limited``, 503 ``unavailable`` when durability is degraded)
 with a ``{"error": {"code", "message"}, "request_id"}`` body; anything
 unexpected is a 500.
@@ -63,11 +64,12 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .errors import InvalidRequest, RateLimited, ServiceError
+from .errors import InvalidRequest, RateLimited, RequestTimeout, ServiceError
 from .limiter import RateLimiter
 from .observability import AccessLog
 from .service import MoRERService
@@ -153,6 +155,10 @@ _POST_ROUTES = {
 class _GatewayHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "MoRERService"
+    #: Socket timeout (seconds) for every read and write. A body that
+    #: stops short of its Content-Length answers 408 instead of pinning
+    #: the handler thread, and an idle keep-alive connection closes.
+    timeout = 30
 
     # -- plumbing ----------------------------------------------------------
 
@@ -184,8 +190,13 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self.send_header(
                 "Retry-After", str(max(1, math.ceil(retry_after)))
             )
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() without its flush: status line, headers and
+        # body leave in one write. A second small write on a keep-alive
+        # connection waits for the ACK of the first (Nagle), which the
+        # client delays: ~40 ms per response.
+        self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(body)
+        self.flush_headers()
 
     def _reply(self, status, payload):
         self._send(status, json.dumps(payload).encode("utf-8"),
@@ -211,16 +222,28 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             raise InvalidRequest(f"invalid Content-Length {value!r}")
         return int(value)
 
-    def _drain_body(self):
-        """Consume an unread request body so HTTP/1.1 keep-alive
-        connections stay in sync after an early (404) reply."""
+    def _read_body(self):
+        """The request body, exactly as long as its Content-Length.
+
+        A client that stops sending mid-body gets 408 once the socket
+        :attr:`timeout` expires; the connection closes, because the
+        body boundary is lost and a timed-out ``rfile`` cannot be read
+        again. (``socket.timeout`` is only an alias of ``TimeoutError``
+        from Python 3.10.)
+        """
         length = self._content_length()
-        if length:
-            self.rfile.read(length)
+        if not length:
+            return b""
+        try:
+            return self.rfile.read(length)
+        except socket.timeout as exc:
+            self.close_connection = True
+            raise RequestTimeout(
+                f"request body incomplete after {self.timeout} s"
+            ) from exc
 
     def _read_json(self):
-        length = self._content_length()
-        raw = self.rfile.read(length) if length else b""
+        raw = self._read_body()
         if not raw:
             raise InvalidRequest("request body must be a JSON object")
         try:
@@ -261,7 +284,9 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self._endpoint_label = endpoint
         try:
             if name is None:
-                self._drain_body()
+                # Consume the unread body so the next request on a
+                # keep-alive connection parses cleanly.
+                self._read_body()
                 self._error_code = "not_found"
                 self._reply(404, {
                     "error": {"code": "not_found",

@@ -556,3 +556,60 @@ def test_crash_fault_kills_the_process_like_kill_minus_nine(tmp_path):
     records, report = read_wal(tmp_path / "wal")
     assert not report.torn
     assert [r["seq"] for r in records] == [1, 2]
+
+
+# -- replay in a new process -------------------------------------------------------
+
+_LIVE_THEN_DUMP = """
+import sys
+import numpy as np
+from repro.core.morer import MoRER
+from repro.durability import recover
+from repro.service import MoRERService
+from repro.service.fixtures import demo_problems, demo_probes
+
+mode, wal_dir, out = sys.argv[1:]
+if mode == "live":
+    service = MoRERService(MoRER(random_state=0), wal_dir=wal_dir)
+    service.fit(demo_problems(12))
+    for probe in demo_probes(6, seed=7):
+        service.solve(probe)
+    morer = service.morer
+else:
+    morer, _ = recover(wal_dir)
+np.savez(out, **{
+    f"{entry.cluster_id}-{part}": getattr(entry, f"training_{part}")
+    for entry in morer.repository
+    for part in ("features", "labels")
+})
+"""
+
+
+def test_recovery_in_a_new_process_trains_identical_entries(tmp_path):
+    """A WAL-logged fit and cov tail, replayed by ``recover()`` in a
+    process with another string-hash seed, trains every entry on the
+    same rows in the same order: AL pools are built in key order, not
+    in the iteration order of a set of keys."""
+    import subprocess
+    import sys
+
+    from pathlib import Path
+
+    def run(mode, hash_seed):
+        out = tmp_path / f"{mode}-{hash_seed}.npz"
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        subprocess.run(
+            [sys.executable, "-c", _LIVE_THEN_DUMP, mode,
+             str(tmp_path / "wal"), str(out)],
+            env=env, check=True, timeout=300,
+        )
+        with np.load(out) as arrays:
+            return dict(arrays)
+
+    live = run("live", 1)
+    for hash_seed in (2, 3):
+        recovered = run("recover", hash_seed)
+        assert recovered.keys() == live.keys()
+        for name, array in live.items():
+            assert np.array_equal(recovered[name], array), (hash_seed, name)

@@ -186,6 +186,69 @@ def test_malformed_content_length_is_400_not_a_hang(gateway, path):
         assert json.loads(reply.read().decode("utf-8")) == {"live": True}
 
 
+def test_keep_alive_responses_do_not_stall(gateway):
+    """Status line, headers and body leave in one write: a response
+    split in two waits on Nagle plus the client's delayed ACK, ~40 ms
+    per request on a persistent connection."""
+    import http.client
+    import statistics
+    import time
+
+    host, port = gateway.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        latencies = []
+        for _ in range(20):
+            started = time.perf_counter()
+            connection.request("GET", "/livez")
+            reply = connection.getresponse()
+            assert json.loads(reply.read().decode("utf-8")) == {"live": True}
+            latencies.append(time.perf_counter() - started)
+    finally:
+        connection.close()
+    assert statistics.median(latencies) < 0.020, latencies
+
+
+def test_short_body_is_408_and_frees_the_handler(gateway, monkeypatch):
+    """A body shorter than its Content-Length answers 408
+    ``request_timeout`` once the socket timeout expires and closes the
+    connection, instead of pinning a handler thread in ``rfile.read``."""
+    import time
+
+    from repro.service.http import _GatewayHandler
+
+    monkeypatch.setattr(_GatewayHandler, "timeout", 0.5)
+    host, port = gateway.server_address[:2]
+    baseline = threading.active_count()
+    replies = []
+    for path in ("/solve", "/nope"):
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(
+                f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+                "Content-Type: application/json\r\n"
+                "Content-Length: 100\r\n\r\n{\"problem\": ".encode("ascii")
+            )
+            reply = b""
+            while True:  # the server must answer and close within 5 s
+                chunk = sock.recv(4096)
+                if not chunk:
+                    break
+                reply += chunk
+        replies.append(reply)
+    for reply in replies:
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 "), head
+        assert b"connection: close" in head.lower(), head
+        envelope = json.loads(body.decode("utf-8"))
+        assert envelope["error"]["code"] == "request_timeout"
+    deadline = time.monotonic() + 5
+    while threading.active_count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert threading.active_count() <= baseline
+    with urllib.request.urlopen(gateway.url + "/livez", timeout=5) as reply:
+        assert json.loads(reply.read().decode("utf-8")) == {"live": True}
+
+
 def test_concurrent_http_clients_coalesce():
     service = MoRERService(demo_morer(12), max_batch_size=8,
                            max_wait_ms=150)
