@@ -3,16 +3,22 @@
 Measures the two hot loops the signature subsystem accelerates — ER
 problem graph construction (§4.3, all-pairs distribution analysis) and
 repository search (§4.5) — at 50/100/200 synthetic problems, running
-both the vectorized signature path and the preserved naive path
-(``use_signatures=False``) over identical inputs. Asserts the ≥3×
-speedup and the <1e-9 similarity equivalence the refactor promises.
+both the vectorized signature path and a naive loop that recomputes
+every comparison from the raw matrices with the §4.2
+``test.problem_similarity`` over identical inputs. Asserts the ≥3×
+speedup and the <1e-9 similarity equivalence the signatures promise.
 """
 
 import time
 
 import numpy as np
 
-from repro.core import ERProblem, ERProblemGraph, ModelRepository
+from repro.core import (
+    ERProblem,
+    ERProblemGraph,
+    ModelRepository,
+    make_distribution_test,
+)
 
 N_PAIRS = 120
 N_FEATURES = 8
@@ -42,15 +48,48 @@ def _make_problems(n_problems, seed=0, prefix="S"):
     return problems
 
 
-def _run_path(problems, probes, use_signatures):
+def _groups(problems):
+    """The repository entries: ``ENTRY_GROUP`` problems each."""
+    return [
+        problems[i:i + ENTRY_GROUP]
+        for i in range(0, len(problems), ENTRY_GROUP)
+    ]
+
+
+def _run_naive(problems, probes):
+    """Every edge and every search score from the raw matrices; returns
+    (time, sims) laid out like :func:`_run_path`'s."""
+    test = make_distribution_test("ks")
+    started = time.perf_counter()
+    edge_sims = [
+        test.problem_similarity(problems[i].features, problems[j].features)
+        for i in range(len(problems))
+        for j in range(i)
+    ]
+    representatives = [
+        np.vstack([p.features for p in group]) for group in _groups(problems)
+    ]
+    search_sims = [
+        similarity
+        for probe in probes
+        for similarity in sorted(
+            (
+                test.problem_similarity(probe.features, representative)
+                for representative in representatives
+            ),
+            reverse=True,
+        )
+    ]
+    elapsed = time.perf_counter() - started
+    return elapsed, np.array(edge_sims + search_sims)
+
+
+def _run_path(problems, probes):
     """Build graph + repository, search all probes; returns (time, sims)."""
     started = time.perf_counter()
-    graph = ERProblemGraph.build(
-        problems, "ks", use_signatures=use_signatures
-    )
-    repository = ModelRepository("ks", use_signatures=use_signatures)
-    for i in range(0, len(problems), ENTRY_GROUP):
-        group = problems[i:i + ENTRY_GROUP]
+    graph = ERProblemGraph.build(problems, "ks")
+    repository = ModelRepository("ks")
+    for group in _groups(problems):
         representative = np.vstack([p.features for p in group])
         repository.add_entry(
             {p.key for p in group}, None, representative,
@@ -86,12 +125,8 @@ def test_search_scale_speedup(benchmark, smoke):
             probes = _make_problems(N_PROBES, seed=991, prefix="X")
             naive_times, fast_times = [], []
             for _ in range(rounds):
-                naive_s, naive_sims = _run_path(
-                    problems, probes, use_signatures=False
-                )
-                fast_s, fast_sims = _run_path(
-                    problems, probes, use_signatures=True
-                )
+                naive_s, naive_sims = _run_naive(problems, probes)
+                fast_s, fast_sims = _run_path(problems, probes)
                 naive_times.append(naive_s)
                 fast_times.append(fast_s)
             naive_s, fast_s = min(naive_times), min(fast_times)

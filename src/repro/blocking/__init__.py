@@ -1,15 +1,5 @@
 """Blocking / candidate-generation substrate (§4.1)."""
 
-from .embedding_nn import embed_records, embedding_topk_pairs
-from .sorted_neighbourhood import sorted_neighbourhood_pairs
-from .standard import block_records, standard_blocking_pairs
 from .token_blocking import token_blocking_pairs
 
-__all__ = [
-    "block_records",
-    "standard_blocking_pairs",
-    "sorted_neighbourhood_pairs",
-    "token_blocking_pairs",
-    "embed_records",
-    "embedding_topk_pairs",
-]
+__all__ = ["token_blocking_pairs"]

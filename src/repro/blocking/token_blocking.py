@@ -13,15 +13,18 @@ def token_blocking_pairs(records_a, records_b, attribute,
 
     Tokens occurring in more than ``max_token_frequency`` records on
     either side are ignored (they behave like stop words and would
-    re-create the cross product).
+    re-create the cross product). Pairs come in the order the tokens
+    first appear in ``records_a``, the same in every process.
     """
+    # dict.fromkeys, not set: the pair order must not follow the
+    # process's string hash seed.
     index_a = {}
     for record in records_a:
-        for token in set(word_tokens(record.get(attribute))):
+        for token in dict.fromkeys(word_tokens(record.get(attribute))):
             index_a.setdefault(token, []).append(record)
     index_b = {}
     for record in records_b:
-        for token in set(word_tokens(record.get(attribute))):
+        for token in dict.fromkeys(word_tokens(record.get(attribute))):
             index_b.setdefault(token, []).append(record)
 
     seen = set()

@@ -42,7 +42,6 @@ from .signatures import (
     pairwise_similarities,
     problem_signature,
     search_similarities,
-    supports_signatures,
 )
 from .sketch_index import SketchIndex, sketch_vector
 
@@ -75,7 +74,6 @@ __all__ = [
     "pairwise_similarities",
     "search_similarities",
     "sketch_vector",
-    "supports_signatures",
     "distribute_budget",
     "merge_singletons",
     "BudgetError",

@@ -9,10 +9,22 @@ strategy of §4.5 reclusters after insertion).
 Pairwise analysis is the O(P²·F) hot loop of construction, so the
 graph keeps one :class:`~repro.core.signatures.ProblemSignature` per
 problem (sorted columns, self-CDFs, histograms, stds computed once) and
-evaluates edges with the tests' vectorized ``signature_similarity``
-kernels. Computed pair similarities are memoized in a pair cache that
-survives :meth:`remove_problem`, so ``sel_cov`` re-insertions and
-repeated reclustering never repeat a comparison.
+evaluates edges with the tests' vectorized signature kernels. Computed
+pair similarities are memoized in a pair cache that survives
+:meth:`remove_problem`, so ``sel_cov`` re-insertions and repeated
+reclustering never repeat a comparison.
+
+One insertion body
+------------------
+:meth:`build`, :meth:`add_problems` and :meth:`add_problem` all run
+the private :meth:`ERProblemGraph._insert` over a batch (a fit set, a
+``solve_batch`` tick, one probe). Each member is compared with its
+candidates — the existing vertices, then the earlier batch members —
+and its edges and journal entry follow that order. Cached pairs are
+reused, never recomputed; the batch's own pairs come from the
+all-pairs matrix kernel (the fit path) and every other pair from the
+one-vs-many kernel. Every member is validated before the first
+mutation, so a rejected batch leaves the graph as it was.
 
 Two mechanisms keep *insertion* sublinear in graph size at scale:
 
@@ -41,8 +53,8 @@ it created or destroyed. A consumer caching a partition (MoRER's
 partition and modularity aggregates without touching the graph history.
 Removals therefore no longer invalidate warm starts: the replay drops
 the vertex from the seed and queues its recorded neighbours. Consumed
-entries are reclaimed with :meth:`trim_journal`; :meth:`build` advances
-the version without journaling (bulk construction is an epoch boundary,
+entries are reclaimed with :meth:`trim_journal`; :meth:`build` folds
+its entries into the offset (bulk construction is an epoch boundary,
 ``can_replay`` is false across it).
 """
 
@@ -62,7 +74,6 @@ from .signatures import (
     SignatureStore,
     pairwise_similarities,
     search_similarities,
-    supports_signatures,
 )
 from .sketch_index import SketchIndex
 
@@ -119,29 +130,30 @@ class JournalEntry:
 class ERProblemGraph:
     """Similarity graph over ER problems.
 
+    Problems enter through :meth:`build` (the fit set),
+    :meth:`add_problems` or :meth:`add_problem`. All three run one
+    insertion body: each new problem is compared with its candidates
+    in a fixed order (existing vertices, then earlier batch members),
+    and a pair already in the pair cache is never recomputed.
+
     Parameters
     ----------
     test : distribution test or str
-        Object with ``problem_similarity(features_a, features_b)`` or a
-        Table 3 short name (``"ks"``, ``"wd"``, ``"psi"``, ``"c2st"``).
+        A distribution test with the signature kernels
+        (``signature_similarity``; see
+        :mod:`repro.core.distribution`) or a Table 3 short name
+        (``"ks"``, ``"wd"``, ``"psi"``, ``"c2st"``).
     min_similarity : float
         Edges below this weight are omitted; 0.0 keeps every positive
         similarity (the default — Leiden handles dense graphs fine at
         this scale).
-    use_signatures : bool
-        Evaluate edges through per-problem signatures and the memoized
-        pair cache (the default). ``False`` preserves the naive path
-        that recomputes every comparison from the raw matrices —
-        reference behaviour for the equivalence suite and benchmarks.
     signature_cache_size : int
         Capacity of the LRU signature store.
     use_index : {"auto", True, False}
         Sketch-prefilter insertions: compare a new problem only against
         its sketch-nearest existing vertices. ``"auto"`` (the default)
         engages at ``index_threshold`` vertices; ``False`` always
-        compares against every vertex (the exact §4.5 behaviour). The
-        prefilter requires the signature path; with
-        ``use_signatures=False`` insertions stay exact.
+        compares against every vertex (the exact §4.5 behaviour).
     index_threshold : int
         Vertex count at which ``"auto"`` starts prefiltering.
     n_candidates : int
@@ -152,7 +164,7 @@ class ERProblemGraph:
         Histogram bins per feature in the sketch vectors.
     """
 
-    def __init__(self, test="ks", min_similarity=0.0, use_signatures=True,
+    def __init__(self, test="ks", min_similarity=0.0,
                  signature_cache_size=4096, use_index="auto",
                  index_threshold=DEFAULT_INDEX_THRESHOLD, n_candidates=0,
                  sketch_bins=16):
@@ -163,20 +175,17 @@ class ERProblemGraph:
             raise ValueError("n_candidates must be >= 0")
         self.test = test
         self.min_similarity = min_similarity
-        self.use_signatures = bool(use_signatures) and supports_signatures(test)
         self.use_index = use_index
         self.index_threshold = int(index_threshold)
         self.n_candidates = int(n_candidates)
         # The pair cache stores one value under an order-normalized key,
         # so it is only sound for order-symmetric tests (KS/WD/PSI, not
         # C2ST, whose subsampling depends on argument order).
-        self._cache_pairs = self.use_signatures and getattr(
-            test, "symmetric", False
-        )
+        self._cache_pairs = getattr(test, "symmetric", False)
         self.graph = Graph()
         # Mutation journal: entries cover versions
         # (_journal_offset, _journal_offset + len(_journal)]; bulk
-        # construction advances the offset without entries.
+        # construction folds its entries into the offset.
         self._journal = []
         self._journal_offset = 0
         #: Runtime instrumentation (never persisted): how many pairwise
@@ -206,145 +215,63 @@ class ERProblemGraph:
     def build(cls, problems, test="ks", min_similarity=0.0, **kwargs):
         """Build the graph over an iterable of initial ER problems.
 
-        On the signature path all signatures are computed up front
-        (once per problem) and the edges come from one batched
-        :func:`~repro.core.signatures.pairwise_similarities` kernel.
+        Runs the insertion body (:meth:`_insert`) over the whole set, so
+        the pairs of an order-symmetric test go through one all-pairs
+        matrix kernel, then folds the journal into an epoch boundary:
+        no consumer replays the O(n²) construction.
         """
         instance = cls(test, min_similarity, **kwargs)
-        problems = list(problems)
-        if not instance.use_signatures or len(problems) < 2:
-            for problem in problems:
-                instance.add_problem(problem)
-            # Bulk construction is an epoch boundary: fold the entries
-            # into the offset so no consumer replays the O(n²) build.
-            instance.trim_journal(instance.version)
-            return instance
-        keys = []
-        signatures = []
-        for problem in problems:
-            key = problem.key
-            if key in instance._problems:
-                raise ValueError(f"ER problem {key} already in the graph")
-            instance.graph.add_node(key)
-            instance._problems[key] = problem
-            instance._journal_offset += 1
-            keys.append(key)
-            instance._validate_pair_cache(key, problem.features)
-            instance._index_pending.add(key)
-            signatures.append(
-                instance._signatures.signature(key, problem.features)
-            )
-        # Asymmetric tests (C2ST) skip the matrix kernel: only the lower
-        # triangle is consumed, and pairwise_similarities would have to
-        # evaluate both orientations.
-        matrix = None
-        if getattr(instance.test, "symmetric", False):
-            matrix = pairwise_similarities(signatures, instance.test)
-        instance.stats["pair_evals"] += len(keys) * (len(keys) - 1) // 2
-        for i, key_i in enumerate(keys):
-            for j in range(i):
-                if matrix is not None:
-                    similarity = float(matrix[i, j])
-                else:
-                    similarity = instance.test.signature_similarity(
-                        signatures[i], signatures[j]
-                    )
-                if instance._cache_pairs:
-                    instance._remember_pair(key_i, keys[j], similarity)
-                if similarity > instance.min_similarity:
-                    instance.graph.add_edge(key_i, keys[j], similarity)
+        instance._insert(problems)
+        instance.trim_journal(instance.version)
         return instance
 
     def add_problem(self, problem):
-        """Insert ``problem`` and weight edges to existing vertices.
+        """Insert one problem: :meth:`add_problems` with a batch of one."""
+        self.add_problems([problem])
 
-        Below ``index_threshold`` (or with ``use_index=False``) the new
+    def add_problems(self, problems):
+        """Insert problems and weight their edges (:meth:`_insert`).
+
+        Below ``index_threshold`` (or with ``use_index=False``) each new
         vertex is compared against *every* existing vertex — the exact
         §4.5 integration. Past the threshold the sketch index prefilters
         ``n_candidates`` nearest vertices and only those are compared
-        (and eligible for edges), keeping insertion cost bounded as the
-        graph grows. The insertion (and the edges it created) is
-        appended to the mutation journal.
+        (and eligible for edges). Batch members are always compared
+        with each other exactly. One journal entry per member is
+        appended, so partition replays see the batch as the equivalent
+        insert sequence.
         """
-        key = problem.key
-        if key in self._problems:
-            raise ValueError(f"ER problem {key} already in the graph")
-        signature = None
-        if self.use_signatures:
-            self._validate_pair_cache(key, problem.features)
-            signature = self._signatures.signature(key, problem.features)
-        self.graph.add_node(key)
-        others = self._problems
-        if signature is not None and self._prefilter_active():
-            others = self._candidate_problems(signature)
-        edges = {}
-        for other_key, other in others.items():
-            if signature is not None:
-                similarity = None
-                if self._cache_pairs:
-                    similarity = self._pair_cache.get(_pair_key(key, other_key))
-                if similarity is None:
-                    other_signature = self._signatures.signature(
-                        other_key, other.features
-                    )
-                    similarity = self.test.signature_similarity(
-                        signature, other_signature
-                    )
-                    self.stats["pair_evals"] += 1
-                    if self._cache_pairs:
-                        self._remember_pair(key, other_key, similarity)
-            else:
-                similarity = self.test.problem_similarity(
-                    problem.features, other.features
-                )
-                self.stats["pair_evals"] += 1
-            if similarity > self.min_similarity:
-                self.graph.add_edge(key, other_key, similarity)
-                edges[other_key] = float(similarity)
-        self._problems[key] = problem
-        self._journal.append(JournalEntry(JournalEntry.INSERT, key, edges))
-        if self.use_signatures:
-            self._index_pending.add(key)
+        self._insert(problems)
 
-    def add_problems(self, problems):
-        """Batch-insert several problems with one prefiltered edge pass.
+    def _insert(self, problems):
+        """The one body that adds problems to the graph.
 
-        The batched form of :meth:`add_problem` behind
-        :meth:`MoRER.solve_batch`: signatures are computed once for the
-        whole batch, the sketch index is synced once, every member's
-        candidate set is evaluated through the test's one-vs-many
-        kernel (:func:`~repro.core.signatures.search_similarities`
-        instead of one Python-level call per pair), and batch members
-        are always compared against *each other* exactly (a batch is
-        small; sequential insertion would have routed later members
-        against earlier ones through the index anyway). One journal
-        entry per member is appended, so partition replays see the
-        batch as the equivalent insert sequence.
+        Each member is compared with its *candidates*, in this order:
+        the existing vertices (all of them, or the sketch-nearest ones
+        once the prefilter is active), then the earlier batch members.
+        Its edges and journal entry follow that order. A pair already in
+        the pair cache is never recomputed. Uncached pairs inside the
+        batch come from the :func:`pairwise_similarities` matrix when
+        :meth:`_batch_matrix` provides one; every other uncached pair
+        goes through the one-vs-many
+        :func:`~repro.core.signatures.search_similarities` kernel in
+        ``sim_p(new, other)`` orientation. Every member is checked
+        before the first mutation, so a rejected batch leaves the graph
+        untouched.
         """
         problems = list(problems)
-        if not self.use_signatures or len(problems) < 2:
-            for problem in problems:
-                self.add_problem(problem)
-            return
-        keys = []
-        batch_rows = {}
-        for problem in problems:
-            key = problem.key
-            if key in self._problems or key in batch_rows:
-                raise ValueError(f"ER problem {key} already in the graph")
-            batch_rows[key] = len(keys)
-            keys.append(key)
-        existing = list(self._problems)
+        rows = self._check_members(problems)
+        keys = list(rows)
         prefilter = self._prefilter_active()
         if prefilter:
             self._sync_sketch_index()
+        n_candidates = self._resolve_candidates() if prefilter else 0
+        existing = list(self._problems)
         signatures = []
         for problem, key in zip(problems, keys):
             self._validate_pair_cache(key, problem.features)
-            signatures.append(
-                self._signatures.signature(key, problem.features)
-            )
-        n_candidates = self._resolve_candidates() if prefilter else 0
+            signatures.append(self._signatures.signature(key, problem.features))
+        matrix = self._batch_matrix(keys, signatures)
         for i, (problem, key) in enumerate(zip(problems, keys)):
             signature = signatures[i]
             if prefilter:
@@ -352,42 +279,75 @@ class ERProblemGraph:
             else:
                 candidates = existing
             candidates = list(candidates) + keys[:i]
+            partners = self._pairs_by_key.get(key, ())
+            values = {
+                other: self._pair_cache[_pair_key(key, other)]
+                for other in candidates if other in partners
+            }
+            fresh = [other for other in candidates if other not in values]
+            if matrix is not None:
+                values.update(zip(keys[:i], matrix[i, :i].tolist()))
+            rest = [other for other in fresh if other not in values]
+            if rest:
+                similarities = search_similarities(self.test, signature, [
+                    signatures[rows[other]] if other in rows
+                    else self._signatures.signature(
+                        other, self._problems[other].features
+                    )
+                    for other in rest
+                ])
+                values.update(zip(rest, map(float, similarities)))
+                self.stats["pair_evals"] += len(rest)
+            if self._cache_pairs:
+                for other in fresh:
+                    self._remember_pair(key, other, values[other])
             self.graph.add_node(key)
             edges = {}
-            uncached, uncached_signatures = [], []
-            for other_key in candidates:
-                similarity = None
-                if self._cache_pairs:
-                    similarity = self._pair_cache.get(_pair_key(key, other_key))
-                if similarity is None:
-                    uncached.append(other_key)
-                    row = batch_rows.get(other_key)
-                    uncached_signatures.append(
-                        signatures[row] if row is not None
-                        else self._signatures.signature(
-                            other_key, self._problems[other_key].features
-                        )
-                    )
-                elif similarity > self.min_similarity:
-                    self.graph.add_edge(key, other_key, similarity)
-                    edges[other_key] = float(similarity)
-            if uncached:
-                similarities = search_similarities(
-                    self.test, signature, uncached_signatures
-                )
-                self.stats["pair_evals"] += len(uncached)
-                for other_key, similarity in zip(uncached, similarities):
-                    similarity = float(similarity)
-                    if self._cache_pairs:
-                        self._remember_pair(key, other_key, similarity)
-                    if similarity > self.min_similarity:
-                        self.graph.add_edge(key, other_key, similarity)
-                        edges[other_key] = similarity
+            for other in candidates:
+                similarity = values[other]
+                if similarity > self.min_similarity:
+                    self.graph.add_edge(key, other, similarity)
+                    edges[other] = similarity
             self._problems[key] = problem
-            self._journal.append(
-                JournalEntry(JournalEntry.INSERT, key, edges)
-            )
+            self._journal.append(JournalEntry(JournalEntry.INSERT, key, edges))
             self._index_pending.add(key)
+
+    def _check_members(self, problems):
+        """``{key: row}`` of a batch about to be inserted; raises
+        ``ValueError`` on a key already in the graph or repeated in the
+        batch, and on a feature count that differs from the graph's or
+        from another member's."""
+        rows = {}
+        n_features = next(
+            (problem.n_features for problem in self._problems.values()), None
+        )
+        for problem in problems:
+            key = problem.key
+            if key in self._problems or key in rows:
+                raise ValueError(f"ER problem {key} already in the graph")
+            rows[key] = len(rows)
+            if n_features is None:
+                n_features = problem.n_features
+            elif problem.n_features != n_features:
+                raise ValueError(
+                    "ER problems must share the feature space "
+                    f"({problem.n_features} vs {n_features} features)"
+                )
+        return rows
+
+    def _batch_matrix(self, keys, signatures):
+        """The batch's ``sim_p`` matrix from the matrix kernel, or
+        ``None`` when its inner pairs go through the one-vs-many kernel
+        instead: for a single member, for order-asymmetric tests (the
+        matrix would pay both orientations) and when any inner pair is
+        already cached."""
+        if len(keys) < 2 or not self._cache_pairs:
+            return None
+        batch = set(keys)
+        if any(batch & self._pairs_by_key.get(key, set()) for key in keys):
+            return None
+        self.stats["pair_evals"] += len(keys) * (len(keys) - 1) // 2
+        return pairwise_similarities(signatures, self.test)
 
     def remove_problem(self, key):
         """Remove a problem vertex (used by repository maintenance).
@@ -507,7 +467,7 @@ class ERProblemGraph:
 
     def _prefilter_active(self):
         """Whether insertions go through the sketch prefilter."""
-        if not self.use_signatures or not self._problems:
+        if not self._problems:
             return False
         if self.use_index == "auto":
             return len(self._problems) >= self.index_threshold
@@ -517,12 +477,6 @@ class ERProblemGraph:
         if self.n_candidates:
             return self.n_candidates
         return max(64, int(4 * math.sqrt(len(self._problems))))
-
-    def _candidate_problems(self, signature):
-        """The ``n_candidates`` sketch-nearest stored problems."""
-        self._sync_sketch_index()
-        keys = self._sketch_index.query(signature, self._resolve_candidates())
-        return {key: self._problems[key] for key in keys}
 
     def _sync_sketch_index(self):
         """Fold pending vertices into the sketch matrix."""
@@ -551,17 +505,12 @@ class ERProblemGraph:
                 return cached
         problem_a = self._problems[key_a]
         problem_b = self._problems[key_b]
-        if self.use_signatures:
-            similarity = self.test.signature_similarity(
-                self._signatures.signature(key_a, problem_a.features),
-                self._signatures.signature(key_b, problem_b.features),
-            )
-            if self._cache_pairs:
-                self._remember_pair(key_a, key_b, similarity)
-        else:
-            similarity = self.test.problem_similarity(
-                problem_a.features, problem_b.features
-            )
+        similarity = self.test.signature_similarity(
+            self._signatures.signature(key_a, problem_a.features),
+            self._signatures.signature(key_b, problem_b.features),
+        )
+        if self._cache_pairs:
+            self._remember_pair(key_a, key_b, similarity)
         self.stats["pair_evals"] += 1
         return similarity
 
@@ -619,7 +568,6 @@ class ERProblemGraph:
         rows = {key: i for i, key in enumerate(keys)}
         meta = {
             "min_similarity": self.min_similarity,
-            "use_signatures": self.use_signatures,
             "use_index": self.use_index,
             "index_threshold": self.index_threshold,
             "n_candidates": self.n_candidates,
@@ -642,18 +590,17 @@ class ERProblemGraph:
             arrays[f"features_{i}"] = problem.features
             if problem.labels is not None:
                 arrays[f"labels_{i}"] = problem.labels
-            if self.use_signatures:
-                # Read through the store without inserting: saving a
-                # graph larger than the LRU capacity must not thrash
-                # live entries (evicted signatures are rebuilt locally
-                # for the snapshot only).
-                signature = self._signatures.get(key)
-                if signature is None or signature.features is not (
-                    problem.features
-                ):
-                    signature = ProblemSignature(problem.features)
-                arrays[f"sig_sorted_{i}"] = signature.sorted_columns
-                arrays[f"sig_cdf_{i}"] = signature.self_cdf
+            # Read through the store without inserting: saving a graph
+            # larger than the LRU capacity must not thrash live entries
+            # (evicted signatures are rebuilt locally for the snapshot
+            # only).
+            signature = self._signatures.get(key)
+            if signature is None or signature.features is not (
+                problem.features
+            ):
+                signature = ProblemSignature(problem.features)
+            arrays[f"sig_sorted_{i}"] = signature.sorted_columns
+            arrays[f"sig_cdf_{i}"] = signature.self_cdf
         edge_rows, edge_weights = [], []
         for u, v, weight in self.graph.edges():
             edge_rows.append((rows[u], rows[v]))
@@ -690,11 +637,12 @@ class ERProblemGraph:
         snapshot was taken under. Signatures, edges, the pair cache and
         the sketch matrix come back preloaded: the restored graph's
         signature store reports zero :attr:`SignatureStore.builds` and
-        the first prefiltered insertion derives no sketch row.
+        the first prefiltered insertion derives no sketch row. Keys this
+        version does not read (older snapshots also flag whether edges
+        came from signatures) are ignored.
         """
         instance = cls(
             test, meta["min_similarity"],
-            use_signatures=meta["use_signatures"],
             use_index=meta["use_index"],
             index_threshold=meta["index_threshold"],
             n_candidates=meta["n_candidates"],
@@ -720,15 +668,14 @@ class ERProblemGraph:
             keys.append(key)
             instance.graph.add_node(key)
             instance._problems[key] = problem
-            if instance.use_signatures:
-                signature = ProblemSignature(problem.features)
-                sorted_columns = arrays.get(f"sig_sorted_{i}")
-                if sorted_columns is not None:
-                    signature._sorted_columns = np.asarray(sorted_columns)
-                self_cdf = arrays.get(f"sig_cdf_{i}")
-                if self_cdf is not None:
-                    signature._self_cdf = np.asarray(self_cdf)
-                instance._signatures.put(key, signature)
+            signature = ProblemSignature(problem.features)
+            sorted_columns = arrays.get(f"sig_sorted_{i}")
+            if sorted_columns is not None:
+                signature._sorted_columns = np.asarray(sorted_columns)
+            self_cdf = arrays.get(f"sig_cdf_{i}")
+            if self_cdf is not None:
+                signature._self_cdf = np.asarray(self_cdf)
+            instance._signatures.put(key, signature)
             if instance._cache_pairs:
                 instance._pair_witness[key] = weakref.ref(
                     problem.features,
@@ -754,7 +701,7 @@ class ERProblemGraph:
                 [keys[int(row)] for row in arrays["sketch_order"]],
                 arrays["sketch_rows"],
             )
-        elif instance.use_signatures:
+        else:
             instance._index_pending.update(keys)
         instance._journal = [
             JournalEntry.from_json(entry) for entry in meta["journal"]

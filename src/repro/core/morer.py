@@ -33,8 +33,9 @@ cursor.
 
 Batching and persistence
 ------------------------
-:meth:`MoRER.solve_batch` integrates a probe batch with one
-sketch-prefiltered edge pass and one recluster, then decides reuse vs
+:meth:`MoRER.solve_batch` integrates a probe batch with one call to
+the graph's insertion body (the one :meth:`MoRER.solve` runs for a
+single probe) and one recluster, then decides reuse vs
 retrain per probe; integration time is attributed per-probe through
 ``SolveResult.overhead_seconds`` (never double-counted against
 :meth:`overhead_seconds`). :meth:`MoRER.save` / :meth:`MoRER.load`
@@ -183,12 +184,6 @@ class MoRER:
                     f"initial problem {problem.key} has no labels; MoRER "
                     "initialisation needs a labelling oracle"
                 )
-        n_features = {p.n_features for p in initial_problems}
-        if len(n_features) != 1:
-            raise ValueError(
-                "initial problems disagree on the feature space; MoRER "
-                "assumes a shared comparison schema (§2)"
-            )
 
         started = time.perf_counter()
         self.problem_graph = ERProblemGraph.build(
@@ -355,8 +350,9 @@ class MoRER:
         """Solve a stream of problems with one integration + recluster.
 
         The batched ``sel_cov`` entry point: all absent probes are
-        inserted through one sketch-prefiltered edge pass
-        (:meth:`ERProblemGraph.add_problems`), the partition is updated
+        inserted in one call to the graph's insertion body
+        (:meth:`ERProblemGraph.add_problems`, the same body a single
+        :meth:`solve` runs with one probe), the partition is updated
         by one journal replay (one bounded local move over every
         inserted vertex), and then each probe gets its reuse/retrain
         decision in order against the shared clustering — so the
@@ -441,11 +437,6 @@ class MoRER:
         """Thread-safe accumulation into :attr:`timings`."""
         with self._timing_lock:
             self.timings[key] += seconds
-
-    def _timed_add_problem(self, problem):
-        started = time.perf_counter()
-        self.problem_graph.add_problem(problem)
-        self._add_timing("analysis", time.perf_counter() - started)
 
     def _timed_add_problems(self, problems):
         started = time.perf_counter()

@@ -31,7 +31,6 @@ from .signatures import (
     ProblemSignature,
     SignatureStore,
     search_similarities,
-    supports_signatures,
 )
 from .sketch_index import SketchIndex
 
@@ -87,10 +86,6 @@ class ModelRepository:
         problem graph, per §4.5.
     config : MoRERConfig, optional
         Stored alongside for provenance; persisted in the manifest.
-    use_signatures : bool
-        Search through cached per-entry signatures and the vectorized
-        test kernels (the default). ``False`` preserves the naive path
-        that recomputes every comparison from the raw matrices.
     signature_cache_size : int
         Capacity of the LRU store for probe-problem signatures. Probes
         are usually searched once each, so the default stays small —
@@ -105,8 +100,7 @@ class ModelRepository:
         every Table 4/5 reproduction — keep the byte-identical exact
         scan. ``False`` always scans exactly; ``True`` always uses the
         index. Defaults to the config's ``use_index`` when a config is
-        given. The index requires the signature path; with
-        ``use_signatures=False`` searches stay exact.
+        given.
     index_threshold : int, optional
         Entry count at which ``"auto"`` switches to indexed search.
     n_candidates : int, optional
@@ -126,16 +120,15 @@ class ModelRepository:
     insertion order.
     """
 
-    def __init__(self, test="ks", config=None, use_signatures=True,
-                 signature_cache_size=16, use_index=None,
-                 index_threshold=None, n_candidates=None, sketch_bins=16):
+    def __init__(self, test="ks", config=None, signature_cache_size=16,
+                 use_index=None, index_threshold=None, n_candidates=None,
+                 sketch_bins=16):
         if isinstance(test, str):
             test = make_distribution_test(test)
         self.test = test
         self.config = config
         self.entries = {}
         self._next_id = 0
-        self.use_signatures = bool(use_signatures) and supports_signatures(test)
         if use_index is None:
             use_index = config.use_index if config else "auto"
         if index_threshold is None:
@@ -286,8 +279,6 @@ class ModelRepository:
         whose representatives fall outside the signature domain are
         left for the naive per-search fallback, exactly as before.
         """
-        if not self.use_signatures:
-            return
         all_ready = True
         for entry in self.entries.values():
             try:
@@ -354,9 +345,11 @@ class ModelRepository:
 
         Compares the problem's feature vectors against every entry's
         representative :math:`P_{C_i}` with the repository's
-        distribution test — the :math:`sel_{base}` primitive (§4.5). On
-        the signature path the probe is summarised once and each entry's
-        representative signature is cached (invalidated on retraining).
+        distribution test — the :math:`sel_{base}` primitive (§4.5). The
+        probe is summarised once and each entry's representative
+        signature is cached (invalidated on retraining); a raw matrix
+        outside the signatures' ``[0, 1]`` domain is scored with the raw
+        test instead.
         Large repositories additionally prefilter candidates through
         the sketch index (see the class docstring and
         :mod:`repro.core.sketch_index`) before the exact rerank.
@@ -371,10 +364,7 @@ class ModelRepository:
             similarity; the default returns the single best pair
             ``(entry, similarity)``.
         use_index : {"auto", True, False}, optional
-            Per-call override of the constructor setting. Like the
-            constructor flag it requires the signature path: with
-            ``use_signatures=False`` (or a test without signature
-            kernels) searches stay exact regardless.
+            Per-call override of the constructor setting.
         n_candidates : int, optional
             Per-call override of the rerank width (indexed mode only).
         """
@@ -393,12 +383,8 @@ class ModelRepository:
         features = (
             problem.features if isinstance(problem, ERProblem) else problem
         )
-        scored = (
-            self._score_signatures(
-                problem, features, use_index, n_candidates, top_k
-            )
-            if self.use_signatures
-            else None
+        scored = self._score_signatures(
+            problem, features, use_index, n_candidates, top_k
         )
         if scored is None:
             scored = [
@@ -472,11 +458,7 @@ class ModelRepository:
             arrays[f"labels_{entry.cluster_id}"] = entry.training_labels
             model_path = path / f"model_{entry.cluster_id}.json"
             model_path.write_text(json.dumps(entry.model.to_dict()))
-        if (
-            self.use_signatures
-            and self.entries
-            and self._resolve_use_index(None)
-        ):
+        if self.entries and self._resolve_use_index(None):
             # Persist the sketch matrix so a loaded repository's first
             # indexed search skips the lazy per-entry rebuild. Stores
             # whose searches resolve to the exact scan (use_index=False,
@@ -541,12 +523,9 @@ class ModelRepository:
             # (or restores them from the persisted matrix below).
             repository._index_pending.add(cluster_id)
         repository._next_id = manifest["next_id"]
-        if (
-            repository.use_signatures
-            and "sketch_ids" in arrays
-            and set(int(i) for i in arrays["sketch_ids"])
-            == set(repository.entries)
-        ):
+        if "sketch_ids" in arrays and set(
+            int(i) for i in arrays["sketch_ids"]
+        ) == set(repository.entries):
             ids = [int(i) for i in arrays["sketch_ids"]]
             repository._sketch_index.bulk_load(ids, arrays["sketch_rows"])
             for cluster_id in ids:

@@ -8,8 +8,10 @@
   clusters are no longer covered by their training data (Eqs. 13–14).
 
 At scale both ``sel_cov`` steps are sublinear in graph size: insertion
-goes through the graph's sketch prefilter (``n_candidates``
-sketch-nearest vertices instead of all vertices) and reclustering
+(one body for a single probe and a batch,
+:meth:`~repro.core.graph.ERProblemGraph.add_problems`) goes through the
+graph's sketch prefilter (``n_candidates`` sketch-nearest vertices
+instead of all vertices) and reclustering
 replays the graph's mutation journal into MoRER's
 :class:`~repro.core.partition_state.PartitionState` (one bounded local
 move over the perturbed region, delta-tracked modularity) — see
@@ -124,9 +126,8 @@ def select_cov(morer, problem, oracle=None):
     when omitted, the problems' own labels act as the oracle (the usual
     evaluation setup, with every query counted).
     """
-    key = problem.key
-    if key not in morer.problem_graph:
-        morer._timed_add_problem(problem)
+    if problem.key not in morer.problem_graph:
+        morer._timed_add_problems([problem])
     clusters = morer._timed_cluster()
     return decide_cov(morer, problem, oracle, clusters)
 
@@ -135,9 +136,9 @@ def decide_cov(morer, problem, oracle, clusters):
     """The per-probe half of :math:`sel_{cov}`: given the refreshed
     clustering, decide reuse vs retrain and classify.
 
-    Shared by :func:`select_cov` (integrate one probe, then decide)
-    and :meth:`MoRER.solve_batch` (integrate the whole batch once,
-    then decide per probe in order).
+    Shared by :func:`select_cov` (integrate a batch of one, then
+    decide) and :meth:`MoRER.solve_batch` (integrate the whole batch
+    once, then decide per probe in order).
     """
     key = problem.key
     new_cluster = next((c for c in clusters if key in c), {key})

@@ -63,7 +63,6 @@ __all__ = [
     "problem_signature",
     "pairwise_similarities",
     "search_similarities",
-    "supports_signatures",
 ]
 
 #: Per-column offset applied before flattening column-sorted matrices.
@@ -312,27 +311,24 @@ class SignatureStore:
         return key in self._data
 
 
-def supports_signatures(test):
-    """Whether ``test`` implements the signature-based fast path."""
-    return callable(getattr(test, "signature_similarity", None))
-
-
 def pairwise_similarities(signatures, test):
     """Symmetric ``sim_p`` matrix over a list of signatures.
 
-    The kernel behind batched :meth:`ERProblemGraph.build`. Tests that
-    implement ``signature_similarity_matrix`` (KS does) evaluate all
-    pairs in one batched pass; otherwise each pair goes through the
-    test's vectorized signature path. For order-asymmetric tests
-    (``test.symmetric`` false, e.g. C2ST) both orientations are
-    computed, so ``matrix[i, j]`` is always ``sim_p(i, j)`` in that
-    order. The diagonal is fixed at 1.0 (self-similarity — never
-    consumed by the graph, which has no self-loops).
+    The matrix kernel behind the graph's batch insertions (the fit-time
+    :meth:`ERProblemGraph.build` foremost). Tests that implement
+    ``signature_similarity_matrix`` (KS, WD and PSI do) evaluate all
+    pairs in one batched pass from two signatures up; otherwise each
+    pair goes through the test's vectorized signature path. For
+    order-asymmetric tests (``test.symmetric`` false, e.g. C2ST) both
+    orientations are computed, so ``matrix[i, j]`` is always
+    ``sim_p(i, j)`` in that order. The diagonal is fixed at 1.0
+    (self-similarity — never consumed by the graph, which has no
+    self-loops).
     """
     signatures = list(signatures)
     n = len(signatures)
     batched = getattr(test, "signature_similarity_matrix", None)
-    if callable(batched) and n > 2:
+    if callable(batched) and n >= 2:
         return batched(signatures)
     symmetric = getattr(test, "symmetric", False)
     matrix = np.ones((n, n))

@@ -126,6 +126,26 @@ def test_load_rejects_unknown_format(tmp_path):
         MoRER.load(tmp_path / "store")
 
 
+def test_load_ignores_legacy_signature_flag(tmp_path):
+    """Stores written while the graph still had a signature-path
+    switch carry ``"use_signatures": true`` in the graph meta; they
+    load and continue like the instance that saved them."""
+    morer = _fit_warm(n_solves=1)
+    morer.save(tmp_path / "store")
+    state_path = tmp_path / "store" / "morer.json"
+    state = json.loads(state_path.read_text())
+    assert "use_signatures" not in state["graph"]
+    state["graph"]["use_signatures"] = True
+    state_path.write_text(json.dumps(state))
+    twin = MoRER.load(tmp_path / "store")
+    assert twin.problem_graph.version == morer.problem_graph.version
+    probe = _probes(1, seed=62, prefix="L")[0]
+    mine = morer.solve(probe)
+    theirs = twin.solve(probe)
+    assert np.array_equal(mine.predictions, theirs.predictions)
+    assert mine.cluster_id == theirs.cluster_id
+
+
 def test_round_trip_preserves_pending_journal(tmp_path):
     """Mutations journaled but not yet replayed must survive the
     restart: the loaded instance replays them on its first solve."""

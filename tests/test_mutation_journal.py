@@ -176,6 +176,8 @@ def test_aggregates_from_partition_matches_modularity():
 
 
 def test_add_problems_matches_sequential_exact_mode():
+    """A KS batch insert is bit-identical to one-at-a-time inserts: the
+    same adjacency order, edge weight bits and journal entries."""
     family = make_problem_family(6)
     probes = _probes(4, seed=80)
     sequential = ERProblemGraph.build(family, "ks", use_index=False)
@@ -183,16 +185,36 @@ def test_add_problems_matches_sequential_exact_mode():
     for probe in probes:
         sequential.add_problem(probe)
     batched.add_problems(probes)
-    assert set(batched.problems()) == set(sequential.problems())
-    for u, v, weight in sequential.graph.edges():
-        assert abs(batched.graph.edge_weight(u, v) - weight) < TOLERANCE
-    assert (
-        batched.graph.number_of_edges()
-        == sequential.graph.number_of_edges()
-    )
+    assert list(batched.problems()) == list(sequential.problems())
+    for key in sequential.problems():
+        assert list(batched.graph.neighbors(key).items()) == list(
+            sequential.graph.neighbors(key).items()
+        )
+    assert list(batched.graph.edges()) == list(sequential.graph.edges())
+    assert batched.stats == sequential.stats
     # One journal entry per member, in insertion order.
     entries = batched.journal_since(6)
     assert [e.key for e in entries] == [p.key for p in probes]
+    assert [e.to_json() for e in entries] == [
+        e.to_json() for e in sequential.journal_since(6)
+    ]
+
+
+def test_add_problems_edges_follow_candidate_order():
+    """Edges follow candidate order — existing vertices, then earlier
+    batch members — also when only some pairs come from the cache."""
+    family = make_problem_family(6)
+    graph = ERProblemGraph.build(family[:4], "ks")
+    target, moved = family[0], family[3]
+    graph.remove_problem(target.key)
+    graph.add_problem(family[4])  # never compared with target
+    graph.remove_problem(moved.key)
+    graph.add_problem(moved)  # now after family[4]; its pair stays cached
+    graph.add_problems([target, family[5]])
+    assert list(graph.graph.neighbors(target.key)) == [
+        family[1].key, family[2].key, family[4].key, moved.key,
+        family[5].key,
+    ]
 
 
 def test_add_problems_prefilters_through_the_index():
@@ -219,6 +241,38 @@ def test_add_problems_rejects_duplicates():
     graph.add_problem(probe)
     with pytest.raises(ValueError, match="already in the graph"):
         graph.add_problems([make_problem("W", "V", seed=83), probe])
+
+
+def test_rejected_insert_leaves_graph_untouched():
+    """A member whose feature count differs from the graph's is
+    rejected before the first mutation — on every insertion path,
+    including the MoRER solves that reach it."""
+    morer = _fit(True, make_problem_family(8))
+    graph = morer.problem_graph
+    # C2ST has no batch matrix to trip over the mismatch up front.
+    c2st = ERProblemGraph.build(make_problem_family(3), "c2st")
+    good = make_problem("G", "Gb", seed=84)
+    bad = make_problem("Xa", "Xb", n_features=3, seed=85)
+    calls = (
+        (graph, lambda: graph.add_problem(bad)),
+        (graph, lambda: graph.add_problems([good, bad])),
+        (c2st, lambda: c2st.add_problems([good, bad])),
+        (graph, lambda: ERProblemGraph.build([good, bad], "ks")),
+        (graph, lambda: morer.solve(bad)),
+        (graph, lambda: morer.solve_batch([good, bad])),
+    )
+    for target, call in calls:
+        version = target.version
+        with pytest.raises(ValueError, match="share the feature space"):
+            call()
+        assert set(target.graph.nodes()) == set(target.problems())
+        assert good.key not in target and bad.key not in target
+        assert target.version == version
+    morer.solve(good)
+    assert set(graph.graph.nodes()) == set(graph.problems())
+    assert {key for cluster in morer.clusters_ for key in cluster} == set(
+        graph.problems()
+    )
 
 
 # -- solve_batch -------------------------------------------------------------------

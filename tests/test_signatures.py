@@ -15,7 +15,6 @@ from repro.core import (
     SignatureStore,
     make_distribution_test,
     pairwise_similarities,
-    supports_signatures,
 )
 from repro.ml import RandomForestClassifier
 from tests.conftest import make_problem, make_problem_family
@@ -361,46 +360,51 @@ def test_signature_store_invalidate_and_clear():
         SignatureStore(max_size=0)
 
 
-def test_supports_signatures():
-    assert supports_signatures(make_distribution_test("ks"))
-    assert supports_signatures(make_distribution_test("c2st"))
-
-    class Legacy:
-        def problem_similarity(self, a, b):
-            return 1.0
-
-    assert not supports_signatures(Legacy())
-
-
 # -- graph integration -------------------------------------------------------------
 
 
 class _CountingKS(KolmogorovSmirnovTest):
-    """KS test that counts signature-path pair evaluations."""
+    """KS test that counts signature-path pair evaluations, whichever
+    kernel (per-pair, one-vs-many or all-pairs matrix) runs them."""
 
     def __init__(self):
         super().__init__()
         self.calls = 0
+        self.matrix_calls = 0
 
     def signature_similarity(self, signature_a, signature_b):
         self.calls += 1
         return super().signature_similarity(signature_a, signature_b)
 
+    def signature_similarity_many(self, probe, signatures):
+        signatures = list(signatures)
+        self.calls += len(signatures)
+        return super().signature_similarity_many(probe, signatures)
+
     def signature_similarity_matrix(self, signatures):
         self.calls += len(signatures) * (len(signatures) - 1) // 2
+        self.matrix_calls += 1
         return super().signature_similarity_matrix(signatures)
+
+
+def _raw_edge(test, problem_a, problem_b):
+    """The edge weight the raw §4.2 test gives a pair (0.0 when the
+    similarity is not above the default ``min_similarity``)."""
+    similarity = test.problem_similarity(problem_a.features, problem_b.features)
+    return similarity if similarity > 0.0 else 0.0
 
 
 @pytest.mark.parametrize("name", ["ks", "wd", "psi"])
 def test_graph_build_matches_naive_path(name):
     problems = make_problem_family(6)
-    fast = ERProblemGraph.build(problems, name)
-    naive = ERProblemGraph.build(problems, name, use_signatures=False)
-    assert fast.use_signatures and not naive.use_signatures
-    keys = [p.key for p in problems]
+    graph = ERProblemGraph.build(problems, name)
+    test = make_distribution_test(name)
     deviations = [
-        abs(fast.similarity(keys[i], keys[j]) - naive.similarity(keys[i], keys[j]))
-        for i in range(len(keys))
+        abs(
+            graph.similarity(problems[i].key, problems[j].key)
+            - _raw_edge(test, problems[i], problems[j])
+        )
+        for i in range(len(problems))
         for j in range(i)
     ]
     assert max(deviations) < TOLERANCE
@@ -417,12 +421,42 @@ def test_graph_pair_cache_survives_reinsertion():
     graph.add_problem(target)
     # All pair similarities were memoized: no recomputation at all.
     assert test.calls == calls_after_build
-    naive = ERProblemGraph.build(problems, "ks", use_signatures=False)
+    raw = make_distribution_test("ks")
     for other in problems[1:]:
         assert abs(
             graph.similarity(target.key, other.key)
-            - naive.similarity(target.key, other.key)
+            - _raw_edge(raw, target, other)
         ) < TOLERANCE
+
+
+def test_graph_pair_cache_survives_batch_reinsertion():
+    """Re-inserting a removed batch reuses every memoized pair, the
+    batch's inner pairs included: no kernel runs at all. Mixed with
+    new problems, only the pairs involving those are evaluated."""
+    test = _CountingKS()
+    family = make_problem_family(8)
+    graph = ERProblemGraph.build(family[:2], test)
+    batch = family[2:6]
+    graph.add_problems(batch)
+    # 1 build pair, 4 x 2 members-vs-vertices, 6 inner batch pairs;
+    # the fit set and the batch each go through the all-pairs kernel.
+    assert test.calls == graph.stats["pair_evals"] == 1 + 4 * 2 + 6
+    assert test.matrix_calls == 2
+    edges = {(u, v): w for u, v, w in graph.graph.edges()}
+    calls, evals = test.calls, graph.stats["pair_evals"]
+    for problem in batch:
+        graph.remove_problem(problem.key)
+    graph.add_problems(batch)
+    assert test.calls == calls
+    assert graph.stats["pair_evals"] == evals
+    assert {(u, v): w for u, v, w in graph.graph.edges()} == edges
+    graph.remove_problem(batch[0].key)
+    graph.remove_problem(batch[1].key)
+    graph.add_problems(batch[:2] + family[6:])
+    # Each new member meets the 4 vertices, both re-inserted members
+    # and the earlier new member: 6 + 7 pairs, no cached one again.
+    assert test.calls - calls == graph.stats["pair_evals"] - evals == 13
+    assert test.matrix_calls == 2
 
 
 def test_graph_pair_cache_survives_signature_lru_eviction():
@@ -474,13 +508,11 @@ def test_graph_purges_stale_pairs_on_changed_reinsertion():
     )
     assert changed.key == target.key
     graph.add_problem(changed)
-    reference = ERProblemGraph.build(
-        [changed] + problems[1:], "ks", use_signatures=False
-    )
+    raw = make_distribution_test("ks")
     for other in problems[1:]:
         assert abs(
             graph.similarity(changed.key, other.key)
-            - reference.similarity(changed.key, other.key)
+            - _raw_edge(raw, changed, other)
         ) < TOLERANCE
 
 
@@ -533,17 +565,15 @@ def test_psi_n_bins_mutation_keeps_paths_in_sync():
 
 
 def test_repository_search_accepts_out_of_range_raw_probe():
-    """Raw ndarray probes outside [0, 1] fall back to the naive path
+    """Raw ndarray probes outside [0, 1] fall back to the raw test
     (which always accepted them) instead of raising."""
-    problems = make_problem_family(4)
-    fast = _fitted_repo(problems)
-    naive = _fitted_repo(problems, use_signatures=False)
+    repo = _fitted_repo(make_problem_family(4))
     rng = np.random.default_rng(8)
     probe = rng.normal(1.5, 2.0, (40, 4))  # clearly outside [0, 1]
-    entry_fast, sim_fast = fast.search(probe)
-    entry_naive, sim_naive = naive.search(probe)
-    assert entry_fast.cluster_id == entry_naive.cluster_id
-    assert abs(sim_fast - sim_naive) < TOLERANCE
+    entry, similarity = repo.search(probe)
+    raw_id, raw_similarity = _raw_search(repo, probe)
+    assert entry.cluster_id == raw_id
+    assert abs(similarity - raw_similarity) < TOLERANCE
 
 
 def test_graph_pair_similarity_preserves_c2st_orientation():
@@ -551,7 +581,7 @@ def test_graph_pair_similarity_preserves_c2st_orientation():
     requested orientation and never serve an order-normalized cache."""
     problems = make_problem_family(3)
     graph = ERProblemGraph.build(problems, "c2st")
-    assert graph.use_signatures and not graph._cache_pairs
+    assert not graph._cache_pairs
     test = make_distribution_test("c2st")
     for a, b in [(problems[0], problems[2]), (problems[2], problems[0])]:
         raw = test.problem_similarity(a.features, b.features)
@@ -580,8 +610,8 @@ def test_graph_duplicate_key_rejected_in_batch():
 # -- repository integration --------------------------------------------------------
 
 
-def _fitted_repo(problems, **kwargs):
-    repo = ModelRepository("ks", **kwargs)
+def _fitted_repo(problems):
+    repo = ModelRepository("ks")
     for i in range(0, len(problems), 2):
         group = problems[i:i + 2]
         X = np.vstack([p.features for p in group])
@@ -592,16 +622,28 @@ def _fitted_repo(problems, **kwargs):
     return repo
 
 
+def _raw_search(repo, features):
+    """``(cluster_id, sim_p)`` of the best entry under the raw §4.2
+    test (first entry wins a tie, as in ``search``)."""
+    return max(
+        (
+            (entry.cluster_id, repo.test.problem_similarity(
+                features, entry.training_features
+            ))
+            for entry in repo.entries.values()
+        ),
+        key=lambda item: item[1],
+    )
+
+
 def test_repository_search_matches_naive_path():
-    problems = make_problem_family(6)
-    fast = _fitted_repo(problems)
-    naive = _fitted_repo(problems, use_signatures=False)
+    repo = _fitted_repo(make_problem_family(6))
     for seed in range(5):
         probe = make_problem("X", "Y", shift=0.15 * (seed % 3), seed=seed)
-        entry_fast, sim_fast = fast.search(probe)
-        entry_naive, sim_naive = naive.search(probe)
-        assert entry_fast.cluster_id == entry_naive.cluster_id
-        assert abs(sim_fast - sim_naive) < TOLERANCE
+        entry, similarity = repo.search(probe)
+        raw_id, raw_similarity = _raw_search(repo, probe.features)
+        assert entry.cluster_id == raw_id
+        assert abs(similarity - raw_similarity) < TOLERANCE
 
 
 def test_repository_search_top_k():
@@ -632,11 +674,8 @@ def test_repository_entry_signature_invalidation():
     entry.training_features = replacement.features
     repo.invalidate_entry_cache(entry.cluster_id)
     _, similarity = repo.search(probe)
-    naive = _fitted_repo(problems, use_signatures=False)
-    naive_entry = naive.entries[entry.cluster_id]
-    naive_entry.training_features = replacement.features
-    _, naive_similarity = naive.search(probe)
-    assert abs(similarity - naive_similarity) < TOLERANCE
+    _, raw_similarity = _raw_search(repo, probe.features)
+    assert abs(similarity - raw_similarity) < TOLERANCE
 
 
 def test_repository_entry_signature_identity_safety_net():

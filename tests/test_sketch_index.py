@@ -384,15 +384,13 @@ def test_repository_out_of_range_probe_falls_back_with_index():
         )
     rng = np.random.default_rng(8)
     probe = rng.normal(1.5, 2.0, (40, 4))  # outside [0, 1]
-    naive = ModelRepository("ks", use_signatures=False)
-    for problem in problems:
-        naive.add_entry(
-            {problem.key}, None, problem.features, problem.labels
-        )
+    raw = [
+        repo.test.problem_similarity(probe, problem.features)
+        for problem in problems
+    ]
     entry, similarity = repo.search(probe)
-    naive_entry, naive_similarity = naive.search(probe)
-    assert entry.cluster_id == naive_entry.cluster_id
-    assert abs(similarity - naive_similarity) < TOLERANCE
+    assert entry.cluster_id == int(np.argmax(raw))
+    assert abs(similarity - max(raw)) < TOLERANCE
 
 
 def test_repository_load_rebuilds_sketch_index(tmp_path):
