@@ -1,8 +1,12 @@
-"""Random forest built on :class:`repro.ml.tree.DecisionTreeClassifier`.
+"""Random forests and bagged tree committees on the ensemble tree kernel.
 
 The paper's MoRER, Almser and Bootstrap implementations all use
 scikit-learn random forests as the underlying classifier; this is the
-drop-in replacement.
+drop-in replacement. Both ensembles draw their trees' seeds and
+bootstrap samples one tree after another, as a per-tree loop would, and
+hand the draw counts to :func:`repro.ml.tree.grow_trees`, which grows
+every tree together; prediction routes all trees at once through
+:class:`repro.ml.tree.TreeEnsemble`.
 """
 
 from __future__ import annotations
@@ -10,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin
-from .tree import DecisionTreeClassifier
-from .utils import check_array, check_random_state, check_X_y
+from .tree import DecisionTreeClassifier, TreeEnsemble, grow_trees
+from .utils import check_random_state, check_X_y
 
 __all__ = ["RandomForestClassifier", "BaggingClassifier"]
 
@@ -57,63 +61,68 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             raise ValueError("n_estimators must be >= 1")
         X, y = check_X_y(X, y)
         rng = check_random_state(self.random_state)
-        self.classes_ = np.unique(y)
+        self.classes_, y_enc = np.unique(y, return_inverse=True)
         self.n_features_in_ = X.shape[1]
         n = X.shape[0]
-        self.estimators_ = []
-        for _ in range(self.n_estimators):
-            tree = DecisionTreeClassifier(
+        members = _class_members(y_enc, len(self.classes_))
+        trees = []
+        weights = np.ones((self.n_estimators, n), dtype=np.int64)
+        for tree_weights in weights:
+            trees.append(DecisionTreeClassifier(
                 criterion=self.criterion,
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
                 random_state=int(rng.integers(0, 2**31 - 1)),
-            )
+            ))
             if self.bootstrap:
                 sample = rng.integers(0, n, size=n)
                 # Guard against degenerate single-class bootstrap samples
                 # which would make the tree useless for probabilities.
-                if len(np.unique(y[sample])) < len(self.classes_) and n > 1:
-                    sample = _stratified_bootstrap(y, rng)
-                tree.fit(X[sample], y[sample])
-            else:
-                tree.fit(X, y)
-            self.estimators_.append(tree)
+                if n > 1 and not np.bincount(
+                        y_enc[sample], minlength=len(members)).all():
+                    sample = _stratified_bootstrap(n, members, rng)
+                tree_weights[:] = np.bincount(sample, minlength=n)
+        self.estimators_ = grow_trees(X, y_enc, self.classes_, weights, trees)
+        self._ensemble = None
         return self
 
     def predict_proba(self, X):
         """Average class probabilities over trees, aligned to ``classes_``."""
-        X = check_array(X)
-        total = np.zeros((X.shape[0], len(self.classes_)))
-        class_index = {c: i for i, c in enumerate(self.classes_)}
-        for tree in self.estimators_:
-            proba = tree.predict_proba(X)
-            for j, cls in enumerate(tree.classes_):
-                total[:, class_index[cls]] += proba[:, j]
-        return total / len(self.estimators_)
+        ensemble = TreeEnsemble.of(self, self.estimators_)
+        return ensemble.proba_sum(X) / len(self.estimators_)
 
     def predict(self, X):
         """Majority-probability prediction."""
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
 
 
-def _stratified_bootstrap(y, rng):
-    """Bootstrap indices guaranteed to contain every class at least once."""
-    n = len(y)
-    sample = rng.integers(0, n, size=n).tolist()
-    for cls in np.unique(y):
-        members = np.nonzero(y == cls)[0]
-        sample[int(rng.integers(0, n))] = int(members[rng.integers(0, len(members))])
-    return np.asarray(sample)
+def _class_members(y_enc, n_classes):
+    """Each class's row indices, in class order."""
+    return [np.flatnonzero(y_enc == c) for c in range(n_classes)]
+
+
+def _stratified_bootstrap(n, members, rng):
+    """Bootstrap indices meant to contain every class at least once.
+
+    Each class in turn writes one of its ``members`` rows over a random
+    slot, so a later class can overwrite an earlier class's only slot.
+    """
+    sample = rng.integers(0, n, size=n)
+    for rows in members:
+        sample[rng.integers(0, n)] = rows[rng.integers(0, len(rows))]
+    return sample
 
 
 class BaggingClassifier(BaseEstimator, ClassifierMixin):
-    """Bootstrap aggregation of an arbitrary base estimator.
+    """Bootstrap aggregation of CART trees: a voting committee.
 
-    Used by the Bootstrap AL method (Mozafari et al.): ``k`` classifiers
+    Used by the Bootstrap AL method (Mozafari et al.): ``k`` trees
     trained on resamples of the labelled pool vote on every unlabelled
     feature vector, and the vote split defines the uncertainty (Eq. 10).
+    ``base_estimator`` is the template :class:`DecisionTreeClassifier`
+    whose parameters every tree takes (default ``max_depth=8``).
     """
 
     def __init__(self, base_estimator=None, n_estimators=10, random_state=None):
@@ -122,27 +131,32 @@ class BaggingClassifier(BaseEstimator, ClassifierMixin):
         self.random_state = random_state
 
     def fit(self, X, y):
-        """Fit ``n_estimators`` clones on stratified bootstrap resamples."""
-        from .base import clone
-        from .tree import DecisionTreeClassifier
-
+        """Fit ``n_estimators`` trees on stratified bootstrap resamples."""
+        if self.n_estimators < 1:
+            raise ValueError("n_estimators must be >= 1")
+        base = self.base_estimator or DecisionTreeClassifier(max_depth=8)
+        if not isinstance(base, DecisionTreeClassifier):
+            raise TypeError("base_estimator must be a DecisionTreeClassifier")
         X, y = check_X_y(X, y)
         rng = check_random_state(self.random_state)
-        base = self.base_estimator or DecisionTreeClassifier(max_depth=8)
-        self.classes_ = np.unique(y)
-        self.estimators_ = []
-        for _ in range(self.n_estimators):
-            estimator = clone(base)
-            if hasattr(estimator, "random_state"):
-                estimator.random_state = int(rng.integers(0, 2**31 - 1))
-            sample = _stratified_bootstrap(y, rng)
-            estimator.fit(X[sample], y[sample])
-            self.estimators_.append(estimator)
+        self.classes_, y_enc = np.unique(y, return_inverse=True)
+        n = X.shape[0]
+        members = _class_members(y_enc, len(self.classes_))
+        params = base.get_params()
+        trees = []
+        weights = np.empty((self.n_estimators, n), dtype=np.int64)
+        for tree_weights in weights:
+            params["random_state"] = int(rng.integers(0, 2**31 - 1))
+            trees.append(DecisionTreeClassifier(**params))
+            tree_weights[:] = np.bincount(
+                _stratified_bootstrap(n, members, rng), minlength=n)
+        self.estimators_ = grow_trees(X, y_enc, self.classes_, weights, trees)
+        self._ensemble = None
         return self
 
     def vote_matrix(self, X):
         """Return the ``(n_estimators, n_samples)`` matrix of hard votes."""
-        return np.vstack([e.predict(X) for e in self.estimators_])
+        return TreeEnsemble.of(self, self.estimators_).votes(X)
 
     def predict_proba(self, X):
         """Vote shares per class, aligned to ``classes_``."""

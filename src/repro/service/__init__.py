@@ -7,8 +7,8 @@ into something that serves concurrent traffic:
   ``FitRequest`` / ``RepositoryStats``, each JSON-(de)serialisable;
 - :mod:`~repro.service.errors` — the explicit failure vocabulary
   (``NotFitted``, ``InvalidRequest``, ``RequestTimeout``,
-  ``Overloaded``, ``RateLimited``, ``Unavailable`` when the durability
-  WAL degrades, client-side ``TransportError``);
+  ``PayloadTooLarge``, ``Overloaded``, ``RateLimited``, ``Unavailable``
+  when the durability WAL degrades, client-side ``TransportError``);
 - :mod:`~repro.service.service` — :class:`MoRERService`, a read-write-
   locked façade whose background scheduler coalesces concurrent
   ``sel_cov`` requests into one :meth:`MoRER.solve_batch` per tick;
@@ -28,6 +28,7 @@ from .errors import (
     InvalidRequest,
     NotFitted,
     Overloaded,
+    PayloadTooLarge,
     RateLimited,
     RequestTimeout,
     ServiceError,
@@ -68,6 +69,7 @@ __all__ = [
     "NotFitted",
     "InvalidRequest",
     "RequestTimeout",
+    "PayloadTooLarge",
     "Overloaded",
     "RateLimited",
     "Unavailable",

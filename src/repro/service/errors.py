@@ -15,6 +15,7 @@ __all__ = [
     "NotFitted",
     "InvalidRequest",
     "RequestTimeout",
+    "PayloadTooLarge",
     "Overloaded",
     "RateLimited",
     "Unavailable",
@@ -63,6 +64,16 @@ class RequestTimeout(ServiceError):
 
     code = "request_timeout"
     http_status = 408
+
+
+class PayloadTooLarge(ServiceError):
+    """The request declared a body larger than the gateway reads. The
+    gateway answers before reading any of it, drops what the client
+    still sends for a bounded time, and closes the connection, since
+    the unread body would otherwise parse as the next request."""
+
+    code = "payload_too_large"
+    http_status = 413
 
 
 class Overloaded(ServiceError):
@@ -124,8 +135,8 @@ class TransportError(ServiceError):
 #: typed error a remote gateway reported.
 _ERRORS_BY_CODE = {
     cls.code: cls for cls in (ServiceError, NotFitted, InvalidRequest,
-                              RequestTimeout, Overloaded, RateLimited,
-                              Unavailable)
+                              RequestTimeout, PayloadTooLarge, Overloaded,
+                              RateLimited, Unavailable)
 }
 
 

@@ -33,10 +33,11 @@ POST      ``/save``       ``{"path": str}`` -> ``{"saved": str}``
 
 Typed service errors map to their ``http_status`` (400
 ``invalid_request``, 408 ``request_timeout`` for a body that stalls
-short of its ``Content-Length``, 409 ``not_fitted``, 429 ``overloaded`` /
-``rate_limited``, 503 ``unavailable`` when durability is degraded)
-with a ``{"error": {"code", "message"}, "request_id"}`` body; anything
-unexpected is a 500.
+short of its ``Content-Length``, 413 ``payload_too_large`` for a
+declared body above :data:`MAX_BODY_BYTES`, 409 ``not_fitted``, 429
+``overloaded`` / ``rate_limited``, 503 ``unavailable`` when durability
+is degraded) with a ``{"error": {"code", "message"}, "request_id"}``
+body; anything unexpected is a 500.
 
 Observability and admission
 ---------------------------
@@ -69,7 +70,13 @@ import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .errors import InvalidRequest, RateLimited, RequestTimeout, ServiceError
+from .errors import (
+    InvalidRequest,
+    PayloadTooLarge,
+    RateLimited,
+    RequestTimeout,
+    ServiceError,
+)
 from .limiter import RateLimiter
 from .observability import AccessLog
 from .service import MoRERService
@@ -134,6 +141,19 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         self.access_log.close()
 
 
+#: Largest request body the gateway reads (64 MiB). A longer declared
+#: ``Content-Length`` answers 413 before any of the body is read. Fits
+#: bigger than this belong in process (``MoRERService.fit``) or in a
+#: store that ``repro serve --store`` loads.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: After a 413 the gateway half-closes and drops what the client still
+#: sends, for at most this many seconds, before it closes. Closing with
+#: unread input resets the connection, so a client still writing its
+#: body (``ServiceClient``, like anything built on urllib) would fail
+#: mid-send instead of reading the answer (RFC 9112 section 9.6).
+_LINGER_SECONDS = 2.0
+
 #: path -> handler method name, per HTTP method. Unknown paths are
 #: labelled "other" in metrics so a scanner cannot explode the
 #: endpoint label cardinality.
@@ -159,6 +179,9 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     #: stops short of its Content-Length answers 408 instead of pinning
     #: the handler thread, and an idle keep-alive connection closes.
     timeout = 30
+    #: Set once a request is refused unread (413): :meth:`finish`
+    #: drains the connection before it closes.
+    _linger = False
 
     # -- plumbing ----------------------------------------------------------
 
@@ -173,6 +196,11 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             request_id=getattr(self, "request_id", None),
             message=format % args,
         )
+
+    def finish(self):
+        super().finish()
+        if self._linger:
+            _drain(self.connection, _LINGER_SECONDS)
 
     def _send(self, status, body, content_type, retry_after=None):
         self._status = status
@@ -225,6 +253,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
     def _read_body(self):
         """The request body, exactly as long as its Content-Length.
 
+        A declared length above :data:`MAX_BODY_BYTES` answers 413
+        before any of the body is read, and the connection closes once
+        :meth:`finish` has dropped what the client still sends.
+
         A client that stops sending mid-body gets 408 once the socket
         :attr:`timeout` expires; the connection closes, because the
         body boundary is lost and a timed-out ``rfile`` cannot be read
@@ -234,6 +266,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         length = self._content_length()
         if not length:
             return b""
+        if length > MAX_BODY_BYTES:
+            self.close_connection = self._linger = True
+            raise PayloadTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         try:
             return self.rfile.read(length)
         except socket.timeout as exc:
@@ -475,6 +513,21 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             raise InvalidRequest("save body must be {\"path\": str}")
         self.server.service.save(path)
         self._reply(200, {"saved": path})
+
+
+def _drain(sock, seconds):
+    """Half-close ``sock``, then read and drop its input until the peer
+    closes or ``seconds`` pass: the close that follows then sends no
+    reset over a response the peer has not read."""
+    deadline = time.monotonic() + seconds
+    try:
+        sock.shutdown(socket.SHUT_WR)
+        while (left := deadline - time.monotonic()) > 0:
+            sock.settimeout(left)
+            if not sock.recv(1 << 16):
+                break
+    except OSError:  # the peer reset, or the deadline passed mid-read
+        pass
 
 
 def serve(morer_or_service, host="127.0.0.1", port=8640, **service_kwargs):

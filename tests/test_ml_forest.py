@@ -106,3 +106,32 @@ def test_forest_serialisation_roundtrip():
         forest.predict_proba(X) - rebuilt.predict_proba(X)
     ).max()
     assert proba_diff < 1e-12
+
+
+def test_bagging_n_estimators_validated():
+    with pytest.raises(ValueError, match="n_estimators"):
+        BaggingClassifier(n_estimators=0).fit(*_data(30))
+
+
+def test_bagging_bags_trees_only():
+    from repro.ml import GaussianNB
+
+    with pytest.raises(TypeError, match="DecisionTreeClassifier"):
+        BaggingClassifier(base_estimator=GaussianNB()).fit(*_data(30))
+
+
+def test_committee_trees_take_the_template_parameters():
+    X, y = _data(120)
+    base = DecisionTreeClassifier(max_depth=2, criterion="entropy")
+    committee = BaggingClassifier(
+        base_estimator=base, n_estimators=4, random_state=5
+    ).fit(X, y)
+    template = base.get_params()
+    del template["random_state"]
+    seeds = set()
+    for tree in committee.estimators_:
+        params = tree.get_params()
+        seeds.add(params.pop("random_state"))
+        assert params == template
+        assert tree.tree_depth_ <= 2
+    assert len(seeds) == 4

@@ -137,3 +137,11 @@ def test_training_accuracy_at_least_majority(seed):
     tree = DecisionTreeClassifier(random_state=0).fit(X, y)
     majority = max(np.mean(y), 1 - np.mean(y))
     assert tree.score(X, y) >= majority - 1e-9
+
+
+def test_fit_takes_no_sample_weight():
+    """Weights used to be accepted and ignored (weights 1..n grew the
+    unweighted tree); the parameter is gone rather than silently wrong."""
+    X, y = _linearly_separable(20)
+    with pytest.raises(TypeError):
+        DecisionTreeClassifier().fit(X, y, sample_weight=np.arange(1, 21))

@@ -186,6 +186,51 @@ def test_malformed_content_length_is_400_not_a_hang(gateway, path):
         assert json.loads(reply.read().decode("utf-8")) == {"live": True}
 
 
+@pytest.mark.parametrize("path", ["/solve", "/nope"])
+def test_oversized_body_is_413_before_it_is_read(gateway, path):
+    """A declared body above the gateway's limit answers 413
+    ``payload_too_large`` at once, without waiting for (or reading) any
+    of it, and closes the connection; the gateway keeps serving."""
+    from repro.service.http import MAX_BODY_BYTES
+
+    host, port = gateway.server_address[:2]
+    with socket.create_connection((host, port), timeout=5) as sock:
+        sock.sendall(
+            f"POST {path} HTTP/1.1\r\nHost: {host}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode("ascii")
+        )
+        reply = b""
+        # No body follows: the answer and the close must not wait for it.
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413 "), head
+    assert b"connection: close" in head.lower(), head
+    envelope = json.loads(body.decode("utf-8"))
+    assert envelope["error"]["code"] == "payload_too_large"
+    with urllib.request.urlopen(gateway.url + "/livez", timeout=5) as reply:
+        assert json.loads(reply.read().decode("utf-8")) == {"live": True}
+
+
+def test_oversized_body_streamed_whole_still_gets_the_413(gateway, monkeypatch):
+    """A client that writes its whole body before it reads (the typed
+    client, over urllib) gets the typed 413 rather than a reset: the
+    gateway half-closes and drops the unread body before it closes."""
+    from repro.service import PayloadTooLarge, http
+
+    monkeypatch.setattr(http, "MAX_BODY_BYTES", 1024)
+    client = ServiceClient(gateway.url, retries=0)
+    # 8 MiB is far more than the socket buffers hold, so the client is
+    # still sending when the answer and the half-close arrive.
+    with pytest.raises(PayloadTooLarge):
+        client.save("x" * (8 << 20))
+    assert client.healthz()["live"] is True
+
+
 def test_keep_alive_responses_do_not_stall(gateway):
     """Status line, headers and body leave in one write: a response
     split in two waits on Nagle plus the client's delayed ACK, ~40 ms

@@ -1,9 +1,9 @@
-"""The one-pass CART split search against its per-feature oracle.
+"""The ensemble tree kernel against its per-tree oracle.
 
 Both run the same integer counts and float operations, so every
-comparison here is exact (``np.array_equal``): over random, tie-heavy
-and constant-column inputs with every split constraint, and through a
-whole ``MoRER.fit`` and its ``cov`` solves.
+comparison here is exact (``np.array_equal``): single trees and random
+ensembles over random, tie-heavy and constant-column inputs with every
+split constraint, and a whole ``MoRER.fit`` with its ``cov`` solves.
 """
 
 import numpy as np
@@ -11,10 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MoRER
-from repro.ml import DecisionTreeClassifier
-from tests import tree_reference
+from repro.ml import (
+    BaggingClassifier,
+    DecisionTreeClassifier,
+    RandomForestClassifier,
+)
 from tests.conftest import make_problem
-from tests.tree_reference import FITTED, ReferenceTree
+from tests.tree_reference import (
+    FITTED,
+    ReferenceBagging,
+    ReferenceForest,
+    ReferenceTree,
+)
+
+
+def _matrix(rng, n_rows, n_features, decimals, constant_share):
+    """Values rounded to ``decimals`` (heavy ties), some columns constant."""
+    X = np.round(rng.random((n_rows, n_features)), decimals)
+    X[:, rng.random(n_features) < constant_share] = 0.5
+    return X
 
 
 @st.composite
@@ -29,9 +44,8 @@ def tree_cases(draw):
     n_classes = draw(st.integers(2, 5))
     decimals = draw(st.integers(0, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = np.round(rng.random((n_rows, n_features)), decimals)
-    constant = rng.random(n_features) < draw(st.sampled_from([0.0, 0.3]))
-    X[:, constant] = 0.5
+    X = _matrix(rng, n_rows, n_features, decimals,
+                draw(st.sampled_from([0.0, 0.3])))
     if draw(st.booleans()):
         y = rng.integers(0, n_classes, n_rows)
     else:
@@ -58,12 +72,118 @@ def test_one_pass_split_search_equals_oracle_exactly(case):
     X, y, queries, params = case
     kernel = DecisionTreeClassifier(**params).fit(X, y)
     oracle = ReferenceTree(**params).fit(X, y)
-    for name in FITTED:
+    for name in FITTED + ("classes_",):
         assert np.array_equal(getattr(kernel, name), getattr(oracle, name)), name
+    assert kernel.n_nodes_ == oracle.n_nodes_
     assert np.array_equal(kernel.predict(queries), oracle.predict(queries))
     assert np.array_equal(
         kernel.predict_proba(queries), oracle.predict_proba(queries)
     )
+
+
+@st.composite
+def ensemble_cases(draw):
+    """A training set, a query set and ensemble parameters.
+
+    1–80 rows, 1–6 features, 2–5 classes, heavy ties; labels random, a
+    noisy threshold, or all one class but for one or two rows, so that
+    bootstrap samples often miss a class (the stratified fallback, and
+    the trees it still leaves single-class)."""
+    n_rows = draw(st.integers(1, 80))
+    n_features = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(2, 5))
+    decimals = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = _matrix(rng, n_rows, n_features, decimals,
+                draw(st.sampled_from([0.0, 0.3])))
+    labels = draw(st.sampled_from(["random", "threshold", "rare"]))
+    if labels == "random":
+        y = rng.integers(0, n_classes, n_rows)
+    elif labels == "threshold":
+        y = np.minimum((X[:, 0] * n_classes).astype(int), n_classes - 1)
+        noisy = rng.random(n_rows) < 0.2
+        y[noisy] = rng.integers(0, n_classes, int(noisy.sum()))
+    else:
+        y = np.zeros(n_rows, dtype=int)
+        y[rng.integers(0, n_rows, 2)] = rng.integers(1, n_classes, 2)
+    queries = np.vstack([X[:30], np.round(rng.random((30, n_features)),
+                                          decimals)])
+    tree = {
+        "criterion": draw(st.sampled_from(["gini", "entropy"])),
+        "max_depth": draw(st.one_of(st.none(), st.integers(1, 8))),
+        "min_samples_leaf": draw(st.integers(1, 3)),
+        "max_features": draw(st.sampled_from([None, "sqrt", 0.5])),
+    }
+    ensemble = {
+        "n_estimators": draw(st.integers(1, 12)),
+        "random_state": draw(st.integers(0, 2**31 - 1)),
+    }
+    return X, y, queries, tree, ensemble, draw(st.booleans())
+
+
+def _same_trees(kernel, oracle):
+    assert np.array_equal(kernel.classes_, oracle.classes_)
+    assert len(kernel.estimators_) == len(oracle.estimators_)
+    for mine, theirs in zip(kernel.estimators_, oracle.estimators_):
+        for name in FITTED + ("classes_",):
+            assert np.array_equal(getattr(mine, name),
+                                  getattr(theirs, name)), name
+        assert mine.n_nodes_ == theirs.n_nodes_
+        assert mine.get_params() == theirs.get_params()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensemble_cases())
+def test_ensembles_equal_the_per_tree_reference_exactly(case):
+    X, y, queries, tree, ensemble, bootstrap = case
+    forest = RandomForestClassifier(bootstrap=bootstrap, **tree, **ensemble)
+    oracle = ReferenceForest(bootstrap=bootstrap, **tree, **ensemble)
+    _same_trees(forest.fit(X, y), oracle.fit(X, y))
+    assert np.array_equal(forest.predict(queries), oracle.predict(queries))
+    assert np.array_equal(forest.predict_proba(queries),
+                          oracle.predict_proba(queries))
+
+    base = DecisionTreeClassifier(**tree)
+    committee = BaggingClassifier(base_estimator=base, **ensemble)
+    oracle = ReferenceBagging(base_estimator=base, **ensemble)
+    _same_trees(committee.fit(X, y), oracle.fit(X, y))
+    assert np.array_equal(committee.vote_matrix(queries),
+                          oracle.vote_matrix(queries))
+    assert np.array_equal(committee.predict(queries), oracle.predict(queries))
+    assert np.array_equal(committee.predict_proba(queries),
+                          oracle.predict_proba(queries))
+
+
+def test_prediction_chunks_match_one_pass(monkeypatch):
+    """Routing in bounded chunks of (tree, row) pairs gives the votes and
+    probabilities of routing every pair at once."""
+    from repro.ml import tree as tree_module
+
+    rng = np.random.default_rng(3)
+    X = np.round(rng.random((300, 4)), 2)
+    y = (X[:, 0] + 0.3 * rng.random(300) > 0.6).astype(int)
+    queries = rng.random((500, 4))
+    forest = RandomForestClassifier(n_estimators=7, random_state=1).fit(X, y)
+    committee = BaggingClassifier(n_estimators=7, random_state=1).fit(X, y)
+    whole = (forest.predict_proba(queries), committee.vote_matrix(queries))
+    monkeypatch.setattr(tree_module, "_ROUTE_PAIRS", 50)
+    chunked = (forest.predict_proba(queries), committee.vote_matrix(queries))
+    for mine, theirs in zip(whole, chunked):
+        assert np.array_equal(mine, theirs)
+
+
+def test_growth_groups_match_one_group(monkeypatch):
+    """Trees grown a few at a time (the cell cap) equal trees grown in
+    one lock-step group."""
+    from repro.ml import tree as tree_module
+
+    rng = np.random.default_rng(4)
+    X = np.round(rng.random((120, 5)), 1)
+    y = rng.integers(0, 3, 120)
+    whole = RandomForestClassifier(n_estimators=9, random_state=2).fit(X, y)
+    monkeypatch.setattr(tree_module, "_GROUP_CELLS", 1250)
+    grouped = RandomForestClassifier(n_estimators=9, random_state=2).fit(X, y)
+    _same_trees(whole, grouped)
 
 
 def _problem_family():
@@ -99,20 +219,27 @@ def _fit_and_solve():
 
 
 def test_fit_and_cov_solves_are_identical_under_the_oracle(monkeypatch):
-    """Fit twin: ``MoRER.fit`` and ``cov`` solves with the oracle's split
-    search and ``predict`` patched in build the same graph, clusters,
-    labels spent, RNG state and decisions."""
+    """Fit twin: ``MoRER.fit`` and ``cov`` solves with the per-tree
+    reference ensemble patched in for the kernel (forest fit and
+    probabilities, committee fit and votes) build the same graph,
+    clusters, labels spent, RNG state and decisions."""
     live, live_decisions = _fit_and_solve()
     calls = []
 
-    def best_split(tree, *args):
-        calls.append(tree.max_features)
-        return tree_reference.best_split(tree, *args)
+    def forest_fit(forest, X, y):
+        calls.append(forest.max_features)
+        return ReferenceForest.fit(forest, X, y)
 
-    monkeypatch.setattr(DecisionTreeClassifier, "_best_split", best_split)
-    monkeypatch.setattr(
-        DecisionTreeClassifier, "predict", tree_reference.predict
-    )
+    def committee_fit(committee, X, y):
+        calls.append(committee.base_estimator.max_features)
+        return ReferenceBagging.fit(committee, X, y)
+
+    monkeypatch.setattr(RandomForestClassifier, "fit", forest_fit)
+    monkeypatch.setattr(RandomForestClassifier, "predict_proba",
+                        ReferenceForest.predict_proba)
+    monkeypatch.setattr(BaggingClassifier, "fit", committee_fit)
+    monkeypatch.setattr(BaggingClassifier, "vote_matrix",
+                        ReferenceBagging.vote_matrix)
     twin, twin_decisions = _fit_and_solve()
     # Both shapes ran: committee trees (every feature) and forest trees.
     assert {None, "sqrt"} <= set(calls)
@@ -137,3 +264,37 @@ def test_fit_and_cov_solves_are_identical_under_the_oracle(monkeypatch):
     for mine, theirs in zip(live.repository, twin.repository):
         assert np.array_equal(mine.training_features, theirs.training_features)
         assert np.array_equal(mine.training_labels, theirs.training_labels)
+
+
+def test_concurrent_first_predictions_agree():
+    """A model's routing tables are built on first use, possibly by
+    several readers at once (base solves share the read lock): every
+    reader gets the single-threaded answer, and the tables stay out of
+    the serialised model."""
+    import json
+    import threading
+
+    rng = np.random.default_rng(5)
+    X = np.round(rng.random((200, 5)), 2)
+    y = (X[:, 1] + 0.2 * rng.random(200) > 0.5).astype(int)
+    forest = RandomForestClassifier(n_estimators=12, random_state=3).fit(X, y)
+    state = json.loads(json.dumps(forest.to_dict()))
+    expected = forest.predict_proba(X)
+    assert forest.to_dict() == state
+    for _ in range(5):
+        loaded = RandomForestClassifier.from_dict(state)
+        answers = [None] * 8
+        start = threading.Barrier(len(answers))
+
+        def read(i, model=loaded):
+            start.wait()
+            answers[i] = model.predict_proba(X)
+
+        threads = [threading.Thread(target=read, args=(i,))
+                   for i in range(len(answers))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for answer in answers:
+            assert np.array_equal(answer, expected)
