@@ -8,34 +8,36 @@ Language-model simulators (built on :mod:`repro.nn`; see DESIGN.md §2):
 Unsupervised extension: :class:`ZeroER`.
 """
 
+import importlib
+
 from .almser import AlmserActiveLearner
 from .bootstrap import BootstrapActiveLearner, record_uniqueness_scores
+
+# The heavier baselines load on first attribute access (PEP 562), so
+# importing repro.core — which needs only the two AL learners — does
+# not pull the neural substrate in.
+_LAZY = {
+    "TransER": ".transfer",
+    "ZeroER": ".zeroer",
+    "MultiEM": ".multiem",
+    "DittoClassifier": ".ditto",
+    "UnicornClassifier": ".unicorn",
+    "SudowoodoClassifier": ".sudowoodo",
+    "AnyMatchClassifier": ".anymatch",
+}
 
 __all__ = [
     "AlmserActiveLearner",
     "BootstrapActiveLearner",
     "record_uniqueness_scores",
+    *_LAZY,
 ]
 
-# Heavier baselines import lazily below so that importing repro.core does
-# not pull the neural substrate in.
-from .multiem import MultiEM  # noqa: E402
-from .transfer import TransER  # noqa: E402
-from .zeroer import ZeroER  # noqa: E402
 
-__all__ += ["TransER", "ZeroER", "MultiEM"]
-
-try:  # pragma: no cover - exercised once nn baselines exist
-    from .ditto import DittoClassifier
-    from .unicorn import UnicornClassifier
-    from .sudowoodo import SudowoodoClassifier
-    from .anymatch import AnyMatchClassifier
-
-    __all__ += [
-        "DittoClassifier",
-        "UnicornClassifier",
-        "SudowoodoClassifier",
-        "AnyMatchClassifier",
-    ]
-except ImportError:  # during incremental builds
-    pass
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value

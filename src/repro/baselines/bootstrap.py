@@ -48,18 +48,23 @@ def record_uniqueness_scores(pair_ids, record_cluster_counts, n_clusters):
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
     max_score = math.log(n_clusters) if n_clusters > 1 else 1.0
-    scores = np.empty(len(pair_ids))
-    for index, (source_record, target_record) in enumerate(pair_ids):
-        s_src = _record_score(source_record, record_cluster_counts,
-                              n_clusters, max_score)
-        s_tgt = _record_score(target_record, record_cluster_counts,
-                              n_clusters, max_score)
-        scores[index] = 0.5 * (s_src + s_tgt)  # Eq. 11
-    return scores
+    # A record's score depends only on its occurrence count: score each
+    # distinct count once, then gather per (source, target) record.
+    get = record_cluster_counts.get
+    counts = np.fromiter(
+        (get(record, 1) for pair in pair_ids for record in pair),
+        dtype=np.int64, count=2 * len(pair_ids),
+    )
+    distinct, inverse = np.unique(np.maximum(counts, 1), return_inverse=True)
+    table = np.array([
+        _count_score(occurrences, n_clusters, max_score)
+        for occurrences in distinct.tolist()
+    ])
+    record_scores = table[inverse.reshape(-1)].reshape(-1, 2)
+    return 0.5 * (record_scores[:, 0] + record_scores[:, 1])  # Eq. 11
 
 
-def _record_score(record_id, counts, n_clusters, max_score):
-    occurrences = max(1, counts.get(record_id, 1))
+def _count_score(occurrences, n_clusters, max_score):
     raw = math.log(n_clusters / occurrences) if n_clusters > 1 else 0.0
     return raw / max_score if max_score > 0 else 0.0
 

@@ -169,6 +169,7 @@ def _serve(args):
     last good snapshot under ``--store`` + WAL tail replay, then an
     immediate checkpoint when anything was replayed."""
     from .core import MoRER
+    from .core.morer import UnsupportedFormatError
     from .service import MoRERService, ServiceHTTPServer
     from .service.fixtures import demo_morer
 
@@ -181,7 +182,10 @@ def _serve(args):
             )
         from .durability import recover
 
-        morer, report = recover(args.wal_dir, store=args.store)
+        try:
+            morer, report = recover(args.wal_dir, store=args.store)
+        except UnsupportedFormatError as exc:
+            raise SystemExit(f"cannot recover: {exc}") from None
         wal_records = (
             0 if report.wal_report is None else report.wal_report.n_records
         )
@@ -239,7 +243,10 @@ def _serve(args):
             "--store and --demo are mutually exclusive without --wal-dir"
         )
     elif args.store is not None:
-        morer = MoRER.load(args.store)
+        try:
+            morer = MoRER.load(args.store)
+        except UnsupportedFormatError as exc:
+            raise SystemExit(f"cannot load: {exc}") from None
         origin = f"store {args.store}"
     elif args.demo is not None:
         morer = demo_morer(args.demo)

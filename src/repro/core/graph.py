@@ -553,19 +553,37 @@ class ERProblemGraph:
     # -- persistence -------------------------------------------------------
 
     def export_state(self):
-        """``(meta, arrays)`` snapshot of the whole graph-side state.
+        """``(meta, arrays)`` snapshot of the whole graph-side state,
+        each fact stored once.
 
         ``meta`` is JSON-safe (problem identities, pair ids, journal,
-        settings); ``arrays`` maps names to ndarrays (features, labels,
-        per-problem signature statistics, edges, the memoized pair
-        cache and — when the prefilter is in play — the sketch matrix).
-        :meth:`restore_state` rebuilds a graph whose first insertion
-        recomputes none of it. Pairs involving removed problems are not
-        persisted (their witness matrices don't survive the process
-        anyway).
+        settings). ``arrays`` holds:
+
+        * ``features`` — every problem's rows, concatenated in vertex
+          order, with ``offsets`` (problem ``i`` owns rows
+          ``offsets[i]:offsets[i + 1]``);
+        * ``labels`` (int8) — the labelled problems' labels,
+          concatenated, with the per-problem ``labelled`` flag;
+        * ``edge_rows`` (int32 ``(row, earlier row)``) and
+          ``edge_weights`` in *creation order*: the vertices in
+          insertion order, each with its edges to earlier vertices in
+          its own adjacency order. Replaying ``add_edge`` in that order
+          rebuilds every adjacency dict, strength and the total weight
+          as the live graph built them;
+        * ``pair_rows`` / ``pair_values`` — only the memoized pairs no
+          edge carries with the same value (pairs at or below
+          ``min_similarity``), since every edge is a cached pair;
+        * ``sketch_order`` / ``sketch_rows`` — the insertion-prefilter
+          sketch matrix, when the prefilter is in play.
+
+        Signature statistics are not stored: :meth:`restore_state`
+        recomputes them lazily, bit for bit, from the features. Pairs
+        involving removed problems are not persisted (their witness
+        matrices don't survive the process anyway).
         """
         keys = list(self._problems)
         rows = {key: i for i, key in enumerate(keys)}
+        problems = list(self._problems.values())
         meta = {
             "min_similarity": self.min_similarity,
             "use_index": self.use_index,
@@ -574,50 +592,61 @@ class ERProblemGraph:
             "sketch_bins": self._sketch_index.n_bins,
             "version": self.version,
             "journal": [entry.to_json() for entry in self._journal],
-            "problems": [],
+            "problems": [
+                {
+                    "source_a": problem.source_a,
+                    "source_b": problem.source_b,
+                    "feature_names": problem.feature_names,
+                    "pair_ids": (
+                        None if problem.pair_ids is None
+                        else [list(pair) for pair in problem.pair_ids]
+                    ),
+                }
+                for problem in problems
+            ],
         }
-        arrays = {}
-        for i, (key, problem) in enumerate(self._problems.items()):
-            meta["problems"].append({
-                "source_a": problem.source_a,
-                "source_b": problem.source_b,
-                "feature_names": problem.feature_names,
-                "pair_ids": (
-                    None if problem.pair_ids is None
-                    else [list(pair) for pair in problem.pair_ids]
-                ),
-            })
-            arrays[f"features_{i}"] = problem.features
-            if problem.labels is not None:
-                arrays[f"labels_{i}"] = problem.labels
-            # Read through the store without inserting: saving a graph
-            # larger than the LRU capacity must not thrash live entries
-            # (evicted signatures are rebuilt locally for the snapshot
-            # only).
-            signature = self._signatures.get(key)
-            if signature is None or signature.features is not (
-                problem.features
-            ):
-                signature = ProblemSignature(problem.features)
-            arrays[f"sig_sorted_{i}"] = signature.sorted_columns
-            arrays[f"sig_cdf_{i}"] = signature.self_cdf
+        labels = [
+            problem.labels for problem in problems
+            if problem.labels is not None
+        ]
+        arrays = {
+            "features": np.concatenate(
+                [problem.features for problem in problems]
+                or [np.empty((0, 0))]
+            ),
+            "offsets": np.cumsum(
+                [0] + [problem.n_pairs for problem in problems]
+            ),
+            "labels": np.concatenate(labels or [np.empty(0)]).astype(
+                np.int8
+            ),
+            "labelled": np.array(
+                [problem.labels is not None for problem in problems],
+                dtype=bool,
+            ),
+        }
         edge_rows, edge_weights = [], []
-        for u, v, weight in self.graph.edges():
-            edge_rows.append((rows[u], rows[v]))
-            edge_weights.append(weight)
+        for row, key in enumerate(keys):
+            for other, weight in self.graph.neighbors(key).items():
+                if rows[other] < row:
+                    edge_rows.append((row, rows[other]))
+                    edge_weights.append(weight)
         arrays["edge_rows"] = np.asarray(
-            edge_rows, dtype=np.int64
+            edge_rows, dtype=np.int32
         ).reshape(-1, 2)
         arrays["edge_weights"] = np.asarray(edge_weights, dtype=float)
         pair_rows, pair_values = [], []
         for (key_a, key_b), value in self._pair_cache.items():
             row_a = rows.get(key_a)
             row_b = rows.get(key_b)
-            if row_a is not None and row_b is not None:
+            if (
+                row_a is not None and row_b is not None
+                and self.graph.edge_weight(key_a, key_b, None) != value
+            ):
                 pair_rows.append((row_a, row_b))
                 pair_values.append(value)
         arrays["pair_rows"] = np.asarray(
-            pair_rows, dtype=np.int64
+            pair_rows, dtype=np.int32
         ).reshape(-1, 2)
         arrays["pair_values"] = np.asarray(pair_values, dtype=float)
         if self._prefilter_active():
@@ -634,12 +663,20 @@ class ERProblemGraph:
         """Rebuild a graph from an :meth:`export_state` snapshot.
 
         ``test`` must be (equivalent to) the distribution test the
-        snapshot was taken under. Signatures, edges, the pair cache and
-        the sketch matrix come back preloaded: the restored graph's
-        signature store reports zero :attr:`SignatureStore.builds` and
-        the first prefiltered insertion derives no sketch row. Keys this
-        version does not read (older snapshots also flag whether edges
-        came from signatures) are ignored.
+        snapshot was taken under. Each problem's signature is seeded
+        without statistics — the same code the live graph ran derives
+        them lazily from the restored features, bit for bit — so the
+        restored signature store reports zero
+        :attr:`SignatureStore.builds`. Replaying the edges in creation
+        order gives back the live graph's node order, every adjacency
+        dict, every strength and the total weight bit for bit; after
+        removals only the adjacency is exact, since the live graph
+        subtracted the removed weights from its strengths and total,
+        which may differ from the replayed sums by ulps. For
+        order-symmetric tests the pair cache is rebuilt from the edges
+        plus the stored extra pairs. The sketch matrix comes back
+        preloaded, so the first prefiltered insertion derives no sketch
+        row.
         """
         instance = cls(
             test, meta["min_similarity"],
@@ -654,13 +691,22 @@ class ERProblemGraph:
         instance._signatures.max_size = max(
             instance._signatures.max_size, len(meta["problems"])
         )
+        features = arrays["features"]
+        offsets = arrays["offsets"].tolist()
+        labels = arrays["labels"]
+        labelled = arrays["labelled"].tolist()
+        labels_at = 0
         keys = []
         for i, spec in enumerate(meta["problems"]):
-            labels = arrays.get(f"labels_{i}")
+            start, stop = offsets[i], offsets[i + 1]
+            problem_labels = None
+            if labelled[i]:
+                problem_labels = labels[labels_at:labels_at + stop - start]
+                labels_at += stop - start
             pair_ids = spec["pair_ids"]
             problem = ERProblem(
-                spec["source_a"], spec["source_b"], arrays[f"features_{i}"],
-                labels,
+                spec["source_a"], spec["source_b"], features[start:stop],
+                problem_labels,
                 None if pair_ids is None else [tuple(p) for p in pair_ids],
                 spec["feature_names"],
             )
@@ -668,14 +714,7 @@ class ERProblemGraph:
             keys.append(key)
             instance.graph.add_node(key)
             instance._problems[key] = problem
-            signature = ProblemSignature(problem.features)
-            sorted_columns = arrays.get(f"sig_sorted_{i}")
-            if sorted_columns is not None:
-                signature._sorted_columns = np.asarray(sorted_columns)
-            self_cdf = arrays.get(f"sig_cdf_{i}")
-            if self_cdf is not None:
-                signature._self_cdf = np.asarray(self_cdf)
-            instance._signatures.put(key, signature)
+            instance._signatures.put(key, ProblemSignature(problem.features))
             if instance._cache_pairs:
                 instance._pair_witness[key] = weakref.ref(
                     problem.features,
@@ -683,19 +722,17 @@ class ERProblemGraph:
                         key, ref
                     ),
                 )
-        for (row_u, row_v), weight in zip(
-            arrays["edge_rows"], arrays["edge_weights"]
-        ):
-            instance.graph.add_edge(
-                keys[int(row_u)], keys[int(row_v)], float(weight)
-            )
+        edges = list(zip(
+            arrays["edge_rows"].tolist(), arrays["edge_weights"].tolist()
+        ))
+        for (row, earlier), weight in edges:
+            instance.graph.add_edge(keys[row], keys[earlier], weight)
         if instance._cache_pairs:
-            for (row_a, row_b), value in zip(
-                arrays["pair_rows"], arrays["pair_values"]
-            ):
-                instance._remember_pair(
-                    keys[int(row_a)], keys[int(row_b)], float(value)
-                )
+            extras = zip(
+                arrays["pair_rows"].tolist(), arrays["pair_values"].tolist()
+            )
+            for (row_a, row_b), value in [*edges, *extras]:
+                instance._remember_pair(keys[row_a], keys[row_b], value)
         if "sketch_rows" in arrays:
             instance._sketch_index.bulk_load(
                 [keys[int(row)] for row in arrays["sketch_order"]],

@@ -40,11 +40,12 @@ retrain per probe; integration time is attributed per-probe through
 ``SolveResult.overhead_seconds`` (never double-counted against
 :meth:`overhead_seconds`). :meth:`MoRER.save` / :meth:`MoRER.load`
 persist the whole session — config, repository, graph (problems,
-edges, pair cache, signature statistics, sketch matrix, pending
+edges in creation order, the pair-cache extras, sketch matrix, pending
 journal), partition state and RNG stream — versioned under
 :data:`PERSISTENCE_FORMAT`, so a warm restart answers its first
-``sel_cov`` probe with zero recomputation (see
-``tests/test_morer_persistence.py`` for the counter-backed guarantee).
+``sel_cov`` probe with zero recomputation and decides exactly as the
+never-saved instance would (see ``tests/test_morer_persistence.py``
+for the counter-backed guarantee).
 """
 
 from __future__ import annotations
@@ -77,13 +78,26 @@ from .selection import (
 
 __all__ = [
     "MoRER", "CountingOracle", "NotFittedError", "PERSISTENCE_FORMAT",
+    "UnsupportedFormatError",
 ]
 
 #: On-disk layout version written by :meth:`MoRER.save`. Bump on any
 #: incompatible change to ``morer.json`` / ``graph.npz`` / the
 #: repository directory; :meth:`MoRER.load` refuses unknown versions
-#: loudly rather than deserialising garbage.
-PERSISTENCE_FORMAT = 1
+#: loudly rather than deserialising garbage. Format 2 stores each
+#: graph fact once (see :meth:`ERProblemGraph.export_state`); a store
+#: written in format 1 must be refitted.
+PERSISTENCE_FORMAT = 2
+
+
+class UnsupportedFormatError(ValueError):
+    """A :meth:`MoRER.save` directory in a format this build cannot read.
+
+    Unlike a damaged snapshot (a torn file raises :class:`ValueError`
+    or :class:`OSError`), the directory is intact, so crash recovery
+    stops on it instead of falling back to an older generation or
+    bootstrapping over it (:func:`repro.durability.load_snapshot`).
+    """
 
 
 class NotFittedError(RuntimeError):
@@ -631,9 +645,12 @@ class MoRER:
 
         * ``repository/`` — the :meth:`ModelRepository.save` directory
           (manifest, models, training arrays, search sketch matrix);
-        * ``graph.npz`` — problem features/labels, per-problem
-          signature statistics, edges, the memoized pair cache and the
-          insertion-prefilter sketch matrix;
+        * ``graph.npz`` (uncompressed: the features and edge weights
+          that make up most of it barely deflate) — the problems'
+          concatenated features and labels, the edges in creation
+          order, the memoized pairs no edge carries and the
+          insertion-prefilter sketch matrix, each fact once
+          (:meth:`ERProblemGraph.export_state`);
         * ``morer.json`` — config, graph metadata + pending journal,
           the :class:`PartitionState`, trained keys, clusters, timings
           and the RNG stream state.
@@ -665,7 +682,7 @@ class MoRER:
             self.repository.save(tmp / "repository", atomic=False)
             kill_point("snapshot.mid_write")
             graph_meta, graph_arrays = self.problem_graph.export_state()
-            np.savez_compressed(tmp / "graph.npz", **graph_arrays)
+            np.savez(tmp / "graph.npz", **graph_arrays)
             state = {
                 "format": PERSISTENCE_FORMAT,
                 "config": self.config.to_dict(),
@@ -690,13 +707,19 @@ class MoRER:
 
     @classmethod
     def load(cls, path):
-        """Rebuild a fitted MoRER from a :meth:`save` directory."""
+        """Rebuild a fitted MoRER from a :meth:`save` directory.
+
+        Raises :class:`UnsupportedFormatError` when the directory was
+        written in another :data:`PERSISTENCE_FORMAT`.
+        """
         path = Path(path)
         state = json.loads((path / "morer.json").read_text())
         if state.get("format") != PERSISTENCE_FORMAT:
-            raise ValueError(
-                f"unsupported MoRER save format {state.get('format')!r}; "
-                f"this build reads format {PERSISTENCE_FORMAT}"
+            raise UnsupportedFormatError(
+                f"unsupported MoRER save format {state.get('format')!r} "
+                f"in {path}; this build reads format "
+                f"{PERSISTENCE_FORMAT} (refit stores written in an "
+                "older format)"
             )
         morer = cls(MoRERConfig.from_dict(state["config"]))
         morer.repository = ModelRepository.load(path / "repository")

@@ -30,7 +30,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from ..core.config import MoRERConfig
-from ..core.morer import MoRER
+from ..core.morer import MoRER, UnsupportedFormatError
 from ..core.problem import ERProblem
 from .atomic import read_json, snapshot_candidates
 from .wal import WALError, read_wal
@@ -88,13 +88,18 @@ def load_snapshot(path):
     candidate, or ``(None, None)`` when none loads. A half-written
     candidate (crash mid-save without the atomic swap — or a damaged
     disk) is skipped, not fatal: the next candidate is the last good
-    generation."""
+    generation. A candidate in a format this build cannot read is not
+    damage: :class:`~repro.core.morer.UnsupportedFormatError`
+    propagates, because falling back to an older generation or
+    bootstrapping over the store would lose its state."""
     for candidate in snapshot_candidates(path):
         candidate = Path(candidate)
         if not candidate.is_dir():
             continue
         try:
             return MoRER.load(candidate), candidate
+        except UnsupportedFormatError:
+            raise
         except (OSError, ValueError, KeyError):
             continue
     return None, None
@@ -122,7 +127,10 @@ def recover(wal_dir, store=None, config=None):
 
     Raises :class:`~repro.durability.wal.WALError` when WAL records
     exist but neither a snapshot nor a config is available to replay
-    them onto — silently dropping acked mutations is never an option.
+    them onto — silently dropping acked mutations is never an option —
+    and :class:`~repro.core.morer.UnsupportedFormatError` when a
+    snapshot under ``store`` was written in another format (nothing is
+    written then).
     """
     report = RecoveryReport()
     records, wal_report = read_wal(wal_dir)

@@ -1,7 +1,15 @@
 """Baseline tests: Bootstrap AL, Almser, TransER, ZeroER, LM simulators."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     AlmserActiveLearner,
@@ -17,6 +25,8 @@ from repro.baselines import (
 from repro.core import CountingOracle
 from repro.ml import RandomForestClassifier, precision_recall_f1
 from tests.conftest import make_problem
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _pool(n=300, seed=0):
@@ -99,6 +109,60 @@ def test_record_uniqueness_scores_orientation():
 def test_record_uniqueness_single_cluster_all_zero():
     scores = record_uniqueness_scores([("a", "b")], {"a": 1, "b": 1}, 1)
     assert scores[0] == 0.0
+
+
+def _per_pair_uniqueness_scores(pair_ids, counts, n_clusters):
+    """The per-pair loop :func:`record_uniqueness_scores` replaced:
+    two ``math.log`` scores per pair (Eqs. 11–12)."""
+    max_score = math.log(n_clusters) if n_clusters > 1 else 1.0
+
+    def score(record):
+        occurrences = max(1, counts.get(record, 1))
+        raw = math.log(n_clusters / occurrences) if n_clusters > 1 else 0.0
+        return raw / max_score if max_score > 0 else 0.0
+
+    scores = np.empty(len(pair_ids))
+    for index, (source_record, target_record) in enumerate(pair_ids):
+        scores[index] = 0.5 * (score(source_record) + score(target_record))
+    return scores
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=60),
+    st.dictionaries(st.integers(0, 30), st.integers(0, 12)),
+    st.integers(1, 12),
+)
+def test_record_uniqueness_scores_match_the_per_pair_loop(
+        pairs, counts, n_clusters):
+    """Scoring once per distinct occurrence count is bit-identical to
+    scoring every record, with one cluster, records missing from the
+    counts (ids above 30) and zero counts included."""
+    pair_ids = [(f"r{a}", f"r{b}") for a, b in pairs]
+    counts = {f"r{record}": count for record, count in counts.items()}
+    assert np.array_equal(
+        record_uniqueness_scores(pair_ids, counts, n_clusters),
+        _per_pair_uniqueness_scores(pair_ids, counts, n_clusters),
+    )
+
+
+def test_importing_repro_leaves_the_heavy_baselines_unloaded():
+    """The heavy baselines load on first access: the CLI import does
+    not pull in the neural substrate, and the names still import."""
+    script = (
+        "import sys\n"
+        "import repro.cli\n"
+        "assert 'repro.nn' not in sys.modules, 'repro.nn imported'\n"
+        "from repro.baselines import DittoClassifier\n"
+        "assert 'repro.nn' in sys.modules\n"
+        "print(DittoClassifier.__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    output = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    assert output.strip() == "DittoClassifier"
 
 
 # -- Almser ---------------------------------------------------------------------

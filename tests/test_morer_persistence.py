@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import MoRER, adjusted_rand_index
+from repro.core import PERSISTENCE_FORMAT, MoRER, adjusted_rand_index
+from repro.core.morer import UnsupportedFormatError
 from tests.conftest import make_problem, make_problem_family
 
 
@@ -122,8 +123,119 @@ def test_load_rejects_unknown_format(tmp_path):
     manifest = json.loads((tmp_path / "store" / "morer.json").read_text())
     manifest["format"] = 999
     (tmp_path / "store" / "morer.json").write_text(json.dumps(manifest))
-    with pytest.raises(ValueError, match="format"):
+    with pytest.raises(
+        UnsupportedFormatError,
+        match=f"format 999 .*reads format {PERSISTENCE_FORMAT}",
+    ):
         MoRER.load(tmp_path / "store")
+
+
+def test_snapshot_holds_nothing_derivable(tmp_path):
+    """``graph.npz`` stores each fact once: no signature statistics,
+    and no memoized pair that an edge carries with the same value (the
+    pairs at or below ``min_similarity`` remain)."""
+    morer = _fit_warm(min_similarity=0.8)
+    morer.save(tmp_path / "store")
+    with np.load(tmp_path / "store" / "graph.npz") as arrays:
+        assert not [name for name in arrays.files if name.startswith("sig_")]
+        edges = {
+            frozenset(pair): weight for pair, weight in zip(
+                arrays["edge_rows"].tolist(), arrays["edge_weights"]
+            )
+        }
+        assert arrays["pair_rows"].shape[0] > 0
+        for pair, value in zip(
+            arrays["pair_rows"].tolist(), arrays["pair_values"]
+        ):
+            assert edges.get(frozenset(pair)) != value
+
+
+def _solve_ticks(morer, ticks):
+    """Solve each tick as one ``solve_batch`` call; the decisions."""
+    return [
+        (
+            result.cluster_id, result.retrained, result.new_model,
+            result.labels_spent, result.predictions.tolist(),
+        )
+        for tick in ticks
+        for result in morer.solve_batch(tick, strategy="cov")
+    ]
+
+
+def _assert_restored_exactly(live, twin, removed=False):
+    """The loaded graph equals the live one bit for bit: node order,
+    adjacency dicts, strengths, total weight, pair cache, signature
+    statistics and sketch rows. After removals (``removed``) only the
+    adjacency is exact: the live graph subtracted the removed weights
+    from its strengths and total, the replay never added them, and the
+    two sums may differ by ulps."""
+    graph, restored = live.problem_graph, twin.problem_graph
+    nodes = list(graph.graph.nodes())
+    assert list(restored.graph.nodes()) == nodes
+    for key in nodes:
+        assert list(restored.graph.neighbors(key).items()) == list(
+            graph.graph.neighbors(key).items()
+        ), key
+    if removed:
+        return
+    for key in nodes:
+        assert restored.graph.strength(key) == graph.graph.strength(key)
+    assert restored.graph.total_weight() == graph.graph.total_weight()
+    assert restored._pair_cache == graph._pair_cache
+    for key in nodes:
+        mine = graph._signatures.signature(key, graph.problem(key).features)
+        theirs = restored._signatures.get(key)
+        assert np.array_equal(theirs.sorted_columns, mine.sorted_columns)
+        assert np.array_equal(theirs.self_cdf, mine.self_cdf)
+    assert restored._signatures.builds == 0
+    mine_ids, mine_rows = graph._sketch_index.export_rows()
+    theirs_ids, theirs_rows = restored._sketch_index.export_rows()
+    assert theirs_ids == mine_ids
+    assert np.array_equal(theirs_rows, mine_rows)
+
+
+def _assert_decides_identically(live, twin, seed):
+    ticks = [_probes(3, seed=seed + 10 * i, prefix=f"T{i}_") for i in range(10)]
+    assert _solve_ticks(twin, ticks) == _solve_ticks(live, ticks)
+    assert twin.total_labels_spent() == live.total_labels_spent()
+    assert twin._rng.bit_generator.state == live._rng.bit_generator.state
+
+
+def test_restore_is_exact_after_a_plain_fit(tmp_path):
+    """Creation-order edges give back every adjacency order, strength
+    and the total weight of a freshly fitted graph, and the loaded
+    instance then decides as the never-saved one does."""
+    morer = MoRER(
+        b_total=400, b_min=10, selection="cov", t_cov=0.6, random_state=0,
+        incremental_clustering=True,
+    ).fit(make_problem_family(40))
+    morer.save(tmp_path / "store")
+    twin = MoRER.load(tmp_path / "store")
+    _assert_restored_exactly(morer, twin)
+    _assert_decides_identically(morer, twin, seed=3000)
+
+
+def test_restore_is_exact_after_prefiltered_ticks(tmp_path):
+    """Past the sketch prefilter a probe's adjacency follows its
+    sketch-nearest candidates, not the vertex order; the loaded graph
+    keeps that order for every vertex."""
+    morer = _fit_warm(n_solves=0)
+    for i in range(6):
+        morer.solve_batch(_probes(4, seed=500 + 10 * i, prefix=f"P{i}_"))
+    morer.save(tmp_path / "store")
+    twin = MoRER.load(tmp_path / "store")
+    _assert_restored_exactly(morer, twin)
+    _assert_decides_identically(morer, twin, seed=4000)
+
+
+def test_restore_after_removals_keeps_adjacency(tmp_path):
+    morer = _fit_warm()
+    for key in [problem.key for problem in make_problem_family(10)[:3]]:
+        morer.problem_graph.remove_problem(key)
+    morer.problem_graph.add_problem(make_problem_family(10)[1])
+    morer.save(tmp_path / "store")
+    twin = MoRER.load(tmp_path / "store")
+    _assert_restored_exactly(morer, twin, removed=True)
 
 
 def test_load_ignores_legacy_signature_flag(tmp_path):

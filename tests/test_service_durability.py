@@ -3,14 +3,16 @@ failures, per-item solve_batch envelopes (in-process and over HTTP),
 client retry policy, scheduler-driven checkpoints, and the CLI's
 recover-on-startup path."""
 
+import hashlib
 import json
 import threading
 
 import pytest
 
 from repro.cli import build_parser
-from repro.core import MoRER
-from repro.durability import faults, read_wal
+from repro.core import PERSISTENCE_FORMAT, MoRER
+from repro.core.morer import UnsupportedFormatError
+from repro.durability import faults, read_wal, recover
 from repro.service import (
     InvalidRequest,
     MoRERService,
@@ -408,6 +410,66 @@ def test_cli_force_bootstrap_discards_deliberately(tmp_path, monkeypatch):
     assert store.is_dir()             # bootstrap checkpointed the store
     _, report = read_wal(wal_dir)
     assert report.n_records == 0      # the stranded records are gone
+
+
+def _unsupported_store(tmp_path):
+    """A checkpointed 8-problem store (with a ``.prev`` generation and
+    an empty WAL) whose live ``morer.json`` names format 999."""
+    store, wal_dir = tmp_path / "store", tmp_path / "wal"
+    service = MoRERService(demo_morer(8), wal_dir=wal_dir)
+    service.save(store)
+    service.solve(demo_probes(1, seed=3)[0])
+    service.save(store)
+    service.close()
+    manifest = store / "morer.json"
+    state = json.loads(manifest.read_text())
+    state["format"] = 999
+    manifest.write_text(json.dumps(state))
+    return store, wal_dir
+
+
+def _store_digest(tmp_path):
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.glob("store*/**/*")):
+        if path.is_file():
+            digest.update(str(path.relative_to(tmp_path)).encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_recover_stops_on_an_unsupported_store_format(tmp_path):
+    """An intact store in another format is not damage: recovery
+    neither falls back to ``.prev`` nor starts an unfitted instance."""
+    store, wal_dir = _unsupported_store(tmp_path)
+    before = _store_digest(tmp_path)
+    with pytest.raises(
+        UnsupportedFormatError,
+        match=f"format 999 .*reads format {PERSISTENCE_FORMAT}",
+    ):
+        recover(wal_dir, store=store)
+    assert _store_digest(tmp_path) == before
+
+
+def test_cli_demo_never_bootstraps_over_an_unsupported_store(
+        tmp_path, monkeypatch):
+    from repro.cli import _serve
+
+    class _NoServer:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the gateway must not start")
+
+    store, wal_dir = _unsupported_store(tmp_path)
+    before = _store_digest(tmp_path)
+    monkeypatch.setattr("repro.service.ServiceHTTPServer", _NoServer)
+    args = build_parser().parse_args([
+        "serve", "--demo", "4", "--store", str(store),
+        "--wal-dir", str(wal_dir),
+    ])
+    with pytest.raises(
+        SystemExit, match=f"format 999 .*reads format {PERSISTENCE_FORMAT}",
+    ):
+        _serve(args)
+    assert _store_digest(tmp_path) == before
 
 
 def test_cli_recovery_replays_and_checkpoints(tmp_path, monkeypatch):
