@@ -9,10 +9,29 @@ strategy of §4.5 reclusters after insertion).
 Pairwise analysis is the O(P²·F) hot loop of construction, so the
 graph keeps one :class:`~repro.core.signatures.ProblemSignature` per
 problem (sorted columns, self-CDFs, histograms, stds computed once) and
-evaluates edges with the tests' vectorized signature kernels. Computed
-pair similarities are memoized in a pair cache that survives
-:meth:`remove_problem`, so ``sel_cov`` re-insertions and repeated
-reclustering never repeat a comparison.
+evaluates edges with the tests' vectorized signature kernels. No pair
+similarity is computed twice: every edge carries its pair's value, and
+the pair cache keeps the evaluated pairs no live edge carries (pairs at
+or below ``min_similarity``, pairs the prefilter kept from becoming
+edges, the pairs of removed problems), so ``sel_cov`` re-insertions and
+repeated reclustering never repeat a comparison.
+
+Array store
+-----------
+:math:`G_P` lives in arrays, not in a dict graph. Vertices are rows in
+insertion order. Edges are kept in *creation order* — each new vertex's
+edges to earlier vertices, in candidate order — as ``(row, earlier
+row, weight)`` arrays, the same rows a snapshot stores. Node strengths
+and the total weight are accumulated edge by edge in that order (and
+reduced by a removal in the removed vertex's adjacency order), the
+float sequence a dict ``Graph.add_edge`` / ``remove_node`` would run.
+:meth:`ERProblemGraph.csr` derives a
+:class:`~repro.graphcluster.CSRGraph` once per mutation, listing each
+vertex's neighbours in creation order of its edges; Leiden, Louvain and
+the partition state's local move and aggregates run on it.
+:meth:`ERProblemGraph.to_graph` gives an exact dict copy for the
+dict-only algorithms (label propagation, Girvan–Newman) and the
+maintenance scores.
 
 One insertion body
 ------------------
@@ -26,21 +45,14 @@ all-pairs matrix kernel (the fit path) and every other pair from the
 one-vs-many kernel. Every member is validated before the first
 mutation, so a rejected batch leaves the graph as it was.
 
-Two mechanisms keep *insertion* sublinear in graph size at scale:
-
-* a sketch-index prefilter (the same filter-then-verify pattern as
-  repository search, see :mod:`repro.core.sketch_index`): once the
-  graph outgrows ``index_threshold`` vertices, a new problem is
-  compared — and connected — only to its ``n_candidates``
-  sketch-nearest vertices instead of every vertex;
-* warm-started reclustering: :meth:`cluster` accepts the previous
-  partition (``seed_communities``) plus the inserted keys
-  (``changed_keys``) and routes to
-  :func:`~repro.graphcluster.incremental_leiden`, which re-examines
-  only the perturbed neighbourhood.
-
-Both are off below the threshold (and via ``use_index=False``), where
-the exact all-vertices behaviour is preserved byte for byte.
+A sketch-index prefilter keeps *insertion* sublinear in graph size at
+scale (the same filter-then-verify pattern as repository search, see
+:mod:`repro.core.sketch_index`): once the graph outgrows
+``index_threshold`` vertices, a new problem is compared — and
+connected — only to its ``n_candidates`` sketch-nearest vertices
+instead of every vertex. It is off below the threshold (and via
+``use_index=False``), where the exact all-vertices behaviour is
+preserved byte for byte.
 
 Mutation journal
 ----------------
@@ -51,11 +63,11 @@ it created or destroyed. A consumer caching a partition (MoRER's
 :attr:`version` it last synced at (its *cursor*) and later *replays*
 ``journal_since(cursor)`` — batch-folding inserts and removals into its
 partition and modularity aggregates without touching the graph history.
-Removals therefore no longer invalidate warm starts: the replay drops
-the vertex from the seed and queues its recorded neighbours. Consumed
-entries are reclaimed with :meth:`trim_journal`; :meth:`build` folds
-its entries into the offset (bulk construction is an epoch boundary,
-``can_replay`` is false across it).
+This is the warm-started reclustering path: removals do not invalidate
+it, since the replay drops the vertex from the seed and queues its
+recorded neighbours. Consumed entries are reclaimed with
+:meth:`trim_journal`. :meth:`build` journals nothing: bulk construction
+is an epoch boundary (``can_replay`` is false across it).
 """
 
 from __future__ import annotations
@@ -65,7 +77,7 @@ import weakref
 
 import numpy as np
 
-from ..graphcluster import CLUSTERING_ALGORITHMS, Graph, incremental_leiden
+from ..graphcluster import CLUSTERING_ALGORITHMS, CSRGraph
 from .config import DEFAULT_INDEX_THRESHOLD, check_index_settings
 from .distribution import make_distribution_test
 from .problem import ERProblem
@@ -78,6 +90,11 @@ from .signatures import (
 from .sketch_index import SketchIndex
 
 __all__ = ["ERProblemGraph", "JournalEntry"]
+
+_NO_EDGES = (
+    np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
+    np.zeros(0), np.zeros(0, dtype=np.int64),
+)
 
 
 def _pair_key(key_a, key_b):
@@ -182,10 +199,21 @@ class ERProblemGraph:
         # so it is only sound for order-symmetric tests (KS/WD/PSI, not
         # C2ST, whose subsampling depends on argument order).
         self._cache_pairs = getattr(test, "symmetric", False)
-        self.graph = Graph()
+        # The store: vertex rows in insertion order, edges in creation
+        # order as (row, earlier row, weight, pair order) arrays (newly
+        # inserted edges wait in _pending_edges until read), and the
+        # strengths and total weight accumulated edge by edge.
+        self._problems = {}
+        self._keys = []
+        self._rows = {}
+        self._edge_store = _NO_EDGES
+        self._pending_edges = []
+        self._strength = np.zeros(0)
+        self._total = 0.0
+        self._csr = None
         # Mutation journal: entries cover versions
         # (_journal_offset, _journal_offset + len(_journal)]; bulk
-        # construction folds its entries into the offset.
+        # construction journals nothing and starts past its inserts.
         self._journal = []
         self._journal_offset = 0
         #: Runtime instrumentation (never persisted): how many pairwise
@@ -193,10 +221,14 @@ class ERProblemGraph:
         #: from signatures — the persistence suite asserts a restored
         #: graph's first solve recomputes nothing it saved.
         self.stats = {"pair_evals": 0, "sketch_rows_built": 0}
-        self._problems = {}
         self._signatures = SignatureStore(signature_cache_size)
+        # Memoized pairs no live edge carries: pair -> (order, value).
+        # The order is the pair's place in the sequence of first
+        # evaluations (edges carry theirs too), which a snapshot lists
+        # its stored pairs in.
         self._pair_cache = {}
         self._pairs_by_key = {}
+        self._pair_clock = 0
         # key -> weakref of the feature matrix its cached pairs were
         # computed against; validates re-insertions independently of the
         # LRU signature store (eviction must not purge valid pairs).
@@ -217,12 +249,12 @@ class ERProblemGraph:
 
         Runs the insertion body (:meth:`_insert`) over the whole set, so
         the pairs of an order-symmetric test go through one all-pairs
-        matrix kernel, then folds the journal into an epoch boundary:
-        no consumer replays the O(n²) construction.
+        matrix kernel and each vertex's edges are sliced straight from
+        its matrix row. Construction journals nothing: it is an epoch
+        boundary no consumer replays.
         """
         instance = cls(test, min_similarity, **kwargs)
-        instance._insert(problems)
-        instance.trim_journal(instance.version)
+        instance._insert(problems, journal=False)
         return instance
 
     def add_problem(self, problem):
@@ -243,7 +275,7 @@ class ERProblemGraph:
         """
         self._insert(problems)
 
-    def _insert(self, problems):
+    def _insert(self, problems, journal=True):
         """The one body that adds problems to the graph.
 
         Each member is compared with its *candidates*, in this order:
@@ -257,7 +289,8 @@ class ERProblemGraph:
         :func:`~repro.core.signatures.search_similarities` kernel in
         ``sim_p(new, other)`` orientation. Every member is checked
         before the first mutation, so a rejected batch leaves the graph
-        untouched.
+        untouched. With ``journal`` false (bulk construction) the
+        inserts advance :attr:`version` without journal entries.
         """
         problems = list(problems)
         rows = self._check_members(problems)
@@ -266,7 +299,7 @@ class ERProblemGraph:
         if prefilter:
             self._sync_sketch_index()
         n_candidates = self._resolve_candidates() if prefilter else 0
-        existing = list(self._problems)
+        existing = list(self._keys)
         signatures = []
         for problem, key in zip(problems, keys):
             self._validate_pair_cache(key, problem.features)
@@ -274,42 +307,85 @@ class ERProblemGraph:
         matrix = self._batch_matrix(keys, signatures)
         for i, (problem, key) in enumerate(zip(problems, keys)):
             signature = signatures[i]
+            row = len(self._keys)
             if prefilter:
-                candidates = self._sketch_index.query(signature, n_candidates)
+                outer = list(self._sketch_index.query(signature, n_candidates))
+                outer_rows = np.array(
+                    [self._rows[other] for other in outer], dtype=np.intp
+                )
             else:
-                candidates = existing
-            candidates = list(candidates) + keys[:i]
-            partners = self._pairs_by_key.get(key, ())
-            values = {
-                other: self._pair_cache[_pair_key(key, other)]
-                for other in candidates if other in partners
-            }
-            fresh = [other for other in candidates if other not in values]
+                outer = existing
+                outer_rows = np.arange(len(existing))
+            candidates = outer + keys[:i]
+            candidate_rows = np.concatenate(
+                [outer_rows, np.arange(row - i, row)]
+            )
+            values = np.empty(len(candidates))
+            order = np.full(len(candidates), -1, dtype=np.int64)
+            partners = self._pairs_by_key.get(key)
+            if partners:
+                for j, other in enumerate(candidates):
+                    if other in partners:
+                        order[j], values[j] = self._pair_cache[
+                            _pair_key(key, other)
+                        ]
+            fresh = order < 0
             if matrix is not None:
-                values.update(zip(keys[:i], matrix[i, :i].tolist()))
-            rest = [other for other in fresh if other not in values]
-            if rest:
-                similarities = search_similarities(self.test, signature, [
-                    signatures[rows[other]] if other in rows
-                    else self._signatures.signature(
-                        other, self._problems[other].features
-                    )
-                    for other in rest
-                ])
-                values.update(zip(rest, map(float, similarities)))
-                self.stats["pair_evals"] += len(rest)
+                values[len(outer):] = matrix[i, :i]
+                rest = np.flatnonzero(fresh[:len(outer)])
+            else:
+                rest = np.flatnonzero(fresh)
+            if rest.size:
+                values[rest] = search_similarities(
+                    self.test, signature, [
+                        signatures[rows[candidates[j]]]
+                        if candidates[j] in rows
+                        else self._signatures.signature(
+                            candidates[j],
+                            self._problems[candidates[j]].features,
+                        )
+                        for j in rest.tolist()
+                    ],
+                )
+                self.stats["pair_evals"] += rest.size
+            n_fresh = int(np.count_nonzero(fresh))
+            order[fresh] = np.arange(
+                self._pair_clock, self._pair_clock + n_fresh
+            )
+            self._pair_clock += n_fresh
+            linked = values > self.min_similarity
             if self._cache_pairs:
-                for other in fresh:
-                    self._remember_pair(key, other, values[other])
-            self.graph.add_node(key)
-            edges = {}
-            for other in candidates:
-                similarity = values[other]
-                if similarity > self.min_similarity:
-                    self.graph.add_edge(key, other, similarity)
-                    edges[other] = similarity
+                for j in np.flatnonzero(fresh & ~linked).tolist():
+                    self._remember_pair(
+                        key, candidates[j], float(values[j]), int(order[j])
+                    )
+                for j in np.flatnonzero(~fresh & linked).tolist():
+                    self._forget_pair(key, candidates[j])
+            weights = values[linked]
+            neighbours = candidate_rows[linked]
+            self._strength[neighbours] += weights
+            self._strength = np.append(
+                self._strength, np.cumsum(weights)[-1] if weights.size else 0.0
+            )
+            self._total = float(np.cumsum(np.r_[self._total, weights])[-1])
+            self._pending_edges.append((
+                np.full(weights.size, row, dtype=np.intp), neighbours,
+                weights, order[linked],
+            ))
+            self._csr = None
+            self._keys.append(key)
+            self._rows[key] = row
             self._problems[key] = problem
-            self._journal.append(JournalEntry(JournalEntry.INSERT, key, edges))
+            if journal:
+                edges = dict(zip(
+                    [candidates[j] for j in np.flatnonzero(linked).tolist()],
+                    weights.tolist(),
+                ))
+                self._journal.append(
+                    JournalEntry(JournalEntry.INSERT, key, edges)
+                )
+            else:
+                self._journal_offset += 1
             self._index_pending.add(key)
 
     def _check_members(self, problems):
@@ -353,24 +429,52 @@ class ERProblemGraph:
         """Remove a problem vertex (used by repository maintenance).
 
         The problem's signature and memoized pair similarities are kept
-        so re-inserting the same problem (``sel_cov`` churn) is free.
-        The removal — with the destroyed edges — is journaled, so a
-        cached partition *survives*: replay drops the vertex from the
-        seed and queues its recorded neighbours instead of forcing a
-        full recluster.
+        (its edges' values move into the pair cache), so re-inserting
+        the same problem (``sel_cov`` churn) is free. The removal —
+        with the destroyed edges — is journaled, so a cached partition
+        *survives*: replay drops the vertex from the seed and queues its
+        recorded neighbours instead of forcing a full recluster.
         """
         if key not in self._problems:
             raise KeyError(f"no ER problem {key} in the graph")
-        edges = {
-            other: float(weight)
-            for other, weight in self.graph.neighbors(key).items()
-            if other != key
-        }
-        self.graph.remove_node(key)
+        row = self._rows[key]
+        new, old, weight, order = self._edges()
+        incident = (new == row) | (old == row)
+        neighbours = np.where(new == row, old, new)[incident]
+        lost = weight[incident]
+        others = [self._keys[other] for other in neighbours.tolist()]
+        edges = dict(zip(others, lost.tolist()))
+        self._strength[neighbours] -= lost
+        self._strength = np.delete(self._strength, row)
+        self._total = float(np.cumsum(np.r_[self._total, -lost])[-1])
+        if self._cache_pairs:
+            for other, value, seen in zip(
+                others, lost.tolist(), order[incident].tolist()
+            ):
+                self._remember_pair(key, other, value, seen)
+        kept = ~incident
+        new, old = new[kept], old[kept]
+        self._edge_store = (
+            new - (new > row), old - (old > row), weight[kept], order[kept],
+        )
+        self._csr = None
+        del self._keys[row]
         del self._problems[key]
+        self._rows = {other: i for i, other in enumerate(self._keys)}
         self._journal.append(JournalEntry(JournalEntry.REMOVE, key, edges))
         self._sketch_index.discard(key)
         self._index_pending.discard(key)
+
+    def _edges(self):
+        """``(rows, earlier rows, weights, pair orders)`` of every edge,
+        in creation order."""
+        if self._pending_edges:
+            self._edge_store = tuple(
+                np.concatenate(parts)
+                for parts in zip(self._edge_store, *self._pending_edges)
+            )
+            self._pending_edges = []
+        return self._edge_store
 
     # -- mutation journal --------------------------------------------------
 
@@ -489,6 +593,7 @@ class ERProblemGraph:
                 self.stats["sketch_rows_built"] += 1
             self._index_pending.discard(key)
 
+
     # -- pair cache --------------------------------------------------------
 
     def pair_similarity(self, key_a, key_b):
@@ -502,7 +607,10 @@ class ERProblemGraph:
         if self._cache_pairs:
             cached = self._pair_cache.get(_pair_key(key_a, key_b))
             if cached is not None:
-                return cached
+                return cached[1]
+            weight = self._edge_weight(key_a, key_b)
+            if weight is not None:
+                return weight
         problem_a = self._problems[key_a]
         problem_b = self._problems[key_b]
         similarity = self.test.signature_similarity(
@@ -537,10 +645,21 @@ class ERProblemGraph:
             self._purge_pairs(key)
             del self._pair_witness[key]
 
-    def _remember_pair(self, key_a, key_b, similarity):
-        self._pair_cache[_pair_key(key_a, key_b)] = similarity
+    def _remember_pair(self, key_a, key_b, similarity, order=None):
+        """Cache a pair no live edge carries; ``order`` is its place in
+        the evaluation sequence (a new one when omitted)."""
+        if order is None:
+            order = self._pair_clock
+            self._pair_clock += 1
+        self._pair_cache[_pair_key(key_a, key_b)] = (order, similarity)
         self._pairs_by_key.setdefault(key_a, set()).add(key_b)
         self._pairs_by_key.setdefault(key_b, set()).add(key_a)
+
+    def _forget_pair(self, key_a, key_b):
+        """Drop a cached pair that an edge carries again."""
+        del self._pair_cache[_pair_key(key_a, key_b)]
+        self._pairs_by_key[key_a].discard(key_b)
+        self._pairs_by_key[key_b].discard(key_a)
 
     def _purge_pairs(self, key):
         """Drop every memoized pair involving ``key``."""
@@ -549,6 +668,18 @@ class ERProblemGraph:
             partners = self._pairs_by_key.get(partner)
             if partners:
                 partners.discard(key)
+
+    def _edge_weight(self, key_a, key_b):
+        """Weight of the edge ``{key_a, key_b}``, or ``None``."""
+        row_a = self._rows.get(key_a)
+        row_b = self._rows.get(key_b)
+        if row_a is None or row_b is None:
+            return None
+        csr = self.csr()
+        hit = np.flatnonzero(csr.neighbors(row_a) == row_b)
+        if not hit.size:
+            return None
+        return float(csr.weights[csr.indptr[row_a] + hit[0]])
 
     # -- persistence -------------------------------------------------------
 
@@ -565,14 +696,13 @@ class ERProblemGraph:
         * ``labels`` (int8) — the labelled problems' labels,
           concatenated, with the per-problem ``labelled`` flag;
         * ``edge_rows`` (int32 ``(row, earlier row)``) and
-          ``edge_weights`` in *creation order*: the vertices in
-          insertion order, each with its edges to earlier vertices in
-          its own adjacency order. Replaying ``add_edge`` in that order
-          rebuilds every adjacency dict, strength and the total weight
-          as the live graph built them;
-        * ``pair_rows`` / ``pair_values`` — only the memoized pairs no
-          edge carries with the same value (pairs at or below
-          ``min_similarity``), since every edge is a cached pair;
+          ``edge_weights`` — the edge store as it is, in *creation
+          order*: the vertices in insertion order, each with its edges
+          to earlier vertices in candidate order;
+        * ``pair_rows`` / ``pair_values`` — the pair cache's entries
+          between stored problems: the evaluated pairs no edge carries
+          (at or below ``min_similarity``, or left out by the
+          prefilter), in the order they were first evaluated;
         * ``sketch_order`` / ``sketch_rows`` — the insertion-prefilter
           sketch matrix, when the prefilter is in play.
 
@@ -581,8 +711,7 @@ class ERProblemGraph:
         involving removed problems are not persisted (their witness
         matrices don't survive the process anyway).
         """
-        keys = list(self._problems)
-        rows = {key: i for i, key in enumerate(keys)}
+        rows = self._rows
         problems = list(self._problems.values())
         meta = {
             "min_similarity": self.min_similarity,
@@ -625,30 +754,20 @@ class ERProblemGraph:
                 dtype=bool,
             ),
         }
-        edge_rows, edge_weights = [], []
-        for row, key in enumerate(keys):
-            for other, weight in self.graph.neighbors(key).items():
-                if rows[other] < row:
-                    edge_rows.append((row, rows[other]))
-                    edge_weights.append(weight)
-        arrays["edge_rows"] = np.asarray(
-            edge_rows, dtype=np.int32
-        ).reshape(-1, 2)
-        arrays["edge_weights"] = np.asarray(edge_weights, dtype=float)
-        pair_rows, pair_values = [], []
-        for (key_a, key_b), value in self._pair_cache.items():
-            row_a = rows.get(key_a)
-            row_b = rows.get(key_b)
-            if (
-                row_a is not None and row_b is not None
-                and self.graph.edge_weight(key_a, key_b, None) != value
-            ):
-                pair_rows.append((row_a, row_b))
-                pair_values.append(value)
+        new, old, weights, _ = self._edges()
+        arrays["edge_rows"] = np.stack([new, old], axis=1).astype(np.int32)
+        arrays["edge_weights"] = weights.copy()
+        stored = sorted(
+            (order, rows[key_a], rows[key_b], value)
+            for (key_a, key_b), (order, value) in self._pair_cache.items()
+            if key_a in rows and key_b in rows
+        )
         arrays["pair_rows"] = np.asarray(
-            pair_rows, dtype=np.int32
+            [(row_a, row_b) for _, row_a, row_b, _ in stored], dtype=np.int32
         ).reshape(-1, 2)
-        arrays["pair_values"] = np.asarray(pair_values, dtype=float)
+        arrays["pair_values"] = np.asarray(
+            [value for *_, value in stored], dtype=float
+        )
         if self._prefilter_active():
             self._sync_sketch_index()
             ids, sketch_rows = self._sketch_index.export_rows()
@@ -667,16 +786,16 @@ class ERProblemGraph:
         without statistics — the same code the live graph ran derives
         them lazily from the restored features, bit for bit — so the
         restored signature store reports zero
-        :attr:`SignatureStore.builds`. Replaying the edges in creation
-        order gives back the live graph's node order, every adjacency
-        dict, every strength and the total weight bit for bit; after
-        removals only the adjacency is exact, since the live graph
-        subtracted the removed weights from its strengths and total,
-        which may differ from the replayed sums by ulps. For
-        order-symmetric tests the pair cache is rebuilt from the edges
-        plus the stored extra pairs. The sketch matrix comes back
-        preloaded, so the first prefiltered insertion derives no sketch
-        row.
+        :attr:`SignatureStore.builds`. The edge arrays are taken as
+        they are; strengths and the total weight are summed edge by
+        edge in creation order, which gives back the live graph's
+        values bit for bit. After removals only the adjacency is
+        exact, since the live graph subtracted the removed weights
+        from its strengths and total, which may differ from the
+        re-summed values by ulps. For order-symmetric tests the stored
+        extra pairs refill the pair cache, ordered after every edge.
+        The sketch matrix comes back preloaded, so the first
+        prefiltered insertion derives no sketch row.
         """
         instance = cls(
             test, meta["min_similarity"],
@@ -696,7 +815,7 @@ class ERProblemGraph:
         labels = arrays["labels"]
         labelled = arrays["labelled"].tolist()
         labels_at = 0
-        keys = []
+        keys = instance._keys
         for i, spec in enumerate(meta["problems"]):
             start, stop = offsets[i], offsets[i + 1]
             problem_labels = None
@@ -711,8 +830,8 @@ class ERProblemGraph:
                 spec["feature_names"],
             )
             key = problem.key
+            instance._rows[key] = len(keys)
             keys.append(key)
-            instance.graph.add_node(key)
             instance._problems[key] = problem
             instance._signatures.put(key, ProblemSignature(problem.features))
             if instance._cache_pairs:
@@ -722,16 +841,24 @@ class ERProblemGraph:
                         key, ref
                     ),
                 )
-        edges = list(zip(
-            arrays["edge_rows"].tolist(), arrays["edge_weights"].tolist()
-        ))
-        for (row, earlier), weight in edges:
-            instance.graph.add_edge(keys[row], keys[earlier], weight)
+        edge_rows = arrays["edge_rows"].astype(np.intp)
+        weights = np.array(arrays["edge_weights"], dtype=float)
+        n_edges = len(weights)
+        instance._edge_store = (
+            edge_rows[:, 0].copy(), edge_rows[:, 1].copy(), weights,
+            np.arange(n_edges, dtype=np.int64),
+        )
+        instance._strength = np.bincount(
+            edge_rows.reshape(-1), weights=np.repeat(weights, 2),
+            minlength=len(keys),
+        )
+        instance._total = float(np.cumsum(weights)[-1]) if n_edges else 0.0
+        instance._pair_clock = n_edges
         if instance._cache_pairs:
             extras = zip(
                 arrays["pair_rows"].tolist(), arrays["pair_values"].tolist()
             )
-            for (row_a, row_b), value in [*edges, *extras]:
+            for (row_a, row_b), value in extras:
                 instance._remember_pair(keys[row_a], keys[row_b], value)
         if "sketch_rows" in arrays:
             instance._sketch_index.bulk_load(
@@ -764,29 +891,39 @@ class ERProblemGraph:
 
     def similarity(self, key_a, key_b):
         """Edge weight between two problems (0.0 if below threshold)."""
-        return self.graph.edge_weight(key_a, key_b)
+        weight = self._edge_weight(key_a, key_b)
+        return 0.0 if weight is None else weight
+
+    def csr(self):
+        """The graph as a :class:`~repro.graphcluster.CSRGraph`: vertices
+        in insertion order, each listing its neighbours in creation
+        order of its edges, with the accumulated strengths and total
+        weight. Derived once per mutation and shared until the next;
+        treat it as read-only."""
+        if self._csr is None:
+            new, old, weights, _ = self._edges()
+            self._csr = CSRGraph.from_edges(
+                list(self._keys), new, old, weights, self._strength.copy(),
+                self._total, dict(self._rows),
+            )
+        return self._csr
+
+    def to_graph(self):
+        """An exact dict :class:`~repro.graphcluster.Graph` copy of the
+        graph — node order, adjacency order, weights, strengths and
+        total weight — for the algorithms that walk adjacency dicts
+        (label propagation, Girvan–Newman, the maintenance scores)."""
+        return self.csr().to_graph()
 
     # -- clustering ----------------------------------------------------------
 
-    def cluster(self, algorithm="leiden", resolution=1.0, random_state=None,
-                seed_communities=None, changed_keys=()):
+    def cluster(self, algorithm="leiden", resolution=1.0, random_state=None):
         """Partition the problems into clusters of similar ER tasks.
 
         Returns a list of sets of problem keys. Isolated vertices come
-        back as singleton clusters.
-
-        Parameters
-        ----------
-        seed_communities : list of sets, optional
-            Warm start (Leiden only): the previous partition to update
-            incrementally via
-            :func:`~repro.graphcluster.incremental_leiden` instead of
-            reclustering from scratch. Keys no longer in the graph are
-            ignored; new keys start as singletons.
-        changed_keys : iterable, optional
-            Keys inserted (or whose edges changed) since
-            ``seed_communities`` was computed; only they and their
-            neighbours are re-examined.
+        back as singleton clusters. Leiden and Louvain run on
+        :meth:`csr`; label propagation and Girvan–Newman on
+        :meth:`to_graph`.
         """
         if algorithm not in CLUSTERING_ALGORITHMS:
             raise KeyError(
@@ -795,28 +932,13 @@ class ERProblemGraph:
             )
         if len(self._problems) == 0:
             return []
-        if seed_communities is not None:
-            if algorithm != "leiden":
-                raise ValueError(
-                    "warm-started clustering (seed_communities) is only "
-                    "supported with algorithm='leiden'"
-                )
-            communities = incremental_leiden(
-                self.graph, seed_communities, changed_keys,
-                resolution=resolution, random_state=random_state,
-            )
-            return [set(community) for community in communities]
         func = CLUSTERING_ALGORITHMS[algorithm]
         if algorithm == "girvan_newman":
-            communities = func(self.graph)
-        elif algorithm == "leiden":
+            communities = func(self.to_graph())
+        elif algorithm in ("leiden", "louvain"):
             communities = func(
-                self.graph, resolution=resolution, random_state=random_state
-            )
-        elif algorithm == "louvain":
-            communities = func(
-                self.graph, resolution=resolution, random_state=random_state
+                self.csr(), resolution=resolution, random_state=random_state
             )
         else:
-            communities = func(self.graph, random_state=random_state)
+            communities = func(self.to_graph(), random_state=random_state)
         return [set(community) for community in communities]

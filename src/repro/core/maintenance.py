@@ -45,11 +45,12 @@ def silhouette_scores(graph, clusters):
     for index, cluster in enumerate(clusters):
         for key in cluster:
             membership[key] = index
+    adjacency = graph.to_graph()
     scores = {}
     for key in membership:
         own = []
         foreign = {}
-        for other, weight in graph.graph.neighbors(key).items():
+        for other, weight in adjacency.neighbors(key).items():
             if other == key:
                 continue
             if membership.get(other) == membership[key]:
@@ -73,10 +74,11 @@ def cluster_conductance(graph, cluster):
     mostly leave it — an unstable cluster whose model is suspect.
     """
     cluster = set(cluster)
+    adjacency = graph.to_graph()
     internal = 0.0
     boundary = 0.0
     for key in cluster:
-        for other, weight in graph.graph.neighbors(key).items():
+        for other, weight in adjacency.neighbors(key).items():
             if other == key:
                 continue
             if other in cluster:

@@ -25,12 +25,22 @@ The caller inspects the trial's quality and either :meth:`accept`\\ s it
 or falls back to a full recluster; a rejected trial leaves the state
 untouched.
 
+Both the local move and :meth:`from_full_run`'s aggregates pass run
+the CSR kernel of :mod:`repro.graphcluster` on the graph's cached
+:meth:`~repro.core.graph.ERProblemGraph.csr` view. The partition's
+mixed labels (ints from full runs, problem keys and negative ints from
+replays) become integer codes for the kernel and come back as they
+were, in the partition dict's key order, so the state and its
+persisted form are the ones the dict implementation produced.
+
 The state is JSON-serialisable (:meth:`to_dict` / :meth:`from_dict`),
 which is what makes MoRER-level persistence cheap: a restarted process
 resumes the warm streak mid-stride.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..graphcluster import ModularityAggregates, local_move
 from ..ml.utils import check_random_state
@@ -77,7 +87,7 @@ class PartitionState:
         O(edges) pass, paid only here), the quality as the new
         degradation reference, and a reset warm streak."""
         aggregates = ModularityAggregates.from_partition(
-            graph.graph, partition
+            graph.csr(), partition
         )
         return cls(
             partition, graph.version, aggregates,
@@ -139,13 +149,16 @@ class PartitionState:
                         label, edges, partition, self_loop
                     )
                 changed.update(edges)
-        queue = set()
+        csr = graph.csr()
+        queued = np.zeros(len(csr), dtype=bool)
         for key in changed:
-            if key in graph.graph:
-                queue.add(key)
-                queue.update(graph.graph.neighbors(key))
+            row = csr.index.get(key)
+            if row is not None:
+                queued[row] = True
+                queued[csr.neighbors(row)] = True
         partition, _ = local_move(
-            graph.graph, partition, resolution, rng, nodes=queue,
+            csr, partition, resolution, rng,
+            nodes=[csr.nodes[row] for row in np.flatnonzero(queued)],
             aggregates=aggregates,
         )
         return ReplayOutcome(

@@ -184,9 +184,11 @@ def _sample_negatives(records_a, records_b, intra, target, rng):
     """Hard negatives (shared title token) topped up with random ones."""
     if target <= 0:
         return []
+    # dict.fromkeys, not set: which hard negatives are drawn must not
+    # follow the process's string hash seed.
     token_index_b = {}
     for record in records_b:
-        for token in set(word_tokens(record.get("title"))):
+        for token in dict.fromkeys(word_tokens(record.get("title"))):
             token_index_b.setdefault(token, []).append(record)
 
     seen = set()
@@ -194,7 +196,7 @@ def _sample_negatives(records_a, records_b, intra, target, rng):
     order = rng.permutation(len(records_a))
     for index in order:
         record = records_a[int(index)]
-        for token in set(word_tokens(record.get("title"))):
+        for token in dict.fromkeys(word_tokens(record.get("title"))):
             for partner in token_index_b.get(token, ()):
                 if partner is record:
                     continue

@@ -1,15 +1,15 @@
 """Lightweight weighted undirected graph.
 
-The ER problem similarity graph :math:`G_P` (§4.3) and the record match
-graphs used by Almser are both instances of this structure. It is a thin
-adjacency-dict graph tuned for the operations community detection needs:
-neighbour iteration, strengths, subgraphs and aggregation.
+The record match graphs used by Almser (components, bridges, min-cuts),
+label propagation and Girvan–Newman run on this adjacency-dict graph.
+The ER problem similarity graph :math:`G_P` (§4.3) lives in arrays
+(:class:`~repro.core.graph.ERProblemGraph`) and is clustered by the CSR
+kernel (:class:`~repro.graphcluster.CSRGraph`); it hands an exact copy
+of itself to the dict-only algorithms.
 
 Node strengths and the total edge weight are maintained incrementally
 (updated in O(1) per mutation), so ``strength`` and ``total_weight``
-are constant-time: the local-move and modularity hot loops ask for them
-once per node / per call, and recomputing them by walking adjacency
-lists made every clustering pass O(edges) before it even started.
+are constant-time.
 """
 
 from __future__ import annotations
@@ -119,16 +119,14 @@ class Graph:
         return self._strengths[node]
 
     def edges(self):
-        """Yield ``(u, v, weight)`` once per undirected edge."""
-        seen = set()
-        for u, adjacency in self._adj.items():
+        """Yield ``(u, v, weight)`` once per undirected edge: from each
+        ``u``, the neighbours whose node position is at or after
+        ``u``'s, in adjacency order."""
+        position = {node: i for i, node in enumerate(self._adj)}
+        for i, (u, adjacency) in enumerate(self._adj.items()):
             for v, weight in adjacency.items():
-                # Canonical frozenset key: node ids may not be orderable.
-                key = frozenset((u, v))
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield u, v, weight
+                if position[v] >= i:
+                    yield u, v, weight
 
     def number_of_edges(self):
         """Count of undirected edges (self-loops count once)."""
@@ -160,21 +158,6 @@ class Graph:
             for v, weight in self._adj[u].items():
                 if v in keep and v not in g._adj[u]:
                     g.add_edge(u, v, weight)
-        return g
-
-    def aggregate(self, partition):
-        """Quotient graph over ``partition`` (a ``node -> community`` map).
-
-        Edge weights between communities are summed; intra-community
-        weights become self-loops. Returns the aggregated :class:`Graph`
-        whose nodes are the community labels.
-        """
-        g = Graph()
-        for node in self._adj:
-            g.add_node(partition[node])
-        for u, v, weight in self.edges():
-            cu, cv = partition[u], partition[v]
-            g.increment_edge(cu, cv, weight)
         return g
 
     @classmethod

@@ -11,38 +11,37 @@ three phases:
    positive-gain candidates,
 3. **aggregation** on the *refined* partition, seeding the next level's
    local move with the unrefined communities.
+
+All three run on the CSR form (:class:`~repro.graphcluster.CSRGraph`),
+with vertices and communities as integer codes at every level, and
+match the dict implementation in ``tests/leiden_reference.py`` bit for
+bit: the same sums in the same order, the same RNG calls, and builtin
+``sum`` / ``math.exp`` wherever the dict code uses them.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from ..ml.utils import check_random_state
-from .louvain import local_move
-from .quality import (
-    communities_from_partition,
-    modularity,
-    partition_from_communities,
-)
+from .csr import as_csr
+from .louvain import _move_nodes
+from .quality import communities_from_partition
 
-__all__ = ["leiden", "incremental_leiden"]
+__all__ = ["leiden"]
 
 
-def leiden(
-    graph,
-    resolution=1.0,
-    random_state=None,
-    max_levels=20,
-    theta=0.01,
-    seed_partition=None,
-    queue_nodes=None,
-):
+def leiden(graph, resolution=1.0, random_state=None, max_levels=20,
+           theta=0.01):
     """Run Leiden; returns a list of node-set communities.
 
     Parameters
     ----------
-    graph : repro.graphcluster.Graph
-        Weighted undirected graph.
+    graph : CSRGraph or Graph
+        Weighted undirected graph; a dict
+        :class:`~repro.graphcluster.Graph` is copied to CSR form.
     resolution : float
         Modularity resolution :math:`\\gamma`; larger values yield more,
         smaller communities.
@@ -53,176 +52,72 @@ def leiden(
     theta : float
         Temperature of the randomised merge step; ``theta <= 0`` makes
         refinement greedy (deterministic best-gain merges).
-    seed_partition : dict, optional
-        Warm start: a ``node -> community label`` map the first local
-        move starts from instead of singletons. Nodes absent from the
-        map start as singletons. Labels must not collide with the ids
-        of unlisted nodes.
-    queue_nodes : iterable, optional
-        Restrict the first level's local-move work queue to these nodes
-        (moves still cascade to neighbours). Only meaningful together
-        with ``seed_partition`` — with a singleton start every node
-        must be queued for the result to make sense.
     """
+    graph = as_csr(graph)
     rng = check_random_state(random_state)
-    # mapping: original node -> node of `current` it is represented by.
-    mapping = {node: node for node in graph.nodes()}
+    mapping = np.arange(len(graph))  # original vertex -> current vertex
     current = graph
-    if seed_partition is None:
-        partition = {node: node for node in graph.nodes()}
-    else:
-        partition = {
-            node: seed_partition.get(node, node) for node in graph.nodes()
-        }
-    for level in range(max_levels):
-        partition, moved = local_move(
-            current, partition, resolution, rng,
-            nodes=queue_nodes if level == 0 else None,
+    part = np.arange(len(graph))     # current vertex -> community code
+    for _ in range(max_levels):
+        community_strength = np.bincount(
+            part, weights=current.strengths, minlength=len(current)
         )
-        n_communities = len(set(partition.values()))
-        if not moved or n_communities == len(current):
+        moved = current.total > 0 and _move_nodes(
+            current, part, community_strength, list(range(len(current))),
+            resolution, rng,
+        )
+        if not moved or len(np.unique(part)) == len(current):
             break
-        refined = _refine(current, partition, resolution, rng, theta)
-        for node in mapping:
-            mapping[node] = refined[mapping[node]]
-        aggregated = current.aggregate(refined)
-        # Seed the next level's local move with the *unrefined* communities
-        # (each refined community starts inside its coarse community).
-        seed = {}
-        for node in current.nodes():
-            seed[refined[node]] = partition[node]
+        refined = _refine(current, part, resolution, rng, theta)
+        aggregated, group = current.aggregate(refined)
+        mapping = group[mapping]
+        # Seed the next level's local move with the *unrefined*
+        # communities (each refined community starts inside its coarse
+        # community), as compact codes.
+        seed = np.empty(len(aggregated), dtype=np.intp)
+        seed[group] = part
+        part = np.unique(seed, return_inverse=True)[1].reshape(-1)
         current = aggregated
-        partition = seed
-    for node in mapping:
-        mapping[node] = partition[mapping[node]]
-    return communities_from_partition(mapping)
-
-
-def incremental_leiden(
-    graph,
-    previous_communities,
-    changed_nodes=(),
-    resolution=1.0,
-    random_state=None,
-    max_levels=20,
-    theta=0.01,
-    tolerance=None,
-    reference_modularity=None,
-    aggregates=None,
-):
-    """Locally updated Leiden partition after a small graph change.
-
-    Seeds the partition with ``previous_communities`` — either an
-    iterable of node collections or a ready ``node -> label`` map
-    (nodes the previous clustering did not cover start as singletons)
-    — and runs one bounded local move whose work queue holds only
-    ``changed_nodes`` and their graph neighbours, so an insertion
-    re-examines the neighbourhood it perturbed instead of sweeping the
-    whole graph. Refinement and aggregation are deliberately skipped —
-    with a near-converged seed they re-derive the seed at full-graph
-    cost — which is what makes the update sublinear in practice;
-    quality is guarded by the fallback below, not by Leiden's per-run
-    guarantees.
-
-    When ``tolerance`` and ``reference_modularity`` are given and the
-    updated partition's modularity falls more than ``tolerance`` below
-    the reference (normally the last full run's modularity), the local
-    update is discarded and a full :func:`leiden` run decides — the
-    safety valve against drift accumulating over many local updates.
-    With ``aggregates`` (delta-tracked per-community ``(L_c, K_c)``
-    sums, see :class:`~repro.graphcluster.ModularityAggregates`) that
-    check reads the running sums instead of paying an O(edges)
-    :func:`modularity` pass; the aggregates must have been built
-    against the seed's labels with the seed covering *every* node of
-    the graph (uncovered nodes get singleton labels the aggregates
-    would know nothing about), and on fallback they are re-derived
-    against the full result. MoRER's journal-replay path
-    (:meth:`~repro.core.partition_state.PartitionState.replay`) calls
-    :func:`local_move` with aggregates directly — this entry point is
-    the standalone equivalent for callers that manage their own seeds.
-    Callers should additionally force a periodic full run (MoRER's
-    ``full_recluster_every``), since modularity alone cannot see every
-    kind of degradation (e.g. internally disconnected communities).
-
-    Returns a list of node-set communities, like :func:`leiden`.
-    """
-    rng = check_random_state(random_state)
-    if isinstance(previous_communities, dict):
-        seed = previous_communities
-    else:
-        seed = {}
-        for community in previous_communities:
-            label = None
-            for node in community:
-                if label is None:
-                    label = node
-                seed[node] = label
-    partition = {node: seed.get(node, node) for node in graph.nodes()}
-    queue_nodes = set()
-    for node in changed_nodes:
-        if node in graph:
-            queue_nodes.add(node)
-            queue_nodes.update(graph.neighbors(node))
-    partition, _ = local_move(
-        graph, partition, resolution, rng, nodes=queue_nodes,
-        aggregates=aggregates,
+    return communities_from_partition(
+        dict(zip(graph.nodes, part[mapping].tolist()))
     )
-    communities = communities_from_partition(partition)
-    if tolerance is not None and reference_modularity is not None:
-        if aggregates is not None:
-            quality = aggregates.quality(resolution)
-        else:
-            quality = modularity(graph, communities, resolution)
-        if quality < reference_modularity - tolerance:
-            communities = leiden(graph, resolution, rng, max_levels, theta)
-            if aggregates is not None:
-                # The local moves already mutated the aggregates
-                # against the now-discarded partition: re-derive them
-                # from the full result so the caller's quality() reads
-                # stay truthful.
-                aggregates.rebuild(
-                    graph, partition_from_communities(communities)
-                )
-    return communities
 
 
-def _refine(graph, partition, resolution, rng, theta):
+def _refine(graph, part, resolution, rng, theta):
     """Leiden refinement phase.
 
     Starts from singletons and, inside each local-move community, merges
     well-connected singleton nodes into sub-communities with a merge
     probability proportional to ``exp(gain / theta)`` over positive-gain
-    candidates. Returns a ``node -> refined label`` map whose refined
-    communities nest inside ``partition``'s communities.
+    candidates. Returns the refined label of every vertex (a vertex
+    position), nesting inside ``part``'s communities.
     """
-    m = graph.total_weight()
-    refined = {node: node for node in graph.nodes()}
+    n = len(graph)
+    refined = np.arange(n)
+    m = graph.total
     if m <= 0:
         return refined
-
-    strengths = {node: graph.strength(node) for node in graph.nodes()}
+    indptr, indices, weights, _ = graph.links()
+    strengths = graph.strengths.tolist()
     communities = {}
-    for node, community in partition.items():
+    for node, community in enumerate(part.tolist()):
         communities.setdefault(community, []).append(node)
-
+    # Each node's links into the rest of its community, and their sum.
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    inside = part[indices] == part[src]
+    inner, inner_weights = indices[inside], weights[inside]
+    bounds = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src[inside], minlength=n), out=bounds[1:])
+    bounds = bounds.tolist()
+    weight_into_community = np.bincount(
+        src[inside], weights=inner_weights, minlength=n
+    ).tolist()
+    sub_strength = graph.strengths.copy()
+    sub_size = np.ones(n, dtype=np.intp)
     for members in communities.values():
         if len(members) == 1:
             continue
-        member_set = set(members)
-        community_strength = sum(strengths[n] for n in members)
-
-        # Each node's edge weight into the rest of its community.
-        weight_into_community = {}
-        for node in members:
-            total = 0.0
-            for neighbour, weight in graph.neighbors(node).items():
-                if neighbour in member_set and neighbour != node:
-                    total += weight
-            weight_into_community[node] = total
-
-        sub_strength = {node: strengths[node] for node in members}
-        sub_size = {node: 1 for node in members}
-
+        community_strength = sum(strengths[node] for node in members)
         order = list(members)
         rng.shuffle(order)
         for node in order:
@@ -235,37 +130,31 @@ def _refine(graph, partition, resolution, rng, theta):
                 continue
 
             # Candidate sub-communities and their modularity gains.
-            weight_to = {}
-            for neighbour, weight in graph.neighbors(node).items():
-                if neighbour in member_set and neighbour != node:
-                    label = refined[neighbour]
-                    weight_to[label] = weight_to.get(label, 0.0) + weight
-            candidates = []
-            gains = []
-            for label, weight in weight_to.items():
-                if label == node:
-                    continue
-                gain = weight - resolution * k * sub_strength[label] / (2 * m)
-                if gain > 1e-12:
-                    candidates.append(label)
-                    gains.append(gain)
-            if not candidates:
+            lo, hi = bounds[node], bounds[node + 1]
+            labels = refined[inner[lo:hi]]
+            weight_to = np.bincount(labels, weights=inner_weights[lo:hi],
+                                    minlength=n)
+            gains = weight_to - resolution * k * sub_strength / (2 * m)
+            positive = labels[(gains[labels] > 1e-12) & (labels != node)]
+            if not positive.size:
                 continue
+            candidates = list(dict.fromkeys(positive.tolist()))
+            gains = [float(gains[label]) for label in candidates]
             if theta <= 0:
                 best = max(range(len(gains)), key=gains.__getitem__)
                 choice = candidates[best]
             else:
                 scaled = [g / theta for g in gains]
                 peak = max(scaled)
-                weights = [math.exp(s - peak) for s in scaled]
-                total = sum(weights)
+                odds = [math.exp(s - peak) for s in scaled]
+                total = sum(odds)
                 r = rng.random() * total
                 acc = 0.0
                 choice = candidates[-1]
-                for candidate, w in zip(candidates, weights):
+                for label, w in zip(candidates, odds):
                     acc += w
                     if r <= acc:
-                        choice = candidate
+                        choice = label
                         break
             sub_strength[choice] += k
             sub_size[choice] += 1

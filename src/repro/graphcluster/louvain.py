@@ -1,15 +1,27 @@
-"""Louvain community detection (Blondel et al. 2008).
+"""Louvain community detection (Blondel et al. 2008) and the local move.
 
 Shared machinery for :mod:`repro.graphcluster.leiden`: the fast local
-move phase and graph aggregation. Louvain itself is exposed because the
-paper's pre-experiments compared Leiden against alternatives.
+move phase, run on the CSR form (:class:`~repro.graphcluster.CSRGraph`).
+Louvain itself is exposed because the paper's pre-experiments compared
+Leiden against alternatives.
+
+Exactness: each visited vertex sums its weight into every adjacent
+community with one ``np.bincount`` in adjacency order — the dict loop's
+order — and scores every community at once. Only communities whose gain
+already beats the current one by the strict ``1e-12`` margin can win, so
+the sequential first-encounter scan runs over those few alone and picks
+what the full scan picks. Results match the dict implementation in
+``tests/leiden_reference.py`` bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from ..ml.utils import check_random_state
+from .csr import as_csr
 from .quality import communities_from_partition
 
 __all__ = ["louvain", "local_move"]
@@ -25,15 +37,20 @@ def local_move(graph, partition, resolution=1.0, rng=None, nodes=None,
 
     Parameters
     ----------
+    graph : CSRGraph or Graph
+        A dict :class:`~repro.graphcluster.Graph` is copied to CSR form.
+    partition : dict
+        ``node -> label`` over every node of ``graph``; labels may be
+        any hashables. Mutated in place.
     nodes : iterable, optional
         Bounded work-queue variant: seed the queue with only these
         nodes instead of every node of the graph. Neighbours of moved
         nodes still join the queue, so improvements propagate outward
-        exactly as in the full sweep — the incremental reclustering
-        path uses this to touch only the region around an insertion.
-        The seed queue is canonicalised to graph insertion order before
-        the shuffle, so passing a set (hash-ordered) cannot leak
-        ``PYTHONHASHSEED`` into seeded results.
+        exactly as in the full sweep — the journal-replay path uses
+        this to touch only the region around a mutation. The seed
+        queue is canonicalised to graph order before the shuffle, so
+        passing a set (hash-ordered) cannot leak ``PYTHONHASHSEED``
+        into seeded results.
     aggregates : ModularityAggregates, optional
         Delta-tracked per-community ``(L_c, K_c)`` sums, updated in
         O(1) per accepted move. Must have been built against (a
@@ -46,98 +63,103 @@ def local_move(graph, partition, resolution=1.0, rng=None, nodes=None,
     (dict, bool)
         The mutated ``partition`` and whether any node moved.
     """
+    graph = as_csr(graph)
     rng = check_random_state(rng)
-    m = graph.total_weight()
-    if m <= 0:
+    if graph.total <= 0:
         return partition, False
-
-    strengths = {node: graph.strength(node) for node in graph.nodes()}
-    community_strength = {}
-    for node, community in partition.items():
-        community_strength[community] = (
-            community_strength.get(community, 0.0) + strengths[node]
-        )
-
+    labels, rows, codes, part = graph.encode(partition)
+    community_strength = np.bincount(
+        codes, weights=graph.strengths[rows], minlength=len(labels)
+    )
     if nodes is None:
-        nodes = list(graph.nodes())
+        queue = list(range(len(graph)))
     else:
         keep = set(nodes)
-        nodes = [node for node in graph.nodes() if node in keep]
-    rng.shuffle(nodes)
-    queue = deque(nodes)
-    queued = set(nodes)
-    moved_any = False
+        queue = [i for i, node in enumerate(graph.nodes) if node in keep]
+    on_move = None
+    if aggregates is not None:
+        def on_move(old, new, k, weight_old, weight_new, self_loop):
+            aggregates.move(labels[old], labels[new], k, weight_old,
+                            weight_new, self_loop)
+    moved = _move_nodes(graph, part, community_strength, queue, resolution,
+                        rng, on_move)
+    for i in moved:
+        partition[graph.nodes[i]] = labels[part[i]]
+    return partition, bool(moved)
+
+
+def _move_nodes(graph, part, community_strength, queue, resolution, rng,
+                on_move=None):
+    """The local move over codes: ``part`` (vertex -> community code)
+    and ``community_strength`` (per code) are updated in place. Returns
+    the vertices that moved at least once."""
+    indptr, indices, weights, loops = graph.links()
+    bounds = indptr.tolist()
+    strengths = graph.strengths.tolist()
+    n_codes = len(community_strength)
+    two_m = 2 * graph.total
+    rng.shuffle(queue)
+    queued = np.zeros(len(graph), dtype=bool)
+    queued[queue] = True
+    queue = deque(queue)
+    moved = set()
     while queue:
         node = queue.popleft()
-        queued.discard(node)
-        current = partition[node]
+        queued[node] = False
+        current = int(part[node])
         k = strengths[node]
-
-        # Weight from `node` to each adjacent community (self-loops excluded:
-        # they contribute equally to every candidate community).
-        weight_to = {}
-        for neighbour, weight in graph.neighbors(node).items():
-            if neighbour == node:
-                continue
-            community = partition[neighbour]
-            weight_to[community] = weight_to.get(community, 0.0) + weight
-        weight_to.setdefault(current, 0.0)
-
+        lo, hi = bounds[node], bounds[node + 1]
+        neighbours = indices[lo:hi]
+        adjacent = part[neighbours]
+        weight_to = np.bincount(adjacent, weights=weights[lo:hi],
+                                minlength=n_codes)
         community_strength[current] -= k
-        best_gain = (
-            weight_to[current]
-            - resolution * k * community_strength[current] / (2 * m)
-        )
-        best_community = current
-        for community, weight in weight_to.items():
-            if community == current:
-                continue
-            gain = (
-                weight
-                - resolution * k * community_strength[community] / (2 * m)
-            )
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best_community = community
-        community_strength[best_community] = (
-            community_strength.get(best_community, 0.0) + k
-        )
-        if best_community != current:
-            partition[node] = best_community
-            moved_any = True
-            if aggregates is not None:
-                aggregates.move(
-                    current, best_community, k,
-                    weight_to[current], weight_to[best_community],
-                    graph.edge_weight(node, node),
-                )
-            for neighbour in graph.neighbors(node):
-                if (
-                    neighbour != node
-                    and partition[neighbour] != best_community
-                    and neighbour not in queued
-                ):
-                    queue.append(neighbour)
-                    queued.add(neighbour)
-    return partition, moved_any
+        gains = weight_to - resolution * k * community_strength / two_m
+        best_gain = gains[current]
+        best = current
+        # Only adjacent communities already beating the current one can
+        # win; scan those in first-encounter order.
+        winners = adjacent[gains[adjacent] > best_gain + 1e-12]
+        for community in dict.fromkeys(winners.tolist()):
+            if gains[community] > best_gain + 1e-12:
+                best_gain = gains[community]
+                best = community
+        community_strength[best] += k
+        if best == current:
+            continue
+        part[node] = best
+        moved.add(node)
+        if on_move is not None:
+            on_move(current, best, k, float(weight_to[current]),
+                    float(weight_to[best]), float(loops[node]))
+        wake = neighbours[(adjacent != best) & ~queued[neighbours]]
+        queued[wake] = True
+        queue.extend(wake.tolist())
+    return moved
 
 
 def louvain(graph, resolution=1.0, random_state=None, max_levels=20):
     """Run Louvain; returns a list of node-set communities."""
+    graph = as_csr(graph)
     rng = check_random_state(random_state)
-    mapping = {node: node for node in graph.nodes()}  # original -> aggregate
+    mapping = np.arange(len(graph))  # original vertex -> current vertex
     current = graph
     for _ in range(max_levels):
-        level_partition = {node: node for node in current.nodes()}
-        level_partition, moved = local_move(
-            current, level_partition, resolution, rng
+        part = np.arange(len(current))
+        community_strength = current.strengths.copy()
+        moved = (
+            current.total > 0
+            and _move_nodes(current, part, community_strength,
+                            list(range(len(current))), resolution, rng)
         )
-        for node in mapping:
-            mapping[node] = level_partition[mapping[node]]
         if not moved:
+            mapping = part[mapping]
             break
-        aggregated = current.aggregate(level_partition)
+        aggregated, group = current.aggregate(part)
         if len(aggregated) == len(current):
+            mapping = part[mapping]
             break
+        mapping = group[mapping]
         current = aggregated
-    return communities_from_partition(mapping)
+    return communities_from_partition(dict(zip(graph.nodes,
+                                               mapping.tolist())))

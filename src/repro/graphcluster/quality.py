@@ -10,6 +10,10 @@ O(edges) :func:`modularity` sweep per solve.
 
 from __future__ import annotations
 
+import numpy as np
+
+from .csr import as_csr
+
 __all__ = ["modularity", "cpm_quality", "partition_from_communities",
            "communities_from_partition", "ModularityAggregates"]
 
@@ -120,28 +124,32 @@ class ModularityAggregates:
     def from_partition(cls, graph, partition):
         """One O(edges) pass over ``graph`` — the full-recluster price.
 
-        ``partition`` must cover every node of ``graph``.
+        ``graph`` is a :class:`~repro.graphcluster.CSRGraph` (a dict
+        :class:`~repro.graphcluster.Graph` is copied to one);
+        ``partition`` must cover every node. Community strengths are
+        summed in ``partition`` order and intra weights in
+        ``Graph.edges()`` order, each with one ``np.bincount``, and both
+        dicts list their labels in first-seen order — the sums and key
+        order the dict pass produced, which :meth:`quality` and the
+        persisted state depend on.
         """
-        intra = {}
-        strength = {}
-        for node, label in partition.items():
-            strength[label] = strength.get(label, 0.0) + graph.strength(node)
-        for u, v, weight in graph.edges():
-            label = partition[u]
-            if u == v or partition[v] == label:
-                intra[label] = intra.get(label, 0.0) + weight
-        return cls(graph.total_weight(), intra, strength)
-
-    def rebuild(self, graph, partition):
-        """Re-derive every sum from ``graph``/``partition`` in place —
-        the recovery path after updates against a discarded partition
-        (e.g. :func:`incremental_leiden`'s degradation fallback)."""
-        twin = ModularityAggregates.from_partition(graph, partition)
-        self.m = twin.m
-        self.intra = twin.intra
-        self.strength = twin.strength
-        self.intra_total = twin.intra_total
-        self.strength_sq = twin.strength_sq
+        graph = as_csr(graph)
+        labels, rows, codes, part = graph.encode(partition)
+        strength = np.bincount(
+            codes, weights=graph.strengths[rows], minlength=len(labels)
+        ).tolist()
+        src, dst, weight = graph.upper()
+        intra_codes = part[src]
+        inside = intra_codes == part[dst]
+        intra_codes = intra_codes[inside]
+        sums = np.bincount(
+            intra_codes, weights=weight[inside], minlength=len(labels)
+        ).tolist()
+        return cls(
+            graph.total,
+            {labels[c]: sums[c] for c in dict.fromkeys(intra_codes.tolist())},
+            dict(zip(labels, strength)),
+        )
 
     def copy(self):
         """Independent copy (used to trial a replay before accepting)."""

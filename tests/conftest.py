@@ -60,6 +60,54 @@ def make_problem_family(n_problems=6, seed=0, **kwargs):
     return problems
 
 
+#: Regime draws of :func:`make_regime_problems`: fixed, so every seed
+#: poses the same cluster structure.
+_REGIME_SEED = 20260
+
+
+def _regimes(count):
+    """``count`` similarity regimes over six features, their mean
+    vectors pairwise at least 1.2 apart (L1)."""
+    rng = np.random.default_rng(_REGIME_SEED)
+    regimes = []
+    while len(regimes) < count:
+        regime = (
+            rng.uniform(0.55, 0.97, 6), rng.uniform(0.03, 0.45, 6),
+            float(rng.uniform(0.04, 0.08)), float(rng.uniform(0.2, 0.45)),
+        )
+        means = np.r_[regime[0], regime[1]]
+        if all(np.abs(means - np.r_[other[0], other[1]]).sum() >= 1.2
+               for other in regimes):
+            regimes.append(regime)
+    return regimes
+
+
+def make_regime_problems(n_problems, seed=0, n_regimes=6, prefix="R"):
+    """Labelled problems shaped like the benchmark's fit sets: they
+    cycle over ``n_regimes`` fixed regimes (match / non-match
+    similarity distributions over six features), with log-spaced sizes
+    of 16 to 160 pairs in a seeded order."""
+    regimes = _regimes(n_regimes)
+    rng = np.random.default_rng(seed)
+    sizes = rng.permutation(np.round(np.exp(np.linspace(
+        np.log(16), np.log(160), n_problems))).astype(int))
+    problems = []
+    for i, n_pairs in enumerate(sizes.tolist()):
+        match_mean, nonmatch_mean, spread, share = regimes[i % n_regimes]
+        n_match = min(n_pairs - 1, max(1, round(n_pairs * share)))
+        features = np.vstack([
+            rng.normal(match_mean, spread, (n_match, 6)),
+            rng.normal(nonmatch_mean, spread, (n_pairs - n_match, 6)),
+        ])
+        labels = np.r_[np.ones(n_match, int), np.zeros(n_pairs - n_match, int)]
+        order = rng.permutation(n_pairs)
+        problems.append(ERProblem(
+            f"{prefix}{i}a", f"{prefix}{i}b",
+            np.clip(features[order], 0.0, 1.0), labels[order],
+        ))
+    return problems
+
+
 @pytest.fixture
 def toy_problem():
     """One labelled synthetic ER problem."""

@@ -34,8 +34,8 @@ def test_graph_rejects_duplicate_problem(problem_family):
 def test_graph_min_similarity_prunes_edges(problem_family):
     dense = ERProblemGraph.build(problem_family, "ks", min_similarity=0.0)
     sparse = ERProblemGraph.build(problem_family, "ks", min_similarity=0.9)
-    dense_edges = dense.graph.number_of_edges()
-    sparse_edges = sparse.graph.number_of_edges()
+    dense_edges = dense.to_graph().number_of_edges()
+    sparse_edges = sparse.to_graph().number_of_edges()
     assert sparse_edges < dense_edges
 
 

@@ -1,5 +1,10 @@
 """Dataset generation, corruption and loader tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -223,3 +228,35 @@ def test_pairs_for_problem_roundtrip(wdc_split):
     pairs = pairs_for_problem(problem, index)
     assert len(pairs) == problem.n_pairs
     assert all(hasattr(a, "attributes") for a, _ in pairs)
+
+
+_CORPUS_SCRIPT = """
+import hashlib
+from repro.datasets import load_benchmark
+
+for name in ("dexter", "wdc-computer", "music"):
+    _, _, split = load_benchmark(name, scale=0.05)
+    digest = hashlib.sha256()
+    for problem in split.initial + split.unsolved:
+        digest.update(repr(problem.key).encode())
+        digest.update(problem.features.tobytes())
+        digest.update(repr(problem.pair_ids).encode())
+    print(name, digest.hexdigest())
+"""
+
+
+def _corpora_under_hash_seed(seed):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", _CORPUS_SCRIPT], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+
+
+def test_corpora_ignore_the_hash_seed():
+    """The sampled hard negatives, hence every problem's pairs and
+    features, must not depend on the process's string hash seed."""
+    first = _corpora_under_hash_seed(0)
+    assert len(first.splitlines()) == 3
+    assert _corpora_under_hash_seed(1) == first

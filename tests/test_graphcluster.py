@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import adjusted_rand_index
 from repro.graphcluster import (
+    CSRGraph,
     Graph,
     bridges,
     connected_components,
     cpm_quality,
     edge_betweenness,
     girvan_newman,
-    incremental_leiden,
     label_propagation,
     leiden,
     louvain,
@@ -25,6 +24,7 @@ from repro.graphcluster import (
     UnionFind,
 )
 from repro.graphcluster.louvain import local_move
+from tests.leiden_reference import frozenset_edges
 
 
 def planted_graph(n_communities=3, size=8, p_in=0.9, p_out=0.02, seed=0):
@@ -89,10 +89,33 @@ def test_graph_subgraph_induced():
 
 def test_graph_aggregate_sums_weights():
     g = Graph.from_edges([("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 3.0)])
-    partition = {"a": 0, "b": 0, "c": 1}
-    agg = g.aggregate(partition)
+    agg, group = CSRGraph.from_graph(g).aggregate([0, 0, 1])
+    assert group.tolist() == [0, 0, 1]
+    agg = agg.to_graph()
     assert agg.edge_weight(0, 1) == pytest.approx(5.0)
     assert agg.edge_weight(0, 0) == pytest.approx(1.0)  # self-loop
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_graph_edges_match_the_frozenset_walk(seed):
+    """``edges()`` keeps, from each node, the neighbours at or after
+    its position: the same tuples in the same order as the frozenset
+    walk it replaced, with self-loops and after removals."""
+    rng = np.random.default_rng(seed)
+    g = Graph()
+    nodes = list(rng.permutation(int(rng.integers(1, 14))).tolist())
+    for node in nodes:
+        g.add_node(node)
+    for _ in range(int(rng.integers(0, 40))):
+        u, v = rng.choice(nodes, 2)
+        g.add_edge(int(u), int(v), float(rng.choice([0.25, 0.5, 1.0])))
+    for node in nodes:
+        if rng.random() < 0.2:
+            g.remove_node(node)
+            if rng.random() < 0.5:
+                g.add_edge(node, nodes[0], 0.5)
+    assert list(g.edges()) == list(frozenset_edges(g))
 
 
 def test_graph_copy_independent():
@@ -212,9 +235,9 @@ def test_graph_strength_and_total_weight_track_mutations():
     assert g.strength("c") == pytest.approx(0.0)
     # Copies and aggregates carry consistent bookkeeping too.
     h = Graph.from_edges([("x", "y", 1.0), ("y", "z", 2.0)])
-    agg = h.aggregate({"x": 0, "y": 0, "z": 1})
-    assert agg.total_weight() == pytest.approx(3.0)
-    assert agg.strength(0) == pytest.approx(4.0)  # self-loop counts twice
+    agg, _ = CSRGraph.from_graph(h).aggregate([0, 0, 1])
+    assert agg.total == pytest.approx(3.0)
+    assert agg.strengths[0] == pytest.approx(4.0)  # self-loop counts twice
     copy = h.copy()
     copy.add_edge("x", "z", 5.0)
     assert h.total_weight() == pytest.approx(3.0)
@@ -244,90 +267,6 @@ def test_local_move_bounded_queue_stays_local():
         g, dict(partition), rng=np.random.default_rng(0)
     )
     assert full_partition[wrong_far] == partition[nodes[2][1]]
-
-
-def test_leiden_seed_partition_warm_start_preserves_converged_result():
-    g, _ = planted_graph(seed=3)
-    full = leiden(g, random_state=0)
-    seed = partition_from_communities(full)
-    warm = leiden(g, random_state=1, seed_partition=seed)
-    assert sorted(map(sorted, warm)) == sorted(map(sorted, full))
-
-
-def test_incremental_leiden_after_insertion_matches_full():
-    g, nodes = planted_graph(seed=8)
-    new_node = "late_joiner"
-    previous = leiden(g, random_state=0)
-    for peer in nodes[1]:
-        g.add_edge(new_node, peer, 1.0)
-    for peer in nodes[0][:2]:
-        g.add_edge(new_node, peer, 0.2)
-    updated = incremental_leiden(
-        g, previous, [new_node], random_state=1
-    )
-    assert {len(c) for c in updated} == {8, 8, 9}
-    community = next(c for c in updated if new_node in c)
-    assert community == set(nodes[1]) | {new_node}
-    full = leiden(g, random_state=1)
-    assert adjusted_rand_index(updated, full) == 1.0
-
-
-def test_incremental_leiden_tolerance_falls_back_to_full():
-    """A degraded seed (every node a singleton) scores far below the
-    reference modularity, so the tolerance valve reruns full Leiden."""
-    g, _ = planted_graph(seed=9)
-    full = leiden(g, random_state=0)
-    reference = modularity(g, full)
-    bad_seed = [{node} for node in g.nodes()]
-    degraded = incremental_leiden(
-        g, bad_seed, [], random_state=0, tolerance=None,
-    )
-    assert modularity(g, degraded) < reference - 0.05
-    recovered = incremental_leiden(
-        g, bad_seed, [], random_state=0, tolerance=0.05,
-        reference_modularity=reference,
-    )
-    assert modularity(g, recovered) >= reference - 0.05
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, 10_000))
-def test_incremental_leiden_matches_full_property(seed):
-    """Property: k insertions absorbed incrementally (with the
-    modularity-tolerance valve, as MoRER applies it) stay within ARI
-    0.95 of a from-scratch Leiden run on seeded planted graphs.
-
-    The planted structure uses the stable regime (p_in=0.9,
-    p_out=0.02): on noisier graphs full Leiden itself flips between
-    near-tied partitions across seeds, which makes "matches full" an
-    ill-posed target for *any* updater.
-    """
-    rng = np.random.default_rng(seed)
-    g, _ = planted_graph(
-        n_communities=int(rng.integers(2, 5)), size=int(rng.integers(6, 11)),
-        p_in=0.9, p_out=0.02, seed=seed,
-    )
-    nodes = list(g.nodes())
-    k = int(rng.integers(1, 4))
-    removed = [nodes[int(i)] for i in rng.choice(len(nodes), k, replace=False)]
-    spare_edges = {}
-    for node in removed:
-        spare_edges[node] = dict(g.neighbors(node))
-        g.remove_node(node)
-    communities = leiden(g, random_state=seed)
-    reference = modularity(g, communities)
-    for node in removed:  # re-insert one at a time, update incrementally
-        g.add_node(node)
-        for peer, weight in spare_edges[node].items():
-            if peer in g and peer != node:
-                g.add_edge(node, peer, weight)
-        communities = incremental_leiden(
-            g, communities, [node], random_state=seed,
-            tolerance=0.02, reference_modularity=reference,
-        )
-        reference = modularity(g, communities)
-    full = leiden(g, random_state=seed)
-    assert adjusted_rand_index(communities, full) >= 0.95
 
 
 # -- components / mincut -----------------------------------------------------------

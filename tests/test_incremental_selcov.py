@@ -34,14 +34,14 @@ def test_graph_prefilter_compares_only_candidates():
     probe = make_problem("X", "Y", seed=50)
     exact.add_problem(probe)
     filtered.add_problem(probe)
-    exact_degree = len(exact.graph.neighbors(probe.key))
-    filtered_degree = len(filtered.graph.neighbors(probe.key))
+    exact_degree = len(exact.to_graph().neighbors(probe.key))
+    filtered_degree = len(filtered.to_graph().neighbors(probe.key))
     assert exact_degree == 8
     assert filtered_degree <= 3
     # Surviving edges carry the exact sim_p, and the candidates are the
     # sketch-nearest — which, for a probe matching regime 0, should
     # include same-regime problems.
-    for other_key, weight in filtered.graph.neighbors(probe.key).items():
+    for other_key, weight in filtered.to_graph().neighbors(probe.key).items():
         assert abs(weight - exact.similarity(probe.key, other_key)) < TOLERANCE
 
 
@@ -53,8 +53,8 @@ def test_graph_prefilter_auto_stays_exact_below_threshold():
     auto.add_problem(probe)
     exact.add_problem(probe)
     assert not auto._prefilter_active()
-    assert len(auto.graph.neighbors(probe.key)) == len(
-        exact.graph.neighbors(probe.key)
+    assert len(auto.to_graph().neighbors(probe.key)) == len(
+        exact.to_graph().neighbors(probe.key)
     )
 
 
@@ -66,7 +66,7 @@ def test_graph_prefilter_engages_past_threshold():
     assert graph._prefilter_active()
     probe = make_problem("X", "Y", seed=52)
     graph.add_problem(probe)
-    assert len(graph.graph.neighbors(probe.key)) <= 2
+    assert len(graph.to_graph().neighbors(probe.key)) <= 2
     # The sketch index follows removals.
     graph.remove_problem(probe.key)
     assert probe.key not in graph._sketch_index
@@ -82,14 +82,6 @@ def test_graph_version_counter_tracks_mutations():
     assert graph.version == 5
     graph.remove_problem(probe.key)
     assert graph.version == 6
-
-
-def test_graph_cluster_rejects_seed_for_non_leiden():
-    graph = ERProblemGraph.build(make_problem_family(4), "ks")
-    with pytest.raises(ValueError, match="leiden"):
-        graph.cluster(
-            "louvain", seed_communities=[set(graph.problems())]
-        )
 
 
 def test_graph_candidate_validation():

@@ -170,23 +170,40 @@ def _assert_restored_exactly(live, twin, removed=False):
     from its strengths and total, the replay never added them, and the
     two sums may differ by ulps."""
     graph, restored = live.problem_graph, twin.problem_graph
-    nodes = list(graph.graph.nodes())
-    assert list(restored.graph.nodes()) == nodes
+    mine, theirs = graph.to_graph(), restored.to_graph()
+    nodes = list(mine.nodes())
+    assert list(theirs.nodes()) == nodes
     for key in nodes:
-        assert list(restored.graph.neighbors(key).items()) == list(
-            graph.graph.neighbors(key).items()
+        assert list(theirs.neighbors(key).items()) == list(
+            mine.neighbors(key).items()
         ), key
     if removed:
         return
     for key in nodes:
-        assert restored.graph.strength(key) == graph.graph.strength(key)
-    assert restored.graph.total_weight() == graph.graph.total_weight()
-    assert restored._pair_cache == graph._pair_cache
+        assert theirs.strength(key) == mine.strength(key)
+    assert theirs.total_weight() == mine.total_weight()
+    # The same pairs are memoized: every pair of stored problems reads
+    # the same value, and a pair either side has to compute the other
+    # has to compute too.
+    evals = graph.stats["pair_evals"], restored.stats["pair_evals"]
+    for i, key_a in enumerate(nodes):
+        for key_b in nodes[i + 1:]:
+            assert restored.pair_similarity(key_a, key_b) == (
+                graph.pair_similarity(key_a, key_b)
+            )
+    assert (
+        graph.stats["pair_evals"] - evals[0]
+        == restored.stats["pair_evals"] - evals[1]
+    )
     for key in nodes:
-        mine = graph._signatures.signature(key, graph.problem(key).features)
-        theirs = restored._signatures.get(key)
-        assert np.array_equal(theirs.sorted_columns, mine.sorted_columns)
-        assert np.array_equal(theirs.self_cdf, mine.self_cdf)
+        live_signature = graph._signatures.signature(
+            key, graph.problem(key).features
+        )
+        signature = restored._signatures.get(key)
+        assert np.array_equal(
+            signature.sorted_columns, live_signature.sorted_columns
+        )
+        assert np.array_equal(signature.self_cdf, live_signature.self_cdf)
     assert restored._signatures.builds == 0
     mine_ids, mine_rows = graph._sketch_index.export_rows()
     theirs_ids, theirs_rows = restored._sketch_index.export_rows()

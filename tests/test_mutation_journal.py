@@ -58,7 +58,7 @@ def test_journal_records_mutations_with_edges():
     assert entries[0].op == JournalEntry.INSERT
     assert entries[0].key == probe.key
     # The journaled edges are exactly the edges the insertion created.
-    assert entries[0].edges == dict(graph.graph.neighbors(probe.key))
+    assert entries[0].edges == dict(graph.to_graph().neighbors(probe.key))
     recorded = dict(entries[0].edges)
     graph.remove_problem(probe.key)
     entries = graph.journal_since(5)
@@ -103,7 +103,7 @@ def test_replay_tracks_modularity_exactly_through_churn():
     communities = {}
     for node, label in outcome.partition.items():
         communities.setdefault(label, set()).add(node)
-    full = modularity(graph.graph, list(communities.values()), 1.0)
+    full = modularity(graph.to_graph(), list(communities.values()), 1.0)
     assert abs(outcome.quality - full) < TOLERANCE
     assert outcome.inserts == 5
     # Rejecting the outcome must leave the state untouched.
@@ -132,43 +132,23 @@ def test_replay_reinsertion_label_collision_stays_exact():
         if label == target:
             state.partition[node] = probe.key
     state.aggregates = ModularityAggregates.from_partition(
-        graph.graph, state.partition
+        graph.csr(), state.partition
     )
     graph.add_problem(probe)
     outcome = state.replay(graph, 1.0, 0)
     communities = list(_group(outcome.partition).values())
     assert abs(
-        outcome.quality - modularity(graph.graph, communities, 1.0)
-    ) < TOLERANCE
-
-
-def test_incremental_leiden_fallback_rebuilds_aggregates():
-    """When the degradation valve discards the local update, caller
-    aggregates must be re-derived against the returned partition."""
-    from repro.graphcluster import incremental_leiden
-
-    graph = ERProblemGraph.build(make_problem_family(8), "ks")
-    clusters = graph.cluster("leiden", 1.0, 0)
-    partition = partition_from_communities(clusters)
-    aggregates = ModularityAggregates.from_partition(graph.graph, partition)
-    communities = incremental_leiden(
-        graph.graph, partition, list(graph.problems()),
-        random_state=0, tolerance=0.0, reference_modularity=10.0,
-        aggregates=aggregates,
-    )
-    assert abs(
-        aggregates.quality(1.0)
-        - modularity(graph.graph, communities, 1.0)
+        outcome.quality - modularity(graph.to_graph(), communities, 1.0)
     ) < TOLERANCE
 
 
 def test_aggregates_from_partition_matches_modularity():
     graph = ERProblemGraph.build(make_problem_family(6), "ks")
     partition = partition_from_communities(graph.cluster("leiden", 1.0, 0))
-    aggregates = ModularityAggregates.from_partition(graph.graph, partition)
+    aggregates = ModularityAggregates.from_partition(graph.csr(), partition)
     assert abs(
         aggregates.quality(1.0)
-        - modularity(graph.graph, list(_group(partition).values()), 1.0)
+        - modularity(graph.to_graph(), list(_group(partition).values()), 1.0)
     ) < TOLERANCE
 
 
@@ -186,11 +166,12 @@ def test_add_problems_matches_sequential_exact_mode():
         sequential.add_problem(probe)
     batched.add_problems(probes)
     assert list(batched.problems()) == list(sequential.problems())
+    batched_graph, sequential_graph = batched.to_graph(), sequential.to_graph()
     for key in sequential.problems():
-        assert list(batched.graph.neighbors(key).items()) == list(
-            sequential.graph.neighbors(key).items()
+        assert list(batched_graph.neighbors(key).items()) == list(
+            sequential_graph.neighbors(key).items()
         )
-    assert list(batched.graph.edges()) == list(sequential.graph.edges())
+    assert list(batched_graph.edges()) == list(sequential_graph.edges())
     assert batched.stats == sequential.stats
     # One journal entry per member, in insertion order.
     entries = batched.journal_since(6)
@@ -211,7 +192,7 @@ def test_add_problems_edges_follow_candidate_order():
     graph.remove_problem(moved.key)
     graph.add_problem(moved)  # now after family[4]; its pair stays cached
     graph.add_problems([target, family[5]])
-    assert list(graph.graph.neighbors(target.key)) == [
+    assert list(graph.to_graph().neighbors(target.key)) == [
         family[1].key, family[2].key, family[4].key, moved.key,
         family[5].key,
     ]
@@ -226,7 +207,7 @@ def test_add_problems_prefilters_through_the_index():
     before = graph.stats["pair_evals"]
     graph.add_problems(probes)
     for probe in probes:
-        degree = len(graph.graph.neighbors(probe.key))
+        degree = len(graph.to_graph().neighbors(probe.key))
         # <= candidates + edges to/from the other two batch members
         assert degree <= 3 + 2
     # Far fewer comparisons than the 10+11+12 of the exact path.
@@ -265,11 +246,11 @@ def test_rejected_insert_leaves_graph_untouched():
         version = target.version
         with pytest.raises(ValueError, match="share the feature space"):
             call()
-        assert set(target.graph.nodes()) == set(target.problems())
+        assert set(target.to_graph().nodes()) == set(target.problems())
         assert good.key not in target and bad.key not in target
         assert target.version == version
     morer.solve(good)
-    assert set(graph.graph.nodes()) == set(graph.problems())
+    assert set(graph.to_graph().nodes()) == set(graph.problems())
     assert {key for cluster in morer.clusters_ for key in cluster} == set(
         graph.problems()
     )
@@ -346,9 +327,9 @@ def test_no_full_modularity_pass_on_warm_solves(monkeypatch):
     morer = _fit(True, family, use_index=True, graph_candidates=6)
     calls = {"n": 0}
     import importlib
-    # The package re-exports `leiden` (the function), shadowing the
-    # submodule attribute — resolve the modules explicitly.
-    leiden_module = importlib.import_module("repro.graphcluster.leiden")
+    # Patch the defining module and the package's re-export (the
+    # Leiden module no longer imports it).
+    package = importlib.import_module("repro.graphcluster")
     quality_module = importlib.import_module("repro.graphcluster.quality")
 
     original = quality_module.modularity
@@ -358,7 +339,7 @@ def test_no_full_modularity_pass_on_warm_solves(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(quality_module, "modularity", counted)
-    monkeypatch.setattr(leiden_module, "modularity", counted)
+    monkeypatch.setattr(package, "modularity", counted)
     full_passes = morer.counters["full_quality_passes"]
     for probe in _probes(4, seed=95, prefix="F"):
         morer.solve(probe)
@@ -438,7 +419,7 @@ def test_mixed_churn_random_interleavings():
                 assert abs(
                     state.aggregates.quality(1.0)
                     - modularity(
-                        graph.graph, list(_group(state.partition).values()),
+                        graph.to_graph(), list(_group(state.partition).values()),
                         1.0,
                     )
                 ) < TOLERANCE

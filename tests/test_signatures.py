@@ -442,14 +442,14 @@ def test_graph_pair_cache_survives_batch_reinsertion():
     # the fit set and the batch each go through the all-pairs kernel.
     assert test.calls == graph.stats["pair_evals"] == 1 + 4 * 2 + 6
     assert test.matrix_calls == 2
-    edges = {(u, v): w for u, v, w in graph.graph.edges()}
+    edges = {(u, v): w for u, v, w in graph.to_graph().edges()}
     calls, evals = test.calls, graph.stats["pair_evals"]
     for problem in batch:
         graph.remove_problem(problem.key)
     graph.add_problems(batch)
     assert test.calls == calls
     assert graph.stats["pair_evals"] == evals
-    assert {(u, v): w for u, v, w in graph.graph.edges()} == edges
+    assert {(u, v): w for u, v, w in graph.to_graph().edges()} == edges
     graph.remove_problem(batch[0].key)
     graph.remove_problem(batch[1].key)
     graph.add_problems(batch[:2] + family[6:])
@@ -488,14 +488,21 @@ def test_graph_pair_cache_evicted_when_features_are_garbage_collected():
     problems = make_problem_family(4)
     graph = ERProblemGraph.build(problems, "ks")
     victim_key = problems[0].key
-    assert any(victim_key in pair for pair in graph._pair_cache)
+    others = [problem.key for problem in problems[1:]]
     graph.remove_problem(victim_key)
+    # Removed, the victim's pairs stay memoized while its matrix lives.
+    evals = graph.stats["pair_evals"]
+    for other in others:
+        graph.pair_similarity(victim_key, other)
+    assert graph.stats["pair_evals"] == evals
     graph._signatures.invalidate(victim_key)  # simulate LRU eviction
     del problems[0]
     gc.collect()
-    assert not any(victim_key in pair for pair in graph._pair_cache)
+    # Evicted: nothing answers for the victim any more.
+    for other in others:
+        with pytest.raises(KeyError):
+            graph.pair_similarity(victim_key, other)
     assert victim_key not in graph._pair_witness
-    assert victim_key not in graph._pairs_by_key
 
 
 def test_graph_purges_stale_pairs_on_changed_reinsertion():
