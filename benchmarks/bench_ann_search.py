@@ -5,9 +5,11 @@ distribution regimes, then searches a probe set three ways:
 
 * **reference** — the PR 1 scan (one ``signature_similarity`` per
   entry), re-implemented inline as the ground truth;
-* **exact** — ``search(..., use_index=False)``, which must stay
-  *byte-identical* to the reference scan (same floats, same ranking);
-* **indexed** — the sketch-index prefilter with the default rerank
+* **exact** — ``search`` with ``index_threshold`` above the entry
+  count, which must stay *byte-identical* to the reference scan (same
+  floats, same ranking);
+* **indexed** — ``search`` with ``index_threshold`` at or below the
+  entry count: the sketch-index prefilter with the default rerank
   width, scored for recall@5 against the exact top-5 and for per-search
   latency against the exact scan.
 
@@ -25,6 +27,8 @@ from repro.core import ModelRepository, ProblemSignature
 N_FEATURES = 6
 ENTRY_SAMPLES = 48
 TOP_K = 5
+#: ``index_threshold`` of the indexed arm: every benched size reaches it.
+INDEXED_FROM = 100
 
 
 def _entry_matrix(rng, regime):
@@ -45,7 +49,7 @@ def _entry_matrix(rng, regime):
 
 def _build_repository(n_entries, seed=0):
     rng = np.random.default_rng(seed)
-    repository = ModelRepository("ks", index_threshold=100)
+    repository = ModelRepository("ks", index_threshold=INDEXED_FROM)
     # A dense continuum of regimes: every entry is a *distinct* ER
     # problem (no duplicated clusters whose exact ranking would be
     # decided by sub-sketch-resolution sampling noise).
@@ -83,11 +87,14 @@ def _reference_scan(repository, probe, top_k):
     return [(entry, similarity) for similarity, entry in ranked[:top_k]]
 
 
-def _timed_searches(repository, probes, **kwargs):
+def _timed_searches(repository, probes, index_threshold):
+    """Time ``search`` over ``probes`` with the repository switched by
+    ``index_threshold``: above the entry count it scans exactly."""
+    repository.index_threshold = index_threshold
     results = []
     started = time.perf_counter()
     for probe in probes:
-        results.append(repository.search(probe, top_k=TOP_K, **kwargs))
+        results.append(repository.search(probe, top_k=TOP_K))
     return time.perf_counter() - started, results
 
 
@@ -96,20 +103,19 @@ def run(sizes, n_probes, rounds=1):
     for size in sizes:
         repository = _build_repository(size)
         probes = _make_probes(n_probes)
+        exact_from = size + 1  # a threshold the repository never reaches
         # Warm both paths: entry signatures and sketch rows are built
         # once here. Probes are raw matrices, so both timed loops pay
         # the same per-search probe-signature construction on top of
         # their steady-state scan/rerank cost. `rounds` > 1 (smoke/CI)
         # keeps the best of several timings to shrug off runner noise.
-        repository.search(probes[0], use_index=False)
-        repository.search(probes[0], use_index=True)
+        _timed_searches(repository, probes[:1], exact_from)
+        _timed_searches(repository, probes[:1], INDEXED_FROM)
         exact_times, indexed_times = [], []
         for _ in range(rounds):
-            exact_s, exact = _timed_searches(
-                repository, probes, use_index=False
-            )
+            exact_s, exact = _timed_searches(repository, probes, exact_from)
             indexed_s, indexed = _timed_searches(
-                repository, probes, use_index=True
+                repository, probes, INDEXED_FROM
             )
             exact_times.append(exact_s)
             indexed_times.append(indexed_s)

@@ -3,8 +3,9 @@
 Builds MoRER instances over 400–800 initial problems and serves the
 same probe stream three ways:
 
-* **full** — the exact reference (``incremental_clustering=False``):
-  every solve integrates against all vertices and re-runs Leiden;
+* **full** — the exact reference (``index_threshold`` above any size
+  the run reaches): every solve integrates against all vertices and
+  re-runs Leiden;
 * **seq** — warm sequential solving (one journal replay per probe);
 * **batch** — :meth:`MoRER.solve_batch` at sizes 8 and 32: one
   sketch-prefiltered integration pass and one journal replay per
@@ -33,6 +34,8 @@ from repro.core import MoRER, adjusted_rand_index
 N_FEATURES = 4
 N_SAMPLES = 40
 N_REGIMES = 5
+#: An ``index_threshold`` no graph or repository in the run reaches.
+EXACT_THRESHOLD = 10**9
 
 
 def _problem(rng, source_a, source_b, regime):
@@ -77,8 +80,8 @@ def _fit(problems, incremental):
         selection="cov",
         model_generation="supervised",
         classifier="logistic_regression",
-        incremental_clustering=incremental,
-        use_index=incremental,
+        # The one size switch: from the first problem on, or never.
+        index_threshold=1 if incremental else EXACT_THRESHOLD,
         random_state=0,
     )
     return morer.fit(problems)

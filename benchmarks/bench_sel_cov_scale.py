@@ -4,13 +4,13 @@ Builds MoRER instances over 100–800 initial problems drawn from a small
 set of distribution regimes, then serves a probe stream through
 ``sel_cov`` two ways:
 
-* **full** — today's exact path (``incremental_clustering=False``,
-  ``use_index=False``): every solve integrates the probe against all
-  vertices and re-runs Leiden from scratch;
-* **incremental** — the warm-started path
-  (``incremental_clustering=True`` + the sketch-prefiltered graph
-  insertion): bounded local moves around the inserted vertex, full
-  reclusters only on modularity degradation or the periodic bound.
+* **full** — the exact path (``index_threshold`` above any size the
+  run reaches): every solve integrates the probe against all vertices
+  and re-runs Leiden from scratch;
+* **incremental** — the warm-started path (``index_threshold=1``:
+  journal replay + the sketch-prefiltered graph insertion): bounded
+  local moves around the inserted vertex, full reclusters only on
+  modularity degradation or the periodic bound.
 
 Both arms share seeds, so their retraining decisions must coincide on
 the scenario; cluster quality is scored as ARI between the two arms'
@@ -30,6 +30,8 @@ from repro.core.problem import ERProblem
 N_FEATURES = 4
 N_SAMPLES = 40
 N_REGIMES = 5
+#: An ``index_threshold`` no graph or repository in the run reaches.
+EXACT_THRESHOLD = 10**9
 
 
 def _problem(rng, source_a, source_b, regime):
@@ -72,8 +74,8 @@ def _fit(problems, incremental):
         selection="cov",
         model_generation="supervised",
         classifier="logistic_regression",
-        incremental_clustering=incremental,
-        use_index=incremental,   # prefiltered insertion rides along
+        # The one size switch: from the first problem on, or never.
+        index_threshold=1 if incremental else EXACT_THRESHOLD,
         random_state=0,
     )
     return morer.fit(problems)

@@ -54,8 +54,7 @@ def _fit(problems):
         selection="cov",
         model_generation="supervised",
         classifier="logistic_regression",
-        incremental_clustering=True,
-        use_index=True,
+        index_threshold=1,  # warm replay + prefiltered insertion
         random_state=0,
     )
     return morer.fit(problems)

@@ -180,12 +180,20 @@ class AlmserActiveLearner:
 
     @staticmethod
     def _suspicious_edges(match_graph):
-        """Bridges + cheap min-cut crossings of each sizeable component."""
+        """Bridges + cheap min-cut crossings of each sizeable component.
+
+        Each component's subgraph lists its records in the match
+        graph's node order, not in set order, so the min cut's start
+        node and tie-breaks do not follow the hash seed.
+        """
         suspicious = set(bridges(match_graph))
+        position = {node: i for i, node in enumerate(match_graph.nodes())}
         for component in connected_components(match_graph):
             if not 3 <= len(component) <= _MAX_COMPONENT_FOR_CUT:
                 continue
-            subgraph = match_graph.subgraph(component)
+            subgraph = match_graph.subgraph(
+                sorted(component, key=position.__getitem__)
+            )
             total = subgraph.total_weight()
             if total <= 0:
                 continue

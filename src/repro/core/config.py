@@ -11,25 +11,23 @@ from ..ml.tree import DecisionTreeClassifier
 __all__ = [
     "MoRERConfig",
     "make_classifier",
-    "check_index_settings",
     "check_config_overrides",
     "CONFIG_FIELDS",
     "CLASSIFIERS",
     "DEFAULT_INDEX_THRESHOLD",
 ]
 
-#: Entry count at which ``use_index="auto"`` switches repository search
-#: to the sketch-indexed path — the single source of truth for both
-#: :class:`MoRERConfig` and direct ``ModelRepository`` construction.
+#: Size at which a structure leaves its exact path: the default of
+#: every ``index_threshold`` (:class:`MoRERConfig`, ``ERProblemGraph``,
+#: ``ModelRepository``).
 DEFAULT_INDEX_THRESHOLD = 128
 
 
-def check_index_settings(use_index, index_threshold):
-    """Validate the shared repository-search index knobs."""
-    if use_index not in (True, False, "auto"):
-        raise ValueError("use_index must be True, False or 'auto'")
+def check_index_threshold(index_threshold):
+    """Validate the one size setting of the exact-vs-indexed switch."""
     if index_threshold < 1:
         raise ValueError("index_threshold must be >= 1")
+
 
 #: Classifier registry for cluster models.
 CLASSIFIERS = {
@@ -93,42 +91,28 @@ class MoRERConfig:
         AL batch size.
     use_record_score : bool
         Enable MoRER's Eq. 11–12 extension of Bootstrap AL.
-    use_index : {"auto", True, False}
-        Repository-search sketch index (ANN prefilter + exact rerank).
-        ``"auto"`` enables it only at ``index_threshold`` entries, so
-        paper-scale reproductions keep the byte-identical exact scan.
-        The same setting gates the ER problem graph's insertion
-        prefilter (``sel_cov`` integration, §4.5).
     index_threshold : int
-        Entry count at which ``"auto"`` switches to indexed search (and
-        at which ``"auto"`` incremental clustering / graph prefiltering
-        engage).
-    search_candidates : int
-        Rerank width for indexed search; 0 means the per-query default
-        ``max(8 * top_k, 48)``.
-    incremental_clustering : {"auto", True, False}
-        Warm-start ``sel_cov`` reclustering by replaying the graph's
-        mutation journal into the cached
-        :class:`~repro.core.partition_state.PartitionState` (one
-        bounded local move over every inserted/removed region — also
-        the path that lets :meth:`MoRER.solve_batch` recluster once
-        per batch and removals survive without a full run) instead of
-        a full Leiden run per solve. ``"auto"`` (the default) engages
-        only once the graph holds ``index_threshold`` problems, so
-        paper-scale reproductions keep byte-identical clusterings.
-        Only effective with ``clustering_algorithm="leiden"``.
+        The one switch between the paper's exact paths and the serving
+        ones, applied by each structure to its own observed size.
+        Below it every path is exact: repository search scores every
+        entry, a ``sel_cov`` insertion is compared with every vertex,
+        and every recluster is a full run. Once the repository holds
+        this many entries, search reranks its ``max(8 * top_k, 48)``
+        sketch-nearest entries exactly
+        (:mod:`repro.core.sketch_index`); once the ER problem graph
+        holds this many problems, an insertion is compared (and
+        connected) only with its ``max(64, 4 * sqrt(problems))``
+        sketch-nearest vertices, and a Leiden recluster replays the
+        graph's mutation journal into the warm
+        :class:`~repro.core.partition_state.PartitionState` instead of
+        a full run.
     recluster_tolerance : float
-        Modularity head-room for incremental reclustering: when a
-        replayed partition's delta-tracked modularity falls more than
-        this below the last full run, a full Leiden run is redone.
+        Modularity head-room for warm reclustering: when a replayed
+        partition's delta-tracked modularity falls more than this
+        below the last full run, a full Leiden run is redone.
     full_recluster_every : int
-        Force a full recluster after this many incremental insertions
-        (drift bound that modularity alone cannot provide).
-    graph_candidates : int
-        How many sketch-nearest existing problems a ``sel_cov``
-        insertion is compared (and connected) to once the graph
-        prefilter engages; 0 means the per-insert default
-        ``max(64, 4 * sqrt(problems))``.
+        Force a full recluster after this many warm insertions (drift
+        bound that modularity alone cannot provide).
     service_max_batch_size : int
         Micro-batching ceiling of
         :class:`~repro.service.MoRERService`: how many concurrently
@@ -179,13 +163,9 @@ class MoRERConfig:
     committee_k: int = 10
     batch_size: int = 25
     use_record_score: bool = True
-    use_index: object = "auto"
     index_threshold: int = DEFAULT_INDEX_THRESHOLD
-    search_candidates: int = 0
-    incremental_clustering: object = "auto"
     recluster_tolerance: float = 0.05
     full_recluster_every: int = 50
-    graph_candidates: int = 0
     service_max_batch_size: int = 16
     service_max_wait_ms: float = 2.0
     service_max_queue_depth: int = 256
@@ -208,19 +188,11 @@ class MoRERConfig:
             raise ValueError(
                 "budget_policy must be 'proportional' or 'uniform'"
             )
-        check_index_settings(self.use_index, self.index_threshold)
-        if self.search_candidates < 0:
-            raise ValueError("search_candidates must be >= 0")
-        if self.incremental_clustering not in (True, False, "auto"):
-            raise ValueError(
-                "incremental_clustering must be True, False or 'auto'"
-            )
+        check_index_threshold(self.index_threshold)
         if self.recluster_tolerance < 0:
             raise ValueError("recluster_tolerance must be >= 0")
         if self.full_recluster_every < 1:
             raise ValueError("full_recluster_every must be >= 1")
-        if self.graph_candidates < 0:
-            raise ValueError("graph_candidates must be >= 0")
         if self.service_max_batch_size < 1:
             raise ValueError("service_max_batch_size must be >= 1")
         if self.service_max_wait_ms < 0:

@@ -45,14 +45,13 @@ all-pairs matrix kernel (the fit path) and every other pair from the
 one-vs-many kernel. Every member is validated before the first
 mutation, so a rejected batch leaves the graph as it was.
 
-A sketch-index prefilter keeps *insertion* sublinear in graph size at
-scale (the same filter-then-verify pattern as repository search, see
-:mod:`repro.core.sketch_index`): once the graph outgrows
-``index_threshold`` vertices, a new problem is compared — and
-connected — only to its ``n_candidates`` sketch-nearest vertices
-instead of every vertex. It is off below the threshold (and via
-``use_index=False``), where the exact all-vertices behaviour is
-preserved byte for byte.
+The graph's own size is the one switch between the exact §4.5
+insertion and the serving one (the same filter-then-verify pattern as
+repository search, see :mod:`repro.core.sketch_index`). Below
+``index_threshold`` vertices a new problem is compared with every
+vertex. From ``index_threshold`` vertices on it is compared — and
+connected — only with its ``max(64, 4 * sqrt(vertices))``
+sketch-nearest vertices, which keeps insertion sublinear in graph size.
 
 Mutation journal
 ----------------
@@ -65,9 +64,10 @@ it created or destroyed. A consumer caching a partition (MoRER's
 partition and modularity aggregates without touching the graph history.
 This is the warm-started reclustering path: removals do not invalidate
 it, since the replay drops the vertex from the seed and queues its
-recorded neighbours. Consumed entries are reclaimed with
-:meth:`trim_journal`. :meth:`build` journals nothing: bulk construction
-is an epoch boundary (``can_replay`` is false across it).
+recorded neighbours. The partition state is the journal's only reader;
+:meth:`trim_journal` reclaims the entries before its cursor.
+:meth:`build` journals nothing: bulk construction is an epoch boundary
+(``can_replay`` is false across it).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ import weakref
 import numpy as np
 
 from ..graphcluster import CLUSTERING_ALGORITHMS, CSRGraph
-from .config import DEFAULT_INDEX_THRESHOLD, check_index_settings
+from .config import DEFAULT_INDEX_THRESHOLD, check_index_threshold
 from .distribution import make_distribution_test
 from .problem import ERProblem
 from .signatures import (
@@ -166,35 +166,21 @@ class ERProblemGraph:
         this scale).
     signature_cache_size : int
         Capacity of the LRU signature store.
-    use_index : {"auto", True, False}
-        Sketch-prefilter insertions: compare a new problem only against
-        its sketch-nearest existing vertices. ``"auto"`` (the default)
-        engages at ``index_threshold`` vertices; ``False`` always
-        compares against every vertex (the exact §4.5 behaviour).
     index_threshold : int
-        Vertex count at which ``"auto"`` starts prefiltering.
-    n_candidates : int
-        How many sketch-nearest vertices survive into the exact
-        comparison (and edge creation); 0 means the per-insert default
-        ``max(64, 4 * sqrt(vertices))``.
-    sketch_bins : int
-        Histogram bins per feature in the sketch vectors.
+        Vertex count from which an insertion is compared only with its
+        ``max(64, 4 * sqrt(vertices))`` sketch-nearest vertices; below
+        it, with every vertex (the exact §4.5 behaviour).
     """
 
     def __init__(self, test="ks", min_similarity=0.0,
-                 signature_cache_size=4096, use_index="auto",
-                 index_threshold=DEFAULT_INDEX_THRESHOLD, n_candidates=0,
-                 sketch_bins=16):
+                 signature_cache_size=4096,
+                 index_threshold=DEFAULT_INDEX_THRESHOLD):
         if isinstance(test, str):
             test = make_distribution_test(test)
-        check_index_settings(use_index, index_threshold)
-        if n_candidates < 0:
-            raise ValueError("n_candidates must be >= 0")
+        check_index_threshold(index_threshold)
         self.test = test
         self.min_similarity = min_similarity
-        self.use_index = use_index
         self.index_threshold = int(index_threshold)
-        self.n_candidates = int(n_candidates)
         # The pair cache stores one value under an order-normalized key,
         # so it is only sound for order-symmetric tests (KS/WD/PSI, not
         # C2ST, whose subsampling depends on argument order).
@@ -233,13 +219,8 @@ class ERProblemGraph:
         # computed against; validates re-insertions independently of the
         # LRU signature store (eviction must not purge valid pairs).
         self._pair_witness = {}
-        self._sketch_index = SketchIndex(n_bins=sketch_bins)
+        self._sketch_index = SketchIndex()
         self._index_pending = set()
-        # Registered journal consumers (token -> cursor). Process-local
-        # and never persisted: every consumer must re-register after a
-        # restore. trim_journal() never reclaims past the slowest one.
-        self._consumers = {}
-        self._next_consumer_token = 0
 
     # -- construction ------------------------------------------------------
 
@@ -264,12 +245,12 @@ class ERProblemGraph:
     def add_problems(self, problems):
         """Insert problems and weight their edges (:meth:`_insert`).
 
-        Below ``index_threshold`` (or with ``use_index=False``) each new
-        vertex is compared against *every* existing vertex — the exact
-        §4.5 integration. Past the threshold the sketch index prefilters
-        ``n_candidates`` nearest vertices and only those are compared
-        (and eligible for edges). Batch members are always compared
-        with each other exactly. One journal entry per member is
+        Below ``index_threshold`` vertices each new vertex is compared
+        against *every* existing vertex — the exact §4.5 integration.
+        From the threshold on the sketch index prefilters the
+        ``max(64, 4 * sqrt(vertices))`` nearest vertices and only those
+        are compared (and eligible for edges). Batch members are always
+        compared with each other exactly. One journal entry per member is
         appended, so partition replays see the batch as the equivalent
         insert sequence.
         """
@@ -298,7 +279,7 @@ class ERProblemGraph:
         prefilter = self._prefilter_active()
         if prefilter:
             self._sync_sketch_index()
-        n_candidates = self._resolve_candidates() if prefilter else 0
+        n_candidates = self._candidate_width() if prefilter else 0
         existing = list(self._keys)
         signatures = []
         for problem, key in zip(problems, keys):
@@ -501,85 +482,22 @@ class ERProblemGraph:
         return self._journal[cursor - self._journal_offset:]
 
     def trim_journal(self, cursor):
-        """Reclaim entries every consumer has seen.
-
-        ``cursor`` is the *caller's* own position; the effective
-        compaction watermark is the minimum of it and every registered
-        consumer's cursor (:meth:`register_consumer`), so independent
-        consumers — the live partition cache, a background saver, a
-        future replication shard — can trail the stream at their own
-        pace without losing entries to each other's trims.
-        """
-        watermark = min([int(cursor), *self._consumers.values()])
-        cut = min(watermark, self.version) - self._journal_offset
+        """Reclaim the entries before ``cursor`` (the reader's own
+        position; clamped to :attr:`version`)."""
+        cut = min(int(cursor), self.version) - self._journal_offset
         if cut > 0:
             del self._journal[:cut]
             self._journal_offset += cut
-
-    def register_consumer(self, cursor=None):
-        """Register a journal consumer at ``cursor`` (default: now).
-
-        Returns an opaque token for :meth:`advance_consumer` /
-        :meth:`unregister_consumer`. While registered, the consumer's
-        cursor bounds :meth:`trim_journal`'s compaction watermark, so
-        entries it has not replayed yet survive other consumers'
-        trims. Registrations are process-local — they are not part of
-        :meth:`export_state` and must be re-established after
-        :meth:`restore_state`.
-        """
-        if cursor is None:
-            cursor = self.version
-        cursor = int(cursor)
-        if not self._journal_offset <= cursor <= self.version:
-            raise ValueError(
-                f"consumer cursor {cursor} is outside the retained "
-                f"journal [{self._journal_offset}, {self.version}]"
-            )
-        token = self._next_consumer_token
-        self._next_consumer_token += 1
-        self._consumers[token] = cursor
-        return token
-
-    def advance_consumer(self, token, cursor=None):
-        """Move a registered consumer's cursor forward (default: to the
-        current :attr:`version` — "caught up")."""
-        if token not in self._consumers:
-            raise KeyError(f"unknown journal consumer token {token!r}")
-        if cursor is None:
-            cursor = self.version
-        cursor = int(cursor)
-        if cursor < self._consumers[token]:
-            raise ValueError(
-                f"consumer cursor may only advance "
-                f"({self._consumers[token]} -> {cursor})"
-            )
-        if cursor > self.version:
-            raise ValueError(
-                f"consumer cursor {cursor} is past version {self.version}"
-            )
-        self._consumers[token] = cursor
-
-    def consumer_cursor(self, token):
-        """The registered cursor of a consumer token."""
-        return self._consumers[token]
-
-    def unregister_consumer(self, token):
-        """Drop a consumer; its cursor no longer bounds compaction."""
-        self._consumers.pop(token, None)
 
     # -- sketch prefilter --------------------------------------------------
 
     def _prefilter_active(self):
         """Whether insertions go through the sketch prefilter."""
-        if not self._problems:
-            return False
-        if self.use_index == "auto":
-            return len(self._problems) >= self.index_threshold
-        return bool(self.use_index)
+        return len(self._problems) >= self.index_threshold
 
-    def _resolve_candidates(self):
-        if self.n_candidates:
-            return self.n_candidates
+    def _candidate_width(self):
+        """How many sketch-nearest vertices an insertion is compared
+        with once the prefilter is active."""
         return max(64, int(4 * math.sqrt(len(self._problems))))
 
     def _sync_sketch_index(self):
@@ -592,7 +510,6 @@ class ERProblemGraph:
                 )
                 self.stats["sketch_rows_built"] += 1
             self._index_pending.discard(key)
-
 
     # -- pair cache --------------------------------------------------------
 
@@ -715,10 +632,7 @@ class ERProblemGraph:
         problems = list(self._problems.values())
         meta = {
             "min_similarity": self.min_similarity,
-            "use_index": self.use_index,
             "index_threshold": self.index_threshold,
-            "n_candidates": self.n_candidates,
-            "sketch_bins": self._sketch_index.n_bins,
             "version": self.version,
             "journal": [entry.to_json() for entry in self._journal],
             "problems": [
@@ -799,11 +713,7 @@ class ERProblemGraph:
         """
         instance = cls(
             test, meta["min_similarity"],
-            use_index=meta["use_index"],
-            index_threshold=meta["index_threshold"],
-            n_candidates=meta["n_candidates"],
-            sketch_bins=meta["sketch_bins"],
-            **kwargs,
+            index_threshold=meta["index_threshold"], **kwargs,
         )
         # The zero-rebuild guarantee needs every seeded signature to
         # actually fit: grow the LRU to the restored problem count.

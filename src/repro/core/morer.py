@@ -4,12 +4,22 @@ Workflow (Fig. 3): similarity distribution analysis over the initial
 problems -> ER problem graph -> Leiden clustering -> per-cluster budget
 -> active-learning training-data selection -> one classifier per
 cluster, stored in a :class:`~repro.core.repository.ModelRepository`.
-New problems are served by :math:`sel_{base}` (repository search —
-sketch-indexed with an exact rerank once the repository outgrows the
-configured threshold, see :mod:`repro.core.sketch_index`) or
+New problems are served by :math:`sel_{base}` (repository search) or
 :math:`sel_{cov}` (graph integration + coverage-driven retraining,
 which invalidates both the retrained entry's cached signature and its
 sketch row).
+
+One size rule
+-------------
+``config.index_threshold`` is the only switch between the paper's
+exact paths and the serving ones, and each structure applies it to its
+own observed size. A repository of fewer entries scores every entry; a
+larger one reranks its sketch-nearest entries exactly
+(:mod:`repro.core.sketch_index`). A graph of fewer problems compares an
+insertion with every vertex and reclusters with a full run; a larger
+one compares it with its sketch-nearest vertices and reclusters by
+journal replay (below). Paper-scale reproductions stay exact wherever
+their structures stay small.
 
 ``sel_cov`` as a *session* over a mutation journal
 --------------------------------------------------
@@ -17,13 +27,13 @@ Probes arrive — and leave — as a stream, so the warm state is organised
 around :class:`~repro.core.graph.ERProblemGraph`'s mutation journal and
 one :class:`~repro.core.partition_state.PartitionState` (partition,
 delta-tracked per-community :math:`(L_c, K_c)` modularity aggregates,
-journal cursor). Once ``config.incremental_clustering`` engages, a
-solve *replays* the journal past the cursor: inserted probes join the
-seed as singletons, removed problems (repository maintenance, even
-out-of-band ``remove_problem`` calls) drop out of the seed with their
-recorded neighbours queued, and one bounded local move re-examines the
-perturbed region — regardless of whether one probe or a whole
-:meth:`MoRER.solve_batch` batch landed since. The degradation check
+journal cursor). Once a Leiden graph holds ``config.index_threshold``
+problems, a solve *replays* the journal past the cursor: inserted
+probes join the seed as singletons, removed problems (repository
+maintenance, even out-of-band ``remove_problem`` calls) drop out of the
+seed with their recorded neighbours queued, and one bounded local move
+re-examines the perturbed region — regardless of whether one probe or
+a whole :meth:`MoRER.solve_batch` batch landed since. The degradation check
 reads the aggregates (O(moved region)); no full
 :func:`~repro.graphcluster.modularity` pass appears on the warm path.
 A full Leiden run happens only on a modularity drop beyond
@@ -85,9 +95,11 @@ __all__ = [
 #: incompatible change to ``morer.json`` / ``graph.npz`` / the
 #: repository directory; :meth:`MoRER.load` refuses unknown versions
 #: loudly rather than deserialising garbage. Format 2 stores each
-#: graph fact once (see :meth:`ERProblemGraph.export_state`); a store
-#: written in format 1 must be refitted.
-PERSISTENCE_FORMAT = 2
+#: graph fact once (see :meth:`ERProblemGraph.export_state`); format 3
+#: drops the index knobs from the config, the graph meta and the
+#: repository manifest, keeping ``index_threshold`` alone. A store
+#: written in an older format must be refitted.
+PERSISTENCE_FORMAT = 3
 
 
 class UnsupportedFormatError(ValueError):
@@ -202,9 +214,7 @@ class MoRER:
         started = time.perf_counter()
         self.problem_graph = ERProblemGraph.build(
             initial_problems, self.test, self.config.min_similarity,
-            use_index=self.config.use_index,
             index_threshold=self.config.index_threshold,
-            n_candidates=self.config.graph_candidates,
         )
         self._add_timing("analysis", time.perf_counter() - started)
         self._invalidate_cluster_cache()
@@ -470,11 +480,9 @@ class MoRER:
         )
 
     def _track_cluster_cache(self):
-        """Whether incremental reclustering is configured at all."""
-        return (
-            self.config.incremental_clustering is not False
-            and self.config.clustering_algorithm == "leiden"
-        )
+        """Whether full runs leave a partition state to replay into
+        (Leiden only)."""
+        return self.config.clustering_algorithm == "leiden"
 
     def _incremental_clustering_active(self):
         """Whether the *next* recluster may warm-start by replaying the
@@ -493,12 +501,7 @@ class MoRER:
         # forces the full path.
         if not graph.can_replay(self._partition.cursor):
             return False
-        if (
-            self.config.incremental_clustering == "auto"
-            and len(graph) < self.config.index_threshold
-        ):
-            return False
-        return True
+        return len(graph) >= self.config.index_threshold
 
     def _timed_cluster(self):
         started = time.perf_counter()
@@ -532,8 +535,8 @@ class MoRER:
                     config.resolution,
                 )
                 self.counters["full_quality_passes"] += 1
-        # Reclaim journal entries every consumer has seen (all of them,
-        # when no partition state is live).
+        # Reclaim the journal entries the partition state has replayed
+        # (all of them, when no partition state is live).
         graph.trim_journal(
             graph.version if self._partition is None
             else self._partition.cursor

@@ -23,7 +23,7 @@ from ..ml import ESTIMATOR_REGISTRY
 from .config import (
     DEFAULT_INDEX_THRESHOLD,
     MoRERConfig,
-    check_index_settings,
+    check_index_threshold,
 )
 from .distribution import make_distribution_test
 from .problem import ERProblem
@@ -92,23 +92,14 @@ class ModelRepository:
         the cache only pays off when the same problem is solved
         repeatedly; entry signatures are cached separately and are not
         subject to this bound.
-    use_index : {"auto", True, False}, optional
-        Sketch-index (ANN) search: prefilter entries by sketch distance
-        before the exact ``sim_p`` rerank. ``"auto"`` (the default)
-        switches the index on once the repository holds at least
-        ``index_threshold`` entries, so small repositories — including
-        every Table 4/5 reproduction — keep the byte-identical exact
-        scan. ``False`` always scans exactly; ``True`` always uses the
-        index. Defaults to the config's ``use_index`` when a config is
-        given.
     index_threshold : int, optional
-        Entry count at which ``"auto"`` switches to indexed search.
-    n_candidates : int, optional
-        How many sketch-nearest entries survive into the exact rerank;
-        the default scales as ``max(8 * top_k, 48)`` per query. Larger
-        values trade speed for recall.
-    sketch_bins : int
-        Histogram bins per feature in the sketch vectors.
+        Entry count from which search prefilters entries by sketch
+        distance and reranks only the ``max(8 * top_k, 48)`` nearest
+        exactly (:mod:`repro.core.sketch_index`). Below it every entry
+        is scored — the byte-identical exact scan that small
+        repositories, including every Table 4/5 reproduction, keep.
+        Defaults to the config's ``index_threshold`` when a config is
+        given.
 
     Notes
     -----
@@ -121,33 +112,24 @@ class ModelRepository:
     """
 
     def __init__(self, test="ks", config=None, signature_cache_size=16,
-                 use_index=None, index_threshold=None, n_candidates=None,
-                 sketch_bins=16):
+                 index_threshold=None):
         if isinstance(test, str):
             test = make_distribution_test(test)
         self.test = test
         self.config = config
         self.entries = {}
         self._next_id = 0
-        if use_index is None:
-            use_index = config.use_index if config else "auto"
         if index_threshold is None:
             index_threshold = (
                 config.index_threshold if config
                 else DEFAULT_INDEX_THRESHOLD
             )
-        check_index_settings(use_index, index_threshold)
-        if n_candidates is None and config and config.search_candidates:
-            n_candidates = config.search_candidates
-        if n_candidates is not None and n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
-        self.use_index = use_index
+        check_index_threshold(index_threshold)
         self.index_threshold = int(index_threshold)
-        self.n_candidates = None if n_candidates is None else int(n_candidates)
         self._key_index = {}
         self._entry_signatures = {}
         self._probe_signatures = SignatureStore(signature_cache_size)
-        self._sketch_index = SketchIndex(n_bins=sketch_bins)
+        self._sketch_index = SketchIndex()
         self._index_pending = set()
 
     def __len__(self):
@@ -247,12 +229,9 @@ class ModelRepository:
             self._index_pending.add(entry.cluster_id)
         return signature
 
-    def _resolve_use_index(self, use_index):
-        if use_index is None:
-            use_index = self.use_index
-        if use_index == "auto":
-            return len(self.entries) >= self.index_threshold
-        return bool(use_index)
+    def _indexed(self):
+        """Whether searches take the sketch-prefiltered path."""
+        return len(self.entries) >= self.index_threshold
 
     def _sync_sketch_index(self):
         """Fold pending entries (inserted or invalidated since the last
@@ -287,14 +266,13 @@ class ModelRepository:
                 # This entry stays on the naive fallback; keep flushing
                 # the rest rather than aborting the whole pass.
                 all_ready = False
-        if all_ready and self._resolve_use_index(None):
+        if all_ready and self._indexed():
             try:
                 self._sync_sketch_index()
             except ValueError:
                 pass
 
-    def _score_signatures(self, problem, features, use_index,
-                          n_candidates, top_k):
+    def _score_signatures(self, problem, features, top_k):
         """``(similarity, entry)`` pairs via the signature kernels, or
         ``None`` when any matrix falls outside the kernels' ``[0, 1]``
         domain — the naive path then handles the search exactly as it
@@ -306,8 +284,8 @@ class ModelRepository:
                 )
             else:
                 probe = ProblemSignature(features)
-            if self._resolve_use_index(use_index):
-                return self._score_indexed(probe, n_candidates, top_k)
+            if self._indexed():
+                return self._score_indexed(probe, top_k)
             return [
                 (
                     float(self.test.signature_similarity(
@@ -320,14 +298,12 @@ class ModelRepository:
         except ValueError:
             return None
 
-    def _score_indexed(self, probe, n_candidates, top_k):
-        """Sketch prefilter + exact rerank over the candidates."""
+    def _score_indexed(self, probe, top_k):
+        """Sketch prefilter + exact rerank over the
+        ``max(8 * top_k, 48)`` nearest candidates."""
         self._sync_sketch_index()
-        wanted = top_k or 1
-        if n_candidates is None:
-            n_candidates = self.n_candidates or max(8 * wanted, 48)
         candidate_ids = self._sketch_index.query(
-            probe, max(int(n_candidates), wanted)
+            probe, max(8 * (top_k or 1), 48)
         )
         entries = [self.entries[cid] for cid in candidate_ids]
         similarities = search_similarities(
@@ -339,8 +315,7 @@ class ModelRepository:
             for similarity, entry in zip(similarities, entries)
         ]
 
-    def search(self, problem, top_k=None, use_index=None,
-               n_candidates=None):
+    def search(self, problem, top_k=None):
         """Repository *search*: best entry (or entries) for a problem.
 
         Compares the problem's feature vectors against every entry's
@@ -350,8 +325,8 @@ class ModelRepository:
         signature is cached (invalidated on retraining); a raw matrix
         outside the signatures' ``[0, 1]`` domain is scored with the raw
         test instead.
-        Large repositories additionally prefilter candidates through
-        the sketch index (see the class docstring and
+        From ``index_threshold`` entries on, candidates are prefiltered
+        through the sketch index (see the class docstring and
         :mod:`repro.core.sketch_index`) before the exact rerank.
 
         Parameters
@@ -363,10 +338,6 @@ class ModelRepository:
             ``(entry, similarity)`` pairs sorted by descending
             similarity; the default returns the single best pair
             ``(entry, similarity)``.
-        use_index : {"auto", True, False}, optional
-            Per-call override of the constructor setting.
-        n_candidates : int, optional
-            Per-call override of the rerank width (indexed mode only).
         """
         if not self.entries:
             raise LookupError("the repository is empty; fit MoRER first")
@@ -376,16 +347,10 @@ class ModelRepository:
             ) or top_k < 1:
                 raise ValueError("top_k must be a positive integer")
             top_k = int(top_k)
-        if use_index is not None:
-            check_index_settings(use_index, self.index_threshold)
-        if n_candidates is not None and n_candidates < 1:
-            raise ValueError("n_candidates must be >= 1")
         features = (
             problem.features if isinstance(problem, ERProblem) else problem
         )
-        scored = self._score_signatures(
-            problem, features, use_index, n_candidates, top_k
-        )
+        scored = self._score_signatures(problem, features, top_k)
         if scored is None:
             scored = [
                 (
@@ -429,14 +394,8 @@ class ModelRepository:
             "test": self.test.name,
             "config": self.config.to_dict() if self.config else None,
             "next_id": self._next_id,
-            # Constructor-level search settings survive the round trip
-            # even without a config (loading falls back to these).
-            "search": {
-                "use_index": self.use_index,
-                "index_threshold": self.index_threshold,
-                "n_candidates": self.n_candidates,
-                "sketch_bins": self._sketch_index.n_bins,
-            },
+            # The switch survives the round trip even without a config.
+            "index_threshold": self.index_threshold,
             "entries": [],
         }
         arrays = {}
@@ -458,13 +417,12 @@ class ModelRepository:
             arrays[f"labels_{entry.cluster_id}"] = entry.training_labels
             model_path = path / f"model_{entry.cluster_id}.json"
             model_path.write_text(json.dumps(entry.model.to_dict()))
-        if self.entries and self._resolve_use_index(None):
+        if self.entries and self._indexed():
             # Persist the sketch matrix so a loaded repository's first
             # indexed search skips the lazy per-entry rebuild. Stores
-            # whose searches resolve to the exact scan (use_index=False,
-            # or "auto" below the threshold) never query the index, so
-            # their saves skip the per-entry sketch cost and the load
-            # keeps rebuilding lazily if the store later outgrows the
+            # below the threshold never query the index, so their saves
+            # skip the per-entry sketch cost and the load keeps
+            # rebuilding lazily if the store later outgrows the
             # threshold. Entries whose representatives fall outside the
             # signature domain (searches fall back to the naive scan
             # for those anyway) also skip persistence.
@@ -491,13 +449,9 @@ class ModelRepository:
         )
         test_name = manifest["test"]
         test_params = config.test_params if config else {}
-        search = manifest.get("search") or {}
         repository = cls(
             make_distribution_test(test_name, **test_params), config,
-            use_index=search.get("use_index"),
-            index_threshold=search.get("index_threshold"),
-            n_candidates=search.get("n_candidates"),
-            sketch_bins=search.get("sketch_bins", 16),
+            index_threshold=manifest["index_threshold"],
         )
         arrays = np.load(path / "vectors.npz")
         for meta in manifest["entries"]:

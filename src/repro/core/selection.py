@@ -7,16 +7,20 @@
   into the ER problem graph, recluster, and retrain models whose
   clusters are no longer covered by their training data (Eqs. 13–14).
 
-At scale both ``sel_cov`` steps are sublinear in graph size: insertion
-(one body for a single probe and a batch,
-:meth:`~repro.core.graph.ERProblemGraph.add_problems`) goes through the
-graph's sketch prefilter (``n_candidates`` sketch-nearest vertices
-instead of all vertices) and reclustering
-replays the graph's mutation journal into MoRER's
+One size rule picks the path (``MoRERConfig.index_threshold``). Below
+it both ``sel_cov`` steps are the paper's exact ones: insertion (one
+body for a single probe and a batch,
+:meth:`~repro.core.graph.ERProblemGraph.add_problems`) compares the
+probe with every vertex, and every recluster is a full run. From a
+graph of ``index_threshold`` problems on both are sublinear in graph
+size: insertion compares the probe with its
+``max(64, 4 * sqrt(problems))`` sketch-nearest vertices, and
+reclustering replays the graph's mutation journal into MoRER's
 :class:`~repro.core.partition_state.PartitionState` (one bounded local
 move over the perturbed region, delta-tracked modularity) — see
-:meth:`MoRER._timed_cluster` for the replay/fallback policy. Below the
-configured thresholds both steps keep the paper's exact behaviour.
+:meth:`MoRER._timed_cluster` for the replay/fallback policy.
+:func:`select_base` follows the same rule on the repository's entry
+count (:meth:`~repro.core.repository.ModelRepository.search`).
 :func:`decide_cov` is the per-probe decision half, shared between the
 sequential path and :meth:`MoRER.solve_batch`.
 """

@@ -19,7 +19,7 @@ A sketch has ``n_features * (n_bins + 2)`` components::
 * ``hist(f)`` — the per-feature *cumulative* equal-width histogram
   over ``[0, 1]`` (``n_bins`` bins, normalized, then cumulated): a
   discretized empirical CDF. The exact KS/WD kernels compare CDFs
-  (sup-gap and integral-gap), so L1/L2 distance between cumulative
+  (sup-gap and integral-gap), so the L2 distance between cumulative
   sketches tracks ``1 - sim_p`` far more faithfully than raw density
   histograms do — switching to the cumulative form lifted recall@5
   from ~0.62 to ~0.97 at 800 entries in ``bench_ann_search``.
@@ -30,43 +30,26 @@ A sketch has ``n_features * (n_bins + 2)`` components::
 Histogram bins are memoized on the signature, so building a sketch row
 is nearly free for entries that have already been searched once.
 
-Recall/speed knobs
-------------------
-``n_candidates`` (query-time)
-    More candidates → higher recall, slower rerank. The repository
-    default ``max(8 * top_k, 48)`` keeps recall@5 ≥ 0.95 on the bench
-    workloads while reranking a small constant slice.
-``n_bins``
-    Finer sketches separate near-identical problems better but cost
-    memory and scan bandwidth; 16 is the benched default.
-``metric``
-    ``"l2"`` (default) or ``"l1"`` distance over sketch vectors.
-``n_projections``
-    ``"auto"`` (default) scans the full sketch matrix until the index
-    holds :data:`AUTO_PROJECTION_THRESHOLD` entries, then switches on a
-    random-projection prefilter (Johnson–Lindenstrauss style) whose
-    width and oversample are derived from the entry count: queries scan
-    the low-dimensional projected matrix first and only
-    ``oversample * n_candidates`` rows pay the full-width distance.
-    ``0`` disables projections outright; a positive value fixes the
-    width from the first add.
+Widths
+------
+The query width ``n_candidates`` is the caller's: the repository
+reranks ``max(8 * top_k, 48)`` sketch-nearest entries, which keeps
+recall@5 ≥ 0.95 on the ``bench_ann_search`` workloads, and the ER
+problem graph compares a new problem with its
+``max(64, 4 * sqrt(problems))`` nearest vertices. Both engage only once
+their structure holds ``index_threshold`` items (see
+:class:`~repro.core.config.MoRERConfig`). ``n_bins`` (16 throughout)
+sets the sketch resolution. A query scans the whole sketch matrix with
+one squared-L2 pass.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .signatures import ProblemSignature
 
-__all__ = ["SketchIndex", "sketch_vector", "AUTO_PROJECTION_THRESHOLD"]
-
-#: Entry count at which ``n_projections="auto"`` switches the index to
-#: the random-projection prefilter. Below ~10⁴ rows the full-width scan
-#: is a single fast matrix pass; past it the projected scan's lower
-#: bandwidth wins even after the oversampled rerank.
-AUTO_PROJECTION_THRESHOLD = 10_000
+__all__ = ["SketchIndex", "sketch_vector"]
 
 
 def sketch_vector(signature, n_bins=16):
@@ -100,53 +83,13 @@ class SketchIndex:
     ----------
     n_bins : int
         Histogram bins per feature (sketch resolution).
-    metric : {"l2", "l1"}
-        Distance between sketch vectors.
-    n_projections : int or "auto"
-        ``"auto"`` (default) auto-tunes: projections stay off until the
-        index holds ``auto_threshold`` entries, then switch on with a
-        width (and an oversample floor) derived from the entry count.
-        ``0`` disables the prefilter outright; a positive value scans a
-        ``(n, n_projections)`` projected matrix from the first add.
-    oversample : int
-        How many times ``n_candidates`` survive the projection
-        prefilter before the full-width distance pass (auto-tuning may
-        raise, never lower, it).
-    auto_threshold : int
-        Entry count at which ``"auto"`` enables projections; defaults
-        to :data:`AUTO_PROJECTION_THRESHOLD`.
-    random_state : int
-        Seed for the projection matrix.
     """
 
-    def __init__(self, n_bins=16, metric="l2", n_projections="auto",
-                 oversample=4, auto_threshold=AUTO_PROJECTION_THRESHOLD,
-                 random_state=0):
+    def __init__(self, n_bins=16):
         if n_bins < 2:
             raise ValueError("sketches need at least two histogram bins")
-        if metric not in ("l1", "l2"):
-            raise ValueError("metric must be 'l1' or 'l2'")
-        if n_projections != "auto" and (
-            not isinstance(n_projections, (int, np.integer))
-            or isinstance(n_projections, bool)
-            or n_projections < 0
-        ):
-            raise ValueError("n_projections must be >= 0 or 'auto'")
-        if oversample < 1:
-            raise ValueError("oversample must be >= 1")
-        if auto_threshold < 1:
-            raise ValueError("auto_threshold must be >= 1")
         self.n_bins = int(n_bins)
-        self.metric = metric
-        self.n_projections = (
-            "auto" if n_projections == "auto" else int(n_projections)
-        )
-        self.oversample = int(oversample)
-        self.auto_threshold = int(auto_threshold)
-        self.random_state = random_state
         self._matrix = None       # (capacity, dim); rows [:_n] are live
-        self._projected = None    # (capacity, width) mirror
-        self._projection = None   # (dim, width)
         self._ids = []            # row -> entry id
         self._rows = {}           # entry id -> row
         self._n = 0
@@ -174,7 +117,7 @@ class SketchIndex:
         """Insert (or refresh) the sketch row for ``entry_id``."""
         vector = self.sketch(signature)
         if self._matrix is None:
-            self._allocate(vector.size)
+            self._matrix = np.empty((64, vector.size))
         elif vector.size != self._matrix.shape[1]:
             raise ValueError(
                 "sketch width changed: the index holds "
@@ -190,10 +133,6 @@ class SketchIndex:
             self._rows[entry_id] = row
             self._n += 1
         self._matrix[row] = vector
-        if self._projection is not None:
-            self._projected[row] = vector @ self._projection
-        else:
-            self._maybe_auto_enable()
 
     def discard(self, entry_id):
         """Drop ``entry_id``'s row (no-op when absent); returns whether
@@ -205,8 +144,6 @@ class SketchIndex:
         last = self._n - 1
         if row != last:
             self._matrix[row] = self._matrix[last]
-            if self._projected is not None:
-                self._projected[row] = self._projected[last]
             moved = self._ids[last]
             self._ids[row] = moved
             self._rows[moved] = row
@@ -221,8 +158,6 @@ class SketchIndex:
         # Release the storage too: an emptied index must accept a new
         # sketch width (and report dim None) like a fresh one.
         self._matrix = None
-        self._projected = None
-        self._projection = None
 
     def export_rows(self):
         """``(ids, matrix)`` snapshot of the live rows — the persistence
@@ -239,8 +174,6 @@ class SketchIndex:
         The persistence path: rows exported at save time come back
         without re-deriving any sketch from its signature, so a loaded
         repository's first indexed search skips the lazy rebuild.
-        Projections (fixed-width or auto-tuned) are re-derived from the
-        configured ``random_state``, not persisted.
         """
         matrix = np.asarray(matrix, dtype=float)
         ids = list(ids)
@@ -257,10 +190,6 @@ class SketchIndex:
         self._ids = ids
         self._rows = {entry_id: row for row, entry_id in enumerate(ids)}
         self._n = len(ids)
-        if self.n_projections != "auto" and self.n_projections:
-            self._enable_projections(self.n_projections)
-        else:
-            self._maybe_auto_enable()
 
     def query(self, signature, n_candidates):
         """Ids of the ``n_candidates`` entries nearest the probe's
@@ -276,93 +205,23 @@ class SketchIndex:
                 f"({vector.size} vs {self._matrix.shape[1]})"
             )
         n_candidates = min(int(n_candidates), self._n)
-        rows = np.arange(self._n)
-        if (
-            self._projection is not None
-            and self._n > self.oversample * n_candidates
-        ):
-            coarse = self._distances(
-                self._projected[:self._n], vector @ self._projection
-            )
-            keep = self.oversample * n_candidates
-            rows = np.argpartition(coarse, keep - 1)[:keep]
-        distances = self._distances(self._matrix[rows], vector)
+        delta = self._matrix[:self._n] - vector
+        distances = np.einsum("ij,ij->i", delta, delta)
         if n_candidates < distances.size:
             nearest = np.argpartition(distances, n_candidates - 1)
             nearest = nearest[:n_candidates]
         else:
             nearest = np.arange(distances.size)
         nearest = nearest[np.argsort(distances[nearest], kind="stable")]
-        return [self._ids[int(row)] for row in rows[nearest]]
-
-    def _distances(self, matrix, vector):
-        delta = matrix - vector
-        if self.metric == "l1":
-            return np.abs(delta).sum(axis=1)
-        return np.einsum("ij,ij->i", delta, delta)
-
-    @staticmethod
-    def auto_projection_width(n_entries, dim):
-        """JL-style width for ``n_entries`` rows: O(log n), capped at
-        the sketch width (projecting *up* would only add noise)."""
-        return max(2, min(
-            int(dim), max(32, int(8 * math.log2(max(n_entries, 2))))
-        ))
-
-    def _maybe_auto_enable(self):
-        """Switch auto-tuned projections on once the threshold is hit:
-        JL-style width and an oversample floor, both derived from the
-        entry count (shared by incremental adds and bulk loads).
-
-        Narrow sketches stay exact: when the derived width reaches the
-        sketch dim there is no dimensionality left to shed, and a
-        square random projection would only add per-add/query work and
-        distance distortion on top of the full-width scan.
-        """
-        if (
-            self.n_projections != "auto"
-            or self._projection is not None
-            or self._n < self.auto_threshold
-        ):
-            return
-        dim = self._matrix.shape[1]
-        width = self.auto_projection_width(self._n, dim)
-        if width >= dim:
-            return
-        self._enable_projections(width)
-        self.oversample = max(
-            self.oversample, int(round(math.log2(self._n) / 2))
-        )
-
-    def _enable_projections(self, width):
-        """Build the projection matrix and project every live row."""
-        dim = self._matrix.shape[1]
-        rng = np.random.default_rng(self.random_state)
-        self._projection = rng.standard_normal(
-            (dim, width)
-        ) / np.sqrt(width)
-        self._projected = np.empty((self._matrix.shape[0], width))
-        self._projected[:self._n] = (
-            self._matrix[:self._n] @ self._projection
-        )
-
-    def _allocate(self, dim, capacity=64):
-        self._matrix = np.empty((capacity, dim))
-        if self.n_projections != "auto" and self.n_projections:
-            self._enable_projections(self.n_projections)
+        return [self._ids[int(row)] for row in nearest]
 
     def _grow(self):
         capacity = 2 * self._matrix.shape[0]
         matrix = np.empty((capacity, self._matrix.shape[1]))
         matrix[:self._n] = self._matrix[:self._n]
         self._matrix = matrix
-        if self._projected is not None:
-            projected = np.empty((capacity, self._projected.shape[1]))
-            projected[:self._n] = self._projected[:self._n]
-            self._projected = projected
 
     def __repr__(self):
         return (
-            f"SketchIndex(n_bins={self.n_bins}, metric={self.metric!r}, "
-            f"entries={self._n})"
+            f"SketchIndex(n_bins={self.n_bins}, entries={self._n})"
         )

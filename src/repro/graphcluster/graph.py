@@ -147,8 +147,10 @@ class Graph:
         return g
 
     def subgraph(self, nodes):
-        """Induced subgraph over ``nodes``."""
-        keep = set(nodes)
+        """Induced subgraph over ``nodes``, whose nodes (and each
+        node's edges, in this graph's adjacency order) follow the order
+        of ``nodes``."""
+        keep = dict.fromkeys(nodes)
         g = Graph()
         for u in keep:
             if u not in self._adj:

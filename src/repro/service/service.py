@@ -82,13 +82,6 @@ class MoRERService:
     max_batch_size, max_wait_ms, max_queue_depth : optional
         Per-service overrides of the ``service_*`` knobs in
         :class:`~repro.core.MoRERConfig`.
-    retain_unsaved_journal : bool
-        Register a *saver* journal consumer on the problem graph so
-        mutation-journal entries newer than the last :meth:`save` are
-        never compacted away (the graph's min-cursor watermark keeps
-        them while the live partition cursor advances past them). Off
-        by default: without periodic saves the retained journal would
-        grow without bound.
     wal_dir : path, optional
         Attach a :class:`~repro.durability.WriteAheadLog` under this
         directory: every mutating operation (``cov`` solve tick,
@@ -120,9 +113,9 @@ class MoRERService:
     """
 
     def __init__(self, morer, max_batch_size=None, max_wait_ms=None,
-                 max_queue_depth=None, retain_unsaved_journal=False,
-                 wal_dir=None, fsync_policy=None, fsync_interval_ms=None,
-                 checkpoint_store=None, checkpoint_every=0, metrics=None):
+                 max_queue_depth=None, wal_dir=None, fsync_policy=None,
+                 fsync_interval_ms=None, checkpoint_store=None,
+                 checkpoint_every=0, metrics=None):
         if not isinstance(morer, MoRER):
             raise InvalidRequest(
                 f"MoRERService serves a MoRER, got {type(morer).__name__}"
@@ -202,8 +195,6 @@ class MoRERService:
                 config=morer.config.to_dict(),
             )
             self._last_checkpoint_seq = self._wal.seq
-        self._retain_unsaved_journal = bool(retain_unsaved_journal)
-        self._saver_token = None
         self._n_features = None
         if morer.repository is not None:
             with self._lock.write_lock():
@@ -430,8 +421,7 @@ class MoRERService:
         return self.stats()
 
     def save(self, path):
-        """Persist the whole session (exclusive) via :meth:`MoRER.save`;
-        advances the saver journal cursor when one is registered.
+        """Persist the whole session (exclusive) via :meth:`MoRER.save`.
 
         With a WAL attached this is a **checkpoint**: the snapshot
         embeds ``durability.json`` recording the WAL ``seq`` it absorbs
@@ -457,10 +447,6 @@ class MoRERService:
                 self._morer.save(path, extras=extras)
             except NotFittedError as exc:
                 raise NotFitted(str(exc)) from exc
-            if self._saver_token is not None:
-                self._morer.problem_graph.advance_consumer(
-                    self._saver_token
-                )
             if self._wal is not None and self._degraded_reason is None:
                 try:
                     self._wal.checkpoint(self._wal.seq)
@@ -869,20 +855,16 @@ class MoRERService:
 
         Flushes the repository's lazy search caches (so read-lock
         ``sel_base`` searches stay non-mutating) and pins the shared
-        comparison schema + the saver journal cursor the first time a
-        graph exists.
+        comparison schema the first time a graph exists.
         """
         morer = self._morer
         if morer.repository is not None:
             morer.repository.prepare_search()
         graph = morer.problem_graph
-        if graph is not None:
-            if self._n_features is None and len(graph):
-                self._n_features = next(
-                    iter(graph.problems().values())
-                ).n_features
-            if self._retain_unsaved_journal and self._saver_token is None:
-                self._saver_token = graph.register_consumer()
+        if graph is not None and self._n_features is None and len(graph):
+            self._n_features = next(
+                iter(graph.problems().values())
+            ).n_features
 
     def _translate(self, exc):
         if isinstance(exc, ServiceError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ERProblem
+from repro.core import ERProblem, ProblemSignature
 from repro.datasets import load_benchmark
 
 
@@ -106,6 +106,26 @@ def make_regime_problems(n_problems, seed=0, n_regimes=6, prefix="R"):
             np.clip(features[order], 0.0, 1.0), labels[order],
         ))
     return problems
+
+
+def exact_ranking(repository, probe, top_k=None):
+    """The exact §4.5 search, computed here rather than by the
+    repository: every entry's ``sim_p`` to ``probe`` (an ``ERProblem``
+    or a raw feature matrix), best first, as ``(cluster_id,
+    similarity)`` pairs — all of them, or the ``top_k`` best."""
+    features = probe.features if isinstance(probe, ERProblem) else probe
+    signature = ProblemSignature(features)
+    scored = [
+        (
+            entry.cluster_id,
+            float(repository.test.signature_similarity(
+                signature, ProblemSignature(entry.training_features)
+            )),
+        )
+        for entry in repository
+    ]
+    scored.sort(key=lambda item: item[1], reverse=True)
+    return scored if top_k is None else scored[:top_k]
 
 
 @pytest.fixture

@@ -201,6 +201,43 @@ def test_almser_committee_validation():
         AlmserActiveLearner(committee_size=1)
 
 
+_ALMSER_SCRIPT = """
+import hashlib
+from repro.baselines import AlmserActiveLearner
+from repro.core import CountingOracle
+from repro.core.selection import pool_problems
+from repro.datasets import load_benchmark
+
+for name in ("dexter", "wdc-computer", "music"):
+    _, _, split = load_benchmark(name, scale=0.05)
+    features, labels, pair_ids = pool_problems(split.initial)
+    for budget in (100, 200):
+        indices, chosen = AlmserActiveLearner(random_state=0).select(
+            features, CountingOracle(labels), min(budget, len(labels)),
+            pair_ids=pair_ids,
+        )
+        digest = hashlib.sha256(indices.tobytes() + chosen.tobytes())
+        print(name, budget, digest.hexdigest())
+"""
+
+
+def _almser_selections_under_hash_seed(seed):
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", _ALMSER_SCRIPT], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+
+
+def test_almser_selections_ignore_the_hash_seed():
+    """The min cuts over the match graph's components, hence the
+    selected pairs and the graph-inferred labels, must not depend on
+    the process's string hash seed."""
+    first = _almser_selections_under_hash_seed(0)
+    assert len(first.splitlines()) == 6
+    assert _almser_selections_under_hash_seed(1) == first
+
+
 # -- TransER ----------------------------------------------------------------------
 
 

@@ -10,9 +10,16 @@ from repro.core import (
     MoRERConfig,
     adjusted_rand_index,
 )
-from tests.conftest import make_problem, make_problem_family
+from tests.conftest import (
+    make_problem,
+    make_problem_family,
+    make_regime_problems,
+)
 
 TOLERANCE = 1e-9
+#: ``index_threshold`` of the two paths: the serving one from the first
+#: problem on, and the exact one (the default, far above these graphs).
+SERVING, EXACT = 1, 128
 
 
 def _probes(n, seed=100):
@@ -26,51 +33,66 @@ def _probes(n, seed=100):
 
 
 def test_graph_prefilter_compares_only_candidates():
-    problems = make_problem_family(8)
-    exact = ERProblemGraph.build(problems, "ks", use_index=False)
-    filtered = ERProblemGraph.build(
-        problems, "ks", use_index=True, n_candidates=3
-    )
-    probe = make_problem("X", "Y", seed=50)
+    """Past the threshold an 80-vertex graph compares a probe with its
+    64 sketch-nearest vertices (the default width), not all 80."""
+    problems = make_regime_problems(80)
+    exact = ERProblemGraph.build(problems, "ks")
+    filtered = ERProblemGraph.build(problems, "ks", index_threshold=80)
+    probe = make_regime_problems(1, seed=50, prefix="X")[0]
+    evals = exact.stats["pair_evals"], filtered.stats["pair_evals"]
     exact.add_problem(probe)
     filtered.add_problem(probe)
-    exact_degree = len(exact.to_graph().neighbors(probe.key))
-    filtered_degree = len(filtered.to_graph().neighbors(probe.key))
-    assert exact_degree == 8
-    assert filtered_degree <= 3
+    assert exact.stats["pair_evals"] - evals[0] == 80
+    assert filtered.stats["pair_evals"] - evals[1] == 64
+    neighbours = filtered.to_graph().neighbors(probe.key)
+    assert 0 < len(neighbours) <= 64
     # Surviving edges carry the exact sim_p, and the candidates are the
-    # sketch-nearest — which, for a probe matching regime 0, should
-    # include same-regime problems.
-    for other_key, weight in filtered.to_graph().neighbors(probe.key).items():
+    # sketch-nearest: every problem of the probe's regime (regime 0)
+    # survives the prefilter.
+    for other_key, weight in neighbours.items():
         assert abs(weight - exact.similarity(probe.key, other_key)) < TOLERANCE
+    assert {problems[i].key for i in range(0, 80, 6)} <= set(neighbours)
 
 
 def test_graph_prefilter_auto_stays_exact_below_threshold():
     problems = make_problem_family(6)
-    auto = ERProblemGraph.build(problems, "ks", index_threshold=64)
-    exact = ERProblemGraph.build(problems, "ks", use_index=False)
+    auto = ERProblemGraph.build(problems, "ks", index_threshold=7)
     probe = make_problem("X", "Y", seed=51)
+    before = auto.stats["pair_evals"]
     auto.add_problem(probe)
-    exact.add_problem(probe)
-    assert not auto._prefilter_active()
-    assert len(auto.to_graph().neighbors(probe.key)) == len(
-        exact.to_graph().neighbors(probe.key)
+    assert auto.stats["pair_evals"] - before == 6  # every vertex
+    assert len(auto.to_graph().neighbors(probe.key)) == sum(
+        auto.pair_similarity(probe.key, problem.key) > 0
+        for problem in problems
     )
+    assert len(auto._sketch_index) == 0
+    assert auto._prefilter_active()  # 7 vertices: the next insert prunes
 
 
 def test_graph_prefilter_engages_past_threshold():
-    problems = make_problem_family(8)
-    graph = ERProblemGraph.build(
-        problems, "ks", index_threshold=8, n_candidates=2
-    )
+    problems = make_regime_problems(80)
+    assert not ERProblemGraph.build(
+        problems[:79], "ks", index_threshold=80
+    )._prefilter_active()
+    graph = ERProblemGraph.build(problems, "ks", index_threshold=80)
     assert graph._prefilter_active()
-    probe = make_problem("X", "Y", seed=52)
+    probe = make_regime_problems(1, seed=52, prefix="X")[0]
     graph.add_problem(probe)
-    assert len(graph.to_graph().neighbors(probe.key)) <= 2
+    assert len(graph.to_graph().neighbors(probe.key)) <= 64
     # The sketch index follows removals.
     graph.remove_problem(probe.key)
     assert probe.key not in graph._sketch_index
-    assert len(graph) == 8
+    assert len(graph) == 80
+
+
+def test_graph_candidate_validation():
+    """The graph compares against prefiltered candidates from
+    ``index_threshold`` vertices on; the setting is validated."""
+    with pytest.raises(ValueError, match="index_threshold"):
+        ERProblemGraph("ks", index_threshold=0)
+    with pytest.raises(ValueError, match="index_threshold"):
+        ERProblemGraph("ks", index_threshold=-1)
+    assert ERProblemGraph("ks", index_threshold=3).index_threshold == 3
 
 
 def test_graph_version_counter_tracks_mutations():
@@ -84,20 +106,13 @@ def test_graph_version_counter_tracks_mutations():
     assert graph.version == 6
 
 
-def test_graph_candidate_validation():
-    with pytest.raises(ValueError, match="n_candidates"):
-        ERProblemGraph("ks", n_candidates=-1)
-    with pytest.raises(ValueError, match="use_index"):
-        ERProblemGraph("ks", use_index="sometimes")
-
-
 # -- MoRER partition cache ---------------------------------------------------------
 
 
-def _fit(incremental, family, **overrides):
+def _fit(index_threshold, family, **overrides):
     config = dict(
         b_total=200, b_min=10, selection="cov", t_cov=0.6, random_state=0,
-        incremental_clustering=incremental,
+        index_threshold=index_threshold,
     )
     config.update(overrides)
     return MoRER(**config).fit(family)
@@ -107,8 +122,8 @@ def test_sel_cov_incremental_end_to_end_parity():
     """Predictions and retraining flags must match the full path on the
     seeded scenario, with clusterings within ARI 0.95 (here: 1.0)."""
     family = make_problem_family(10)
-    full = _fit(False, family)
-    incremental = _fit(True, family, use_index=True, graph_candidates=6)
+    full = _fit(EXACT, family)
+    incremental = _fit(SERVING, family)
     for probe in _probes(6):
         result_full = full.solve(probe)
         result_incremental = incremental.solve(probe)
@@ -124,27 +139,27 @@ def test_sel_cov_incremental_end_to_end_parity():
 
 
 def test_sel_cov_auto_stays_full_below_threshold():
-    """incremental_clustering='auto' (the default) must keep the full
-    recluster path — and byte-identical results — at paper scale."""
+    """Below ``index_threshold`` (the default 128) every ``sel_cov``
+    solve takes the paper's exact path: the probe is compared with
+    every vertex and the graph is reclustered by a full run."""
     family = make_problem_family(8)
-    default = _fit("auto", family)
-    full = _fit(False, family)
-    for probe in _probes(4):
-        result_default = default.solve(probe)
-        result_full = full.solve(probe)
-        assert np.array_equal(
-            result_default.predictions, result_full.predictions
-        )
-        assert result_default.retrained == result_full.retrained
+    default = MoRER(
+        b_total=200, b_min=10, selection="cov", t_cov=0.6, random_state=0,
+    ).fit(family)
+    graph = default.problem_graph
+    for step, probe in enumerate(_probes(4), start=1):
+        vertices, evals = len(graph), graph.stats["pair_evals"]
+        default.solve(probe)
+        assert graph.stats["pair_evals"] - evals == vertices
+        assert default.counters["full_reclusters"] == 1 + step
+        assert default.counters["warm_reclusters"] == 0
     assert default._inserts_since_full == 0
-    assert sorted(map(sorted, default.clusters_)) == sorted(
-        map(sorted, full.clusters_)
-    )
+    assert len(graph._sketch_index) == len(default.repository._sketch_index) == 0
 
 
 def test_sel_cov_retraining_invalidates_partition_cache():
     family = [make_problem(f"S{i}", f"T{i}", seed=i) for i in range(4)]
-    morer = _fit(True, family, t_cov=0.05, b_total=80)
+    morer = _fit(SERVING, family, t_cov=0.05, b_total=80)
     retrained = False
     for probe in _probes(3, seed=200):
         result = morer.solve(probe)
@@ -159,7 +174,7 @@ def test_sel_cov_out_of_band_removal_survives_warm_start():
     version counter and force a full recluster; the journal now replays
     it (drop the vertex, queue its neighbours) and the seed survives."""
     family = make_problem_family(8)
-    morer = _fit(True, family)
+    morer = _fit(SERVING, family)
     morer.solve(_probes(1)[0])
     assert morer._incremental_clustering_active()
     full_runs = morer.counters["full_reclusters"]
@@ -179,7 +194,7 @@ def test_sel_cov_out_of_band_removal_survives_warm_start():
 def test_sel_cov_journal_trim_forces_full_recluster():
     """Replay is only possible while the journal reaches the cursor."""
     family = make_problem_family(8)
-    morer = _fit(True, family)
+    morer = _fit(SERVING, family)
     morer.solve(_probes(1)[0])
     assert morer._incremental_clustering_active()
     graph = morer.problem_graph
@@ -194,7 +209,7 @@ def test_sel_cov_journal_trim_forces_full_recluster():
 
 def test_sel_cov_full_recluster_every_bounds_warm_streak():
     family = make_problem_family(8)
-    morer = _fit(True, family, full_recluster_every=2)
+    morer = _fit(SERVING, family, full_recluster_every=2)
     streaks = []
     for probe in _probes(5, seed=400):
         morer.solve(probe)
@@ -207,7 +222,7 @@ def test_sel_cov_full_recluster_every_bounds_warm_streak():
 
 def test_sel_cov_modularity_degradation_falls_back():
     family = make_problem_family(8)
-    morer = _fit(True, family)
+    morer = _fit(SERVING, family)
     morer.solve(_probes(1, seed=500)[0])
     assert morer._inserts_since_full == 1
     # An impossible reference forces the degradation valve: the next
@@ -219,24 +234,19 @@ def test_sel_cov_modularity_degradation_falls_back():
 
 
 def test_config_validates_incremental_knobs():
-    with pytest.raises(ValueError, match="incremental_clustering"):
-        MoRERConfig(incremental_clustering="sometimes")
     with pytest.raises(ValueError, match="recluster_tolerance"):
         MoRERConfig(recluster_tolerance=-0.1)
     with pytest.raises(ValueError, match="full_recluster_every"):
         MoRERConfig(full_recluster_every=0)
-    with pytest.raises(ValueError, match="graph_candidates"):
-        MoRERConfig(graph_candidates=-1)
     config = MoRERConfig(
-        incremental_clustering=True, recluster_tolerance=0.1,
-        full_recluster_every=10, graph_candidates=32,
+        index_threshold=64, recluster_tolerance=0.1, full_recluster_every=10,
     )
     assert MoRERConfig.from_dict(config.to_dict()) == config
 
 
 def test_sel_cov_incremental_with_non_leiden_stays_full():
     family = make_problem_family(6)
-    morer = _fit(True, family, clustering_algorithm="label_propagation")
+    morer = _fit(SERVING, family, clustering_algorithm="label_propagation")
     for probe in _probes(2, seed=600):
         morer.solve(probe)
     assert morer._inserts_since_full == 0

@@ -26,7 +26,7 @@ def _fit_warm(tmp_path=None, n_solves=4, **overrides):
     (so the warm partition, pair cache and sketch state are all live)."""
     config = dict(
         b_total=200, b_min=10, selection="cov", t_cov=0.6, random_state=0,
-        incremental_clustering=True, use_index=True, graph_candidates=6,
+        index_threshold=1,
     )
     config.update(overrides)
     morer = MoRER(**config).fit(make_problem_family(10))
@@ -94,11 +94,12 @@ def test_first_post_restart_solve_rebuilds_nothing(tmp_path):
 
 
 def test_round_trip_without_partition_state(tmp_path):
-    """Saving a non-incremental instance (no PartitionState) works and
-    the loaded instance keeps solving on the full path."""
+    """Saving an instance with no PartitionState (a non-Leiden
+    algorithm) works and the loaded instance keeps solving on the full
+    path."""
     morer = MoRER(
         b_total=200, b_min=10, selection="cov", t_cov=0.6, random_state=0,
-        incremental_clustering=False,
+        index_threshold=1, clustering_algorithm="louvain",
     ).fit(make_problem_family(8))
     probe = _probes(1, seed=40)[0]
     morer.solve(probe)
@@ -117,17 +118,35 @@ def test_save_requires_fitted_instance(tmp_path):
         MoRER().save(tmp_path / "nope")
 
 
+#: What a format-2 store holds that format 3 dropped: the index knobs
+#: besides ``index_threshold``, in the config and the graph meta.
+_FORMAT_2_KEYS = {
+    "config": {
+        "use_index": "auto", "search_candidates": 0,
+        "incremental_clustering": "auto", "graph_candidates": 0,
+    },
+    "graph": {"use_index": "auto", "n_candidates": 0, "sketch_bins": 16},
+}
+
+
 def test_load_rejects_unknown_format(tmp_path):
+    """An unknown format, and format 2 (the last one before the index
+    knobs went), are both refused by name."""
     morer = _fit_warm(n_solves=1)
     morer.save(tmp_path / "store")
-    manifest = json.loads((tmp_path / "store" / "morer.json").read_text())
-    manifest["format"] = 999
-    (tmp_path / "store" / "morer.json").write_text(json.dumps(manifest))
-    with pytest.raises(
-        UnsupportedFormatError,
-        match=f"format 999 .*reads format {PERSISTENCE_FORMAT}",
-    ):
-        MoRER.load(tmp_path / "store")
+    state_path = tmp_path / "store" / "morer.json"
+    saved = state_path.read_text()
+    for fmt, extra in ((999, {}), (2, _FORMAT_2_KEYS)):
+        state = json.loads(saved)
+        state["format"] = fmt
+        for part, keys in extra.items():
+            state[part].update(keys)
+        state_path.write_text(json.dumps(state))
+        with pytest.raises(
+            UnsupportedFormatError,
+            match=f"format {fmt} .*reads format {PERSISTENCE_FORMAT}",
+        ):
+            MoRER.load(tmp_path / "store")
 
 
 def test_snapshot_holds_nothing_derivable(tmp_path):
@@ -224,7 +243,7 @@ def test_restore_is_exact_after_a_plain_fit(tmp_path):
     instance then decides as the never-saved one does."""
     morer = MoRER(
         b_total=400, b_min=10, selection="cov", t_cov=0.6, random_state=0,
-        incremental_clustering=True,
+        index_threshold=1,
     ).fit(make_problem_family(40))
     morer.save(tmp_path / "store")
     twin = MoRER.load(tmp_path / "store")
@@ -253,26 +272,6 @@ def test_restore_after_removals_keeps_adjacency(tmp_path):
     morer.save(tmp_path / "store")
     twin = MoRER.load(tmp_path / "store")
     _assert_restored_exactly(morer, twin, removed=True)
-
-
-def test_load_ignores_legacy_signature_flag(tmp_path):
-    """Stores written while the graph still had a signature-path
-    switch carry ``"use_signatures": true`` in the graph meta; they
-    load and continue like the instance that saved them."""
-    morer = _fit_warm(n_solves=1)
-    morer.save(tmp_path / "store")
-    state_path = tmp_path / "store" / "morer.json"
-    state = json.loads(state_path.read_text())
-    assert "use_signatures" not in state["graph"]
-    state["graph"]["use_signatures"] = True
-    state_path.write_text(json.dumps(state))
-    twin = MoRER.load(tmp_path / "store")
-    assert twin.problem_graph.version == morer.problem_graph.version
-    probe = _probes(1, seed=62, prefix="L")[0]
-    mine = morer.solve(probe)
-    theirs = twin.solve(probe)
-    assert np.array_equal(mine.predictions, theirs.predictions)
-    assert mine.cluster_id == theirs.cluster_id
 
 
 def test_round_trip_preserves_pending_journal(tmp_path):

@@ -18,9 +18,16 @@ from repro.graphcluster import (
     modularity,
     partition_from_communities,
 )
-from tests.conftest import make_problem, make_problem_family
+from tests.conftest import (
+    make_problem,
+    make_problem_family,
+    make_regime_problems,
+)
 
 TOLERANCE = 1e-9
+#: ``index_threshold`` of the two paths: the serving one from the first
+#: problem on, and the exact one (the default, far above these graphs).
+SERVING, EXACT = 1, 128
 
 
 def _probes(n, seed=100, prefix="X"):
@@ -33,10 +40,10 @@ def _probes(n, seed=100, prefix="X"):
     ]
 
 
-def _fit(incremental, family, **overrides):
+def _fit(index_threshold, family, **overrides):
     config = dict(
         b_total=200, b_min=10, selection="cov", t_cov=0.6, random_state=0,
-        incremental_clustering=incremental,
+        index_threshold=index_threshold,
     )
     config.update(overrides)
     return MoRER(**config).fit(family)
@@ -160,8 +167,8 @@ def test_add_problems_matches_sequential_exact_mode():
     same adjacency order, edge weight bits and journal entries."""
     family = make_problem_family(6)
     probes = _probes(4, seed=80)
-    sequential = ERProblemGraph.build(family, "ks", use_index=False)
-    batched = ERProblemGraph.build(family, "ks", use_index=False)
+    sequential = ERProblemGraph.build(family, "ks")
+    batched = ERProblemGraph.build(family, "ks")
     for probe in probes:
         sequential.add_problem(probe)
     batched.add_problems(probes)
@@ -199,19 +206,19 @@ def test_add_problems_edges_follow_candidate_order():
 
 
 def test_add_problems_prefilters_through_the_index():
-    family = make_problem_family(10)
-    graph = ERProblemGraph.build(
-        family, "ks", use_index=True, index_threshold=1, n_candidates=3
-    )
-    probes = _probes(3, seed=81)
+    family = make_regime_problems(80)
+    graph = ERProblemGraph.build(family, "ks", index_threshold=1)
+    probes = make_regime_problems(3, seed=81, prefix="X")
     before = graph.stats["pair_evals"]
     graph.add_problems(probes)
     for probe in probes:
         degree = len(graph.to_graph().neighbors(probe.key))
-        # <= candidates + edges to/from the other two batch members
-        assert degree <= 3 + 2
-    # Far fewer comparisons than the 10+11+12 of the exact path.
-    assert graph.stats["pair_evals"] - before <= 3 * (3 + 2)
+        # <= the 64 candidates + edges to/from the other two members
+        assert degree <= 64 + 2
+    # Each member meets its 64 sketch-nearest vertices (the default
+    # width at 80 vertices) and the batch's 3 inner pairs run once:
+    # fewer comparisons than the 3 * 80 + 3 of the exact path.
+    assert graph.stats["pair_evals"] - before == 3 * 64 + 3
 
 
 def test_add_problems_rejects_duplicates():
@@ -228,7 +235,7 @@ def test_rejected_insert_leaves_graph_untouched():
     """A member whose feature count differs from the graph's is
     rejected before the first mutation — on every insertion path,
     including the MoRER solves that reach it."""
-    morer = _fit(True, make_problem_family(8))
+    morer = _fit(SERVING, make_problem_family(8))
     graph = morer.problem_graph
     # C2ST has no batch matrix to trip over the mismatch up front.
     c2st = ERProblemGraph.build(make_problem_family(3), "c2st")
@@ -261,8 +268,8 @@ def test_rejected_insert_leaves_graph_untouched():
 
 def test_solve_batch_matches_sequential_decisions():
     family = make_problem_family(10)
-    sequential = _fit(True, family, use_index=True, graph_candidates=6)
-    batched = _fit(True, family, use_index=True, graph_candidates=6)
+    sequential = _fit(SERVING, family)
+    batched = _fit(SERVING, family)
     probes = _probes(8, seed=90, prefix="B")
     singles = [sequential.solve(p) for p in probes]
     results = batched.solve_batch(probes)
@@ -280,7 +287,7 @@ def test_solve_batch_matches_sequential_decisions():
 
 def test_solve_batch_base_strategy_loops_search():
     family = make_problem_family(8)
-    morer = _fit(True, family, selection="base")
+    morer = _fit(SERVING, family, selection="base")
     probes = _probes(3, seed=91, prefix="C")
     results = morer.solve_batch(probes)
     for probe, result in zip(probes, results):
@@ -293,7 +300,7 @@ def test_solve_batch_timing_attribution_consistent():
     """Per-probe overhead shares must sum to the wall-clock overhead —
     charged once, not double-counted."""
     family = make_problem_family(10)
-    morer = _fit(True, family, use_index=True, graph_candidates=6)
+    morer = _fit(SERVING, family)
     probes = _probes(6, seed=92, prefix="D")
     before = morer.overhead_seconds()
     results = morer.solve_batch(probes)
@@ -313,7 +320,7 @@ def test_solve_batch_empty_and_unfitted():
     morer = MoRER(selection="cov")
     with pytest.raises(RuntimeError, match="not fitted"):
         morer.solve_batch([make_problem("X", "Y")])
-    fitted = _fit(True, make_problem_family(4))
+    fitted = _fit(SERVING, make_problem_family(4))
     assert fitted.solve_batch([]) == []
 
 
@@ -324,7 +331,7 @@ def test_no_full_modularity_pass_on_warm_solves(monkeypatch):
     """The degradation check reads the delta-tracked aggregates: a warm
     solve must not call ``modularity()`` at all (call-count test)."""
     family = make_problem_family(10)
-    morer = _fit(True, family, use_index=True, graph_candidates=6)
+    morer = _fit(SERVING, family)
     calls = {"n": 0}
     import importlib
     # Patch the defining module and the package's re-export (the
@@ -358,8 +365,8 @@ def test_mixed_churn_random_interleavings():
     journal cursor coherent after every step."""
     rng = np.random.default_rng(7)
     family = make_problem_family(12)
-    incremental = _fit(True, family, use_index=True, graph_candidates=8)
-    reference = _fit(False, family)
+    incremental = _fit(SERVING, family)
+    reference = _fit(EXACT, family)
     probe_pool = _probes(18, seed=500, prefix="G")
     next_probe = 0
     removable = []
@@ -431,69 +438,3 @@ def _group(partition):
     for node, label in partition.items():
         groups.setdefault(label, set()).add(node)
     return groups
-
-
-# -- compaction watermark (registered consumers) -----------------------------------
-
-
-def test_trim_journal_respects_registered_consumer_cursors():
-    graph = ERProblemGraph.build(make_problem_family(4), "ks")
-    saver = graph.register_consumer()  # at version 4 (post-build)
-    probes = _probes(3, seed=300)
-    for probe in probes:
-        graph.add_problem(probe)
-    # A fast consumer (the live partition) trims at the head, but the
-    # slow saver's cursor pins every entry it has not replayed yet.
-    graph.trim_journal(graph.version)
-    assert graph.journal_length == 3
-    assert graph.journal_since(4) is not None
-    # Advancing the saver releases the entries at the next trim.
-    graph.advance_consumer(saver, graph.version - 1)
-    graph.trim_journal(graph.version)
-    assert graph.journal_length == 1
-    assert graph.journal_since(4) is None
-    # Default advance = caught up; unregistering removes the bound.
-    graph.advance_consumer(saver)
-    assert graph.consumer_cursor(saver) == graph.version
-    graph.unregister_consumer(saver)
-    graph.add_problem(make_problem("W", "Wb", seed=400))
-    graph.trim_journal(graph.version)
-    assert graph.journal_length == 0
-
-
-def test_consumer_cursor_validation():
-    graph = ERProblemGraph.build(make_problem_family(3), "ks")
-    graph.add_problem(make_problem("X", "Xb", seed=310))
-    graph.trim_journal(graph.version)  # offset now 4
-    with pytest.raises(ValueError, match="outside the retained journal"):
-        graph.register_consumer(2)
-    with pytest.raises(ValueError, match="outside the retained journal"):
-        graph.register_consumer(graph.version + 1)
-    token = graph.register_consumer()
-    with pytest.raises(ValueError, match="only advance"):
-        graph.advance_consumer(token, graph.version - 1)
-    with pytest.raises(ValueError, match="past version"):
-        graph.advance_consumer(token, graph.version + 5)
-    with pytest.raises(KeyError, match="unknown journal consumer"):
-        graph.advance_consumer(object())
-    # Unregistering twice is harmless.
-    graph.unregister_consumer(token)
-    graph.unregister_consumer(token)
-
-
-def test_morer_trim_keeps_entries_for_slow_consumer():
-    """MoRER's per-solve trim must not outrun a registered consumer."""
-    family = make_problem_family(6)
-    morer = _fit(True, family, use_index=True, index_threshold=2)
-    token = morer.problem_graph.register_consumer()
-    version_before = morer.problem_graph.version
-    for probe in _probes(4, seed=320):
-        morer.solve(probe)
-    graph = morer.problem_graph
-    # Every insertion since registration is still replayable for the
-    # consumer, even though the partition cursor moved past them.
-    entries = graph.journal_since(version_before)
-    assert entries is not None and len(entries) == 4
-    graph.advance_consumer(token)
-    morer.solve(_probes(1, seed=330, prefix="Z")[0])
-    assert graph.journal_since(version_before) is None

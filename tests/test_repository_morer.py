@@ -10,7 +10,7 @@ from repro.core import (
     MoRERConfig,
 )
 from repro.ml import RandomForestClassifier, precision_recall_f1
-from tests.conftest import make_problem
+from tests.conftest import exact_ranking, make_problem
 
 
 # -- config -----------------------------------------------------------------------
@@ -114,7 +114,7 @@ def test_repository_retrain_invalidation_evicts_signature_and_sketch():
         make_problem(f"S{i}", f"T{i}", shift=0.0, seed=i) for i in range(6)
     ]
     repo = _fitted_entry_repo(problems)
-    repo.use_index = True  # force the sketch path regardless of size
+    repo.index_threshold = 1  # the sketch path at any size
     probe = make_problem("X", "Y", shift=0.35, seed=50)
     repo.search(probe)  # populate signature cache + sketch rows
     entry_id = next(iter(repo.entries))
@@ -130,11 +130,11 @@ def test_repository_retrain_invalidation_evicts_signature_and_sketch():
     assert entry_id not in repo._sketch_index
     # The next search rebuilds both lazily and the retrained entry now
     # wins for probes from the new regime.
-    best, similarity = repo.search(probe, n_candidates=len(repo))
+    best, similarity = repo.search(probe)
     assert best.cluster_id == entry_id
     assert entry_id in repo._sketch_index
-    exact_best, exact_similarity = repo.search(probe, use_index=False)
-    assert exact_best.cluster_id == entry_id
+    (exact_id, exact_similarity), = exact_ranking(repo, probe, top_k=1)
+    assert exact_id == entry_id
     assert abs(similarity - exact_similarity) < 1e-9
 
 
@@ -146,7 +146,7 @@ def test_repository_search_consistent_after_repeated_invalidation():
         for i in range(8)
     ]
     repo = _fitted_entry_repo(problems)
-    repo.use_index = True
+    repo.index_threshold = 1
     probe = make_problem("X", "Y", seed=9)
     for step in range(3):
         entry_id = list(repo.entries)[step % len(repo.entries)]
@@ -156,10 +156,9 @@ def test_repository_search_consistent_after_repeated_invalidation():
         )
         entry.training_features = replacement.features
         repo.invalidate_entry_cache(entry_id)
-        indexed = repo.search(probe, top_k=3, n_candidates=len(repo))
-        exact = repo.search(probe, top_k=3, use_index=False)
+        indexed = repo.search(probe, top_k=3)
         assert [e.cluster_id for e, _ in indexed] == [
-            e.cluster_id for e, _ in exact
+            cluster_id for cluster_id, _ in exact_ranking(repo, probe, 3)
         ], step
 
 

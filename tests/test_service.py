@@ -465,28 +465,3 @@ def test_save_under_concurrent_load_round_trips(tmp_path):
     restored = MoRER.load(store)
     result = restored.solve(demo_probes(1, seed=9)[0])
     assert result.predictions.size
-
-
-def test_retain_unsaved_journal_until_save(tmp_path):
-    service = MoRERService(
-        demo_morer(8), max_batch_size=4, max_wait_ms=10,
-        retain_unsaved_journal=True,
-    )
-    try:
-        service.solve_batch([
-            SolveRequest(problem=probe, strategy="cov")
-            for probe in demo_probes(3, seed=60)
-        ])
-        graph = service.morer.problem_graph
-        # The saver consumer pinned every unsaved insertion even though
-        # the live partition cursor already replayed past them.
-        assert graph.journal_length >= 3
-        service.save(tmp_path / "store")
-        service.solve(SolveRequest(
-            problem=make_problem("ZZ", "ZZb", seed=61), strategy="cov"
-        ))
-        # Post-save solve trims the saved prefix; only the new insert
-        # (newer than the saver cursor) remains pinned.
-        assert graph.journal_length == 1
-    finally:
-        service.close()

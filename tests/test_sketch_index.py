@@ -5,12 +5,13 @@ import pytest
 
 from repro.core import (
     ModelRepository,
+    MoRERConfig,
     ProblemSignature,
     SketchIndex,
     sketch_vector,
 )
 from repro.ml import RandomForestClassifier
-from tests.conftest import make_problem, make_problem_family
+from tests.conftest import exact_ranking, make_problem, make_problem_family
 
 TOLERANCE = 1e-9
 
@@ -57,12 +58,6 @@ def test_sketch_vector_accepts_raw_matrix():
 def test_index_validation():
     with pytest.raises(ValueError, match="bins"):
         SketchIndex(n_bins=1)
-    with pytest.raises(ValueError, match="metric"):
-        SketchIndex(metric="cosine")
-    with pytest.raises(ValueError, match="n_projections"):
-        SketchIndex(n_projections=-1)
-    with pytest.raises(ValueError, match="oversample"):
-        SketchIndex(oversample=0)
     index = SketchIndex()
     index.add(0, _signature(0))
     with pytest.raises(ValueError, match="n_candidates"):
@@ -128,9 +123,8 @@ def test_index_rejects_width_mismatch():
         index.query(_signature(1, n_features=5), 1)
 
 
-@pytest.mark.parametrize("metric", ["l1", "l2"])
-def test_index_query_matches_brute_force(metric):
-    index = SketchIndex(n_bins=8, metric=metric)
+def test_index_query_matches_brute_force():
+    index = SketchIndex(n_bins=8)
     signatures = [_signature(i) for i in range(40)]
     for i, signature in enumerate(signatures):
         index.add(i, signature)
@@ -139,10 +133,7 @@ def test_index_query_matches_brute_force(metric):
     reference = []
     for i, signature in enumerate(signatures):
         delta = index.sketch(signature) - probe_vector
-        distance = (
-            np.abs(delta).sum() if metric == "l1" else float(delta @ delta)
-        )
-        reference.append((distance, i))
+        reference.append((float(delta @ delta), i))
     expected = [i for _, i in sorted(reference)][:10]
     assert index.query(probe, 10) == expected
     # Asking for more than the index holds returns everything, nearest
@@ -155,87 +146,10 @@ def test_index_query_empty():
     assert SketchIndex().query(_signature(0), 5) == []
 
 
-def test_index_auto_projections_engage_at_threshold():
-    """n_projections='auto' must switch the prefilter on exactly when
-    the entry count crosses auto_threshold, with width/oversample
-    derived from the entry count, and stay a good approximation.
-
-    Uses 32-bin sketches so the sketch dim (102) exceeds the derived
-    width — narrow sketches deliberately never enable (see below)."""
-    index = SketchIndex(n_bins=32, n_projections="auto", auto_threshold=64,
-                        random_state=3)
-    reference = SketchIndex(n_bins=32, n_projections=0)
-    signatures = [_signature(i) for i in range(150)]
-    for i, signature in enumerate(signatures[:63]):
-        index.add(i, signature)
-        reference.add(i, signature)
-    assert index._projection is None  # still exact below the threshold
-    for i, signature in enumerate(signatures[63:], start=63):
-        index.add(i, signature)
-        reference.add(i, signature)
-    assert index._projection is not None
-    width = index._projection.shape[1]
-    assert width == SketchIndex.auto_projection_width(64, index.dim)
-    assert 2 <= width <= index.dim
-    assert index.oversample >= 4
-    # Rows added after the switch are mirrored into the projected
-    # matrix; earlier rows were projected in bulk at the switch.
-    assert np.allclose(
-        index._projected[:len(index)],
-        index._matrix[:len(index)] @ index._projection,
-    )
-    probe = _signature(777, loc=0.5)
-    exact_top = set(reference.query(probe, 10))
-    approx_top = set(index.query(probe, 10))
-    assert len(exact_top & approx_top) >= 6
-    # Clearing resets the auto state: a refilled small index is exact.
-    index.clear()
-    index.add(0, signatures[0])
-    assert index._projection is None
-    # Narrow sketches (derived width >= dim) never enable: a square
-    # projection only adds work and distance distortion.
-    narrow = SketchIndex(n_bins=8, n_projections="auto", auto_threshold=64)
-    for i, signature in enumerate(signatures):
-        narrow.add(i, signature)
-    assert narrow.dim == 30  # 3 features * (8 bins + 2 moments)
-    assert SketchIndex.auto_projection_width(150, 30) == 30
-    assert narrow._projection is None
-
-
-def test_index_auto_projection_width_derivation():
-    assert SketchIndex.auto_projection_width(10_000, 1_000) == max(
-        32, int(8 * np.log2(10_000))
-    )
-    # Capped at the sketch width for narrow sketches.
-    assert SketchIndex.auto_projection_width(10_000, 20) == 20
-    with pytest.raises(ValueError, match="n_projections"):
-        SketchIndex(n_projections="many")
-    with pytest.raises(ValueError, match="auto_threshold"):
-        SketchIndex(auto_threshold=0)
-
-
-def test_index_projection_prefilter():
-    """The random-projection path must stay a good approximation of the
-    full-width scan (JL: distances are preserved in expectation)."""
-    full = SketchIndex(n_bins=8)
-    projected = SketchIndex(n_bins=8, n_projections=12, oversample=4,
-                            random_state=3)
-    signatures = [_signature(i) for i in range(150)]
-    for i, signature in enumerate(signatures):
-        full.add(i, signature)
-        projected.add(i, signature)
-    probe = _signature(555, loc=0.5)
-    exact_top = set(full.query(probe, 10))
-    approx_top = set(projected.query(probe, 10))
-    assert len(exact_top & approx_top) >= 6
-    # Below the oversample cutoff the projected index scans exactly.
-    assert projected.query(probe, 100) == full.query(probe, 100)
-
-
 # -- repository wiring -------------------------------------------------------------
 
 
-def _scan_counting_repository(problems, **kwargs):
+def _scan_counting_repository(problems, index_threshold):
     """Repository whose test counts signature_similarity evaluations."""
     from repro.core import KolmogorovSmirnovTest
 
@@ -250,7 +164,7 @@ def _scan_counting_repository(problems, **kwargs):
             CountingKS.calls += len(signatures)
             return super().signature_similarity_many(probe, signatures)
 
-    repo = ModelRepository(CountingKS(), **kwargs)
+    repo = ModelRepository(CountingKS(), index_threshold=index_threshold)
     for problem in problems:
         repo.add_entry(
             {problem.key}, None, problem.features,
@@ -264,13 +178,11 @@ def test_repository_auto_threshold_switches_paths():
         make_problem(f"S{i}", f"T{i}", shift=0.1 * (i % 4), seed=i)
         for i in range(12)
     ]
-    repo, counter = _scan_counting_repository(
-        problems, index_threshold=20, n_candidates=4
-    )
+    repo, counter = _scan_counting_repository(problems, index_threshold=20)
     probe = make_problem("X", "Y", seed=99)
     repo.search(probe)
     assert counter.calls == 12  # below threshold: exact scan
-    for i in range(12, 25):
+    for i in range(12, 60):
         problem = make_problem(f"S{i}", f"T{i}", seed=i)
         repo.add_entry(
             {problem.key}, None, problem.features,
@@ -278,20 +190,37 @@ def test_repository_auto_threshold_switches_paths():
         )
     counter.calls = 0
     repo.search(make_problem("X2", "Y2", seed=100))
-    assert counter.calls == 4  # indexed: only the rerank slice
+    assert counter.calls == 48  # indexed: only the default rerank width
     counter.calls = 0
-    repo.search(make_problem("X3", "Y3", seed=101), use_index=False)
-    assert counter.calls == 25  # per-call override restores the scan
+    repo.search(make_problem("X3", "Y3", seed=101), top_k=7)
+    assert counter.calls == 56  # the width grows as 8 * top_k
+    counter.calls = 0
+    repo.index_threshold = 61
+    repo.search(make_problem("X4", "Y4", seed=102))
+    assert counter.calls == 60  # a threshold above the size: the scan
+
+
+def _assert_matches_exact(repo, probe, top_k):
+    """``repo.search`` agrees with the exact scan computed outside it:
+    the same ranking, similarities within ``TOLERANCE``."""
+    exact = exact_ranking(repo, probe, top_k)
+    found = repo.search(probe, top_k=top_k)
+    assert [entry.cluster_id for entry, _ in found] == [
+        cluster_id for cluster_id, _ in exact
+    ]
+    for (_, found_similarity), (_, exact_similarity) in zip(found, exact):
+        assert abs(found_similarity - exact_similarity) < TOLERANCE
 
 
 def test_repository_indexed_search_matches_exact_at_full_width():
-    """With n_candidates covering the whole repository the indexed path
-    must reproduce the exact ranking and similarities."""
+    """A repository within the default rerank width (48) reranks every
+    entry, so the indexed path must reproduce the exact ranking and
+    similarities."""
     problems = [
         make_problem(f"S{i}", f"T{i}", shift=0.12 * (i % 3), seed=i)
         for i in range(30)
     ]
-    repo = ModelRepository("ks", use_index=True)
+    repo = ModelRepository("ks", index_threshold=1)
     for problem in problems:
         repo.add_entry(
             {problem.key}, None, problem.features,
@@ -299,13 +228,8 @@ def test_repository_indexed_search_matches_exact_at_full_width():
         )
     for seed in range(3):
         probe = make_problem("X", "Y", shift=0.12 * seed, seed=60 + seed)
-        exact = repo.search(probe, top_k=5, use_index=False)
-        indexed = repo.search(probe, top_k=5, n_candidates=len(repo))
-        assert [e.cluster_id for e, _ in exact] == [
-            e.cluster_id for e, _ in indexed
-        ]
-        for (_, sim_a), (_, sim_b) in zip(exact, indexed):
-            assert abs(sim_a - sim_b) < TOLERANCE
+        _assert_matches_exact(repo, probe, top_k=5)
+    assert len(repo._sketch_index) == 30
 
 
 @pytest.mark.parametrize("name", ["wd", "psi", "c2st"])
@@ -316,49 +240,40 @@ def test_repository_indexed_search_other_tests(name):
         make_problem(f"S{i}", f"T{i}", shift=0.15 * (i % 3), seed=i)
         for i in range(12)
     ]
-    repo = ModelRepository(name, use_index=True)
+    repo = ModelRepository(name, index_threshold=1)
     for problem in problems:
         repo.add_entry(
             {problem.key}, None, problem.features,
             np.zeros(problem.n_pairs, dtype=int),
         )
     probe = make_problem("X", "Y", seed=77)
-    entry, similarity = repo.search(probe, n_candidates=len(repo))
-    exact_entry, exact_similarity = repo.search(probe, use_index=False)
-    assert entry.cluster_id == exact_entry.cluster_id
+    entry, similarity = repo.search(probe)
+    (exact_id, exact_similarity), = exact_ranking(repo, probe, top_k=1)
+    assert entry.cluster_id == exact_id
     assert abs(similarity - exact_similarity) < TOLERANCE
 
 
 def test_repository_use_index_validation():
-    with pytest.raises(ValueError, match="use_index"):
-        ModelRepository("ks", use_index="always")
+    """Whether the repository searches through its index is set by
+    ``index_threshold`` alone, validated in the constructor and in the
+    config the constructor reads it from."""
+    with pytest.raises(ValueError, match="index_threshold"):
+        MoRERConfig(index_threshold=0)
     with pytest.raises(ValueError, match="index_threshold"):
         ModelRepository("ks", index_threshold=0)
-    with pytest.raises(ValueError, match="n_candidates"):
-        ModelRepository("ks", n_candidates=0)
-    # Per-call overrides get the same validation as the constructor:
-    # a truthy-but-invalid string must not silently enable the index.
-    problem = make_problem()
-    repo = ModelRepository("ks")
-    repo.add_entry(
-        {problem.key}, None, problem.features,
-        np.zeros(problem.n_pairs, dtype=int),
-    )
-    with pytest.raises(ValueError, match="use_index"):
-        repo.search(problem, use_index="never")
-    with pytest.raises(ValueError, match="n_candidates"):
-        repo.search(problem, n_candidates=-5)
+    with pytest.raises(ValueError, match="index_threshold"):
+        ModelRepository("ks", index_threshold=-5)
+    assert ModelRepository(
+        "ks", MoRERConfig(index_threshold=7)
+    ).index_threshold == 7
 
 
 def test_repository_save_load_preserves_index_settings(tmp_path):
-    """Constructor-level index settings survive save/load even without
-    a config (regression: exact-mode repositories silently reverted to
-    'auto' and could serve approximate results after a reload)."""
+    """The index threshold survives save/load even without a config
+    (regression: a repository's setting silently reverted to the
+    default and could switch paths after a reload)."""
     problems = make_problem_family(4)
-    repo = ModelRepository(
-        "ks", use_index=False, index_threshold=2, n_candidates=7,
-        sketch_bins=8,
-    )
+    repo = ModelRepository("ks", index_threshold=2)
     for problem in problems:
         model = RandomForestClassifier(n_estimators=3, random_state=0)
         model.fit(problem.features, problem.labels)
@@ -367,15 +282,12 @@ def test_repository_save_load_preserves_index_settings(tmp_path):
         )
     repo.save(tmp_path / "store")
     loaded = ModelRepository.load(tmp_path / "store")
-    assert loaded.use_index is False
     assert loaded.index_threshold == 2
-    assert loaded.n_candidates == 7
-    assert loaded._sketch_index.n_bins == 8
 
 
 def test_repository_out_of_range_probe_falls_back_with_index():
     problems = make_problem_family(6)
-    repo = ModelRepository("ks", use_index=True)
+    repo = ModelRepository("ks", index_threshold=1)
     for problem in problems:
         model = RandomForestClassifier(n_estimators=3, random_state=0)
         model.fit(problem.features, problem.labels)
@@ -395,10 +307,11 @@ def test_repository_out_of_range_probe_falls_back_with_index():
 
 def test_repository_load_rebuilds_sketch_index(tmp_path):
     """Loaded entries bypass add_entry; indexed search must still see
-    every entry (regression: empty index -> empty search results)."""
-    problems = make_problem_family(6)
-    repo = ModelRepository("ks")
-    for problem in problems:
+    every entry once a store saved below the threshold outgrows it
+    (regression: empty index -> empty search results)."""
+    problems = make_problem_family(7)
+    repo = ModelRepository("ks", index_threshold=7)
+    for problem in problems[:6]:
         model = RandomForestClassifier(n_estimators=3, random_state=0)
         model.fit(problem.features, problem.labels)
         repo.add_entry(
@@ -406,15 +319,13 @@ def test_repository_load_rebuilds_sketch_index(tmp_path):
         )
     repo.save(tmp_path / "store")
     loaded = ModelRepository.load(tmp_path / "store")
+    assert "sketch_rows" not in np.load(tmp_path / "store" / "vectors.npz")
+    loaded.add_entry(
+        {problems[6].key}, None, problems[6].features, problems[6].labels
+    )
     probe = make_problem("X", "Y", seed=3)
-    indexed = loaded.search(probe, top_k=3, use_index=True,
-                            n_candidates=len(loaded))
-    exact = loaded.search(probe, top_k=3, use_index=False)
-    assert len(indexed) == 3
-    assert [e.cluster_id for e, _ in indexed] == [
-        e.cluster_id for e, _ in exact
-    ]
-    assert len(loaded._sketch_index) == len(loaded)
+    _assert_matches_exact(loaded, probe, top_k=3)
+    assert len(loaded._sketch_index) == len(loaded) == 7
 
 
 def test_repository_save_load_persists_sketch_matrix(tmp_path):
@@ -427,7 +338,7 @@ def test_repository_save_load_persists_sketch_matrix(tmp_path):
         make_problem(f"S{i}", f"T{i}", shift=0.1 * (i % 4), seed=i)
         for i in range(10)
     ]
-    repo = ModelRepository("ks", use_index=True)
+    repo = ModelRepository("ks", index_threshold=1)
     for problem in problems:
         model = RandomForestClassifier(n_estimators=3, random_state=0)
         model.fit(problem.features, problem.labels)
@@ -488,7 +399,7 @@ def test_sketch_index_export_bulk_load_round_trip():
 
 def test_repository_remove_entry_evicts_sketch_row():
     problems = make_problem_family(6)
-    repo = ModelRepository("ks", use_index=True)
+    repo = ModelRepository("ks", index_threshold=1)
     for problem in problems:
         repo.add_entry(
             {problem.key}, None, problem.features,
