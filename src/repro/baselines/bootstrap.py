@@ -145,7 +145,7 @@ class BootstrapActiveLearner:
             batch = min(self.batch_size, budget - len(selected))
             known = np.asarray(selected, dtype=int)
             y_known = np.asarray([labels[int(i)] for i in known])
-            if len(np.unique(y_known)) < 2:
+            if len(set(y_known.tolist())) < 2:
                 # Committee cannot vote without both classes; explore.
                 chosen = _random_unlabelled(labelled_mask, batch, rng)
             else:

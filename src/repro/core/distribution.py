@@ -160,15 +160,51 @@ class _UnivariateTest:
             )
         return n_features.pop()
 
-    def _aggregate_similarity_matrix(self, signatures, similarities):
-        """Shared tail of every ``signature_similarity_matrix``: fold a
-        (P, P, F) per-feature similarity tensor into the ``sim_p``
-        matrix with the symmetric std weights and a unit diagonal."""
+    #: The fold's block budget, in float64 values (64 KB): the
+    #: all-pairs kernels hand it their rows in blocks of
+    #: ``max(1, this // (P·F))`` rows, whatever P is.
+    _BLOCK_ELEMENTS = 8_192
+
+    def _fold_similarity_matrix(self, signatures, blocks):
+        """Shared tail of every ``signature_similarity_matrix``: fold
+        per-feature similarity blocks into the P×P ``sim_p`` matrix as
+        the kernel produces them, so no (P, P, F) tensor is needed.
+
+        ``blocks`` yields ``(rows, cols, similarities)``: the
+        per-feature similarities of the pairs ``rows × cols``, shape
+        ``(rows, cols, F)``, each block aggregated at once with the
+        symmetric std weights. Full rows come as a slice of rows with
+        ``cols`` ``None`` (every column). Any other block has index
+        arrays for both and is mirrored into ``matrix[cols, rows]``:
+        each per-feature similarity of a univariate test is symmetric
+        bit for bit, and so is each pair's weighted mean over its F
+        features. The diagonal is 1.
+        """
         stds = np.stack([sig.stds for sig in signatures])
-        weights = 0.5 * (stds[:, None, :] + stds[None, :, :])
-        matrix = _aggregate_rows(similarities, weights)
+        matrix = np.empty((len(signatures), len(signatures)))
+        for rows, cols, similarities in blocks:
+            if cols is None:
+                weights = 0.5 * (stds[rows, None, :] + stds[None, :, :])
+                matrix[rows] = _aggregate_rows(similarities, weights)
+            else:
+                weights = 0.5 * (stds[rows][:, None, :] + stds[cols][None, :, :])
+                values = _aggregate_rows(similarities, weights)
+                matrix[np.ix_(rows, cols)] = values
+                matrix[np.ix_(cols, rows)] = values.T
         np.fill_diagonal(matrix, 1.0)
         return matrix
+
+    def _row_blocks(self, n_problems, n_features, fill):
+        """Full-row fold blocks: ``fill(start, stop, out)`` writes the
+        (P, F) per-feature similarities of problems ``start..stop`` into
+        ``out``, one reused block of at most :attr:`_BLOCK_ELEMENTS`
+        values (or one row)."""
+        step = max(1, self._BLOCK_ELEMENTS // (n_problems * n_features))
+        block = np.empty((min(step, n_problems), n_problems, n_features))
+        for start in range(0, n_problems, step):
+            stop = min(start + step, n_problems)
+            fill(start, stop, block[:stop - start])
+            yield slice(start, stop), None, block[:stop - start]
 
 
 def _aggregate(similarities, weights):
@@ -243,52 +279,101 @@ class KolmogorovSmirnovTest(_UnivariateTest):
             rows[j] = 1.0 - np.maximum(gap_at_j, gap_at_probe)
         return rows
 
+    #: Most merged support points the all-pairs walk sorts at once: a
+    #: set whose support of all features fits walks them together (a
+    #: coalesced batch: as few numpy calls as one feature), a larger set
+    #: one feature at a time (a fit: F-fold smaller walk arrays).
+    _WALK_ELEMENTS = 32_768
+
     def signature_similarity_matrix(self, signatures):
         """All-pairs ``sim_p`` over a list of signatures in one pass.
 
-        One merged-rank kernel serves every mix of sample sizes: the M
-        support points of all problems (their concatenated flats) are
-        stably sorted once into ``merged``. Per problem ``i``, a bincount
-        of where its own points land in ``merged`` and a running sum
-        count ``i``'s values at or below every support point (the
-        integers of a right-sided ``searchsorted``), gathered back to
-        concatenated order through the inverse permutation. Dividing by
-        ``n_i``, subtracting the self-CDFs and one ``maximum.reduceat``
-        over the (problem, feature) segments fill row ``i`` of the
-        O(P²·F) gap tensor with a fixed number of numpy calls and O(M)
-        reused temporaries. The integers and float operations are those
-        of :meth:`signature_similarity`, so results are bit-identical.
+        One merged-rank kernel serves every mix of sample sizes: a walk
+        (:meth:`_walk`) fills the gap array, over all features at once
+        when their merged support fits :attr:`_WALK_ELEMENTS`, else one
+        walk per feature. The fold then aggregates the gap array's rows
+        block by block. The integers and float operations are those of
+        :meth:`signature_similarity`, so results are bit-identical.
+
+        Working memory: the gap array (8·P²·F bytes; the statistic
+        ``max(g_ij, g_ji)`` needs both orientations), one walk's arrays
+        (about ten over its merged support: Σ n_i values for one
+        feature, at most :attr:`_WALK_ELEMENTS` for all; released after
+        each walk), and one fold block.
         """
         n_problems = len(signatures)
         n_features = self._check_shared_feature_space(signatures)
-        merged = np.concatenate([sig.flat for sig in signatures])
+        # gaps[i, j, f] = sup |F_i - F_j| over j's points of feature f.
+        gaps = np.empty((n_problems, n_problems, n_features))
+        support = sum(sig.n_samples for sig in signatures)
+        if support * n_features <= self._WALK_ELEMENTS:
+            self._walk(signatures, gaps)
+        else:
+            for feature in range(n_features):
+                self._walk(signatures, gaps, feature)
+
+        def fill(start, stop, out):
+            np.maximum(
+                gaps[start:stop], gaps[:, start:stop].transpose(1, 0, 2),
+                out=out,
+            )
+            np.subtract(1.0, out, out=out)
+
+        return self._fold_similarity_matrix(
+            signatures, self._row_blocks(n_problems, n_features, fill)
+        )
+
+    @staticmethod
+    def _walk(signatures, gaps, feature=None):
+        """Fill ``gaps`` (every feature, or ``gaps[:, :, feature]``)
+        with one merged-rank walk.
+
+        The walked support points of all problems (their flats, or each
+        flat's ``feature`` segment, concatenated) are stably sorted once
+        into ``merged``. Per problem ``i``, a bincount of where its own
+        points land in ``merged`` and a running sum count ``i``'s values
+        at or below every support point (the integers of a right-sided
+        ``searchsorted``), gathered back to concatenated order through
+        the inverse permutation. Dividing by ``n_i``, subtracting the
+        self-CDFs and one ``maximum.reduceat`` over the (problem,
+        feature) segments fill row ``i`` with a fixed number of numpy
+        calls and reused temporaries.
+        """
+        sizes = [sig.n_samples for sig in signatures]
+        if feature is None:
+            n_walked = signatures[0].n_features
+            columns = [sig.flat for sig in signatures]
+            self_cdfs = [sig.self_cdf.T.ravel() for sig in signatures]
+            rows = gaps.reshape(len(signatures), -1)
+        else:
+            n_walked = 1
+            columns = [sig.flat[feature * n:(feature + 1) * n]
+                       for sig, n in zip(signatures, sizes)]
+            self_cdfs = [sig.self_cdf[:, feature] for sig in signatures]
+            rows = gaps[:, :, feature]
+        merged = np.concatenate(columns)
         order = merged.argsort(kind="stable")
         merged = merged[order]
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        self_cdf = np.concatenate([sig.self_cdf.T.ravel() for sig in signatures])
-        segments = np.repeat([sig.n_samples for sig in signatures], n_features)
+        self_cdf = np.concatenate(self_cdfs)
+        segments = np.repeat(sizes, n_walked)
         starts = np.cumsum(segments) - segments
         # Column offsets put feature f on its own range: it owns the f-th
-        # of n_features equal blocks of ``merged``, with i's f·n_i values
-        # of earlier features below it. Taking n_i back at each block
-        # start cancels those, so the running counts are per-feature.
-        block = order.size // n_features
+        # of n_walked equal blocks of ``merged``, with i's f·n_i values of
+        # earlier features below it. Taking n_i back at each block start
+        # cancels those, so the running counts are per-feature.
+        block = order.size // n_walked
         counts = np.empty_like(order)
         cdf = np.empty(order.size)
-        # gaps[i, j·F + f] = sup |F_i - F_j| over j's points of feature f.
-        gaps = np.empty((n_problems, n_problems * n_features))
-        for i, sig_i in enumerate(signatures):
-            landed = merged.searchsorted(sig_i.flat, side="left")
+        for i, (column, n_i) in enumerate(zip(columns, sizes)):
+            landed = merged.searchsorted(column, side="left")
             below = np.bincount(landed, minlength=order.size)
-            below[block::block] -= sig_i.n_samples
+            below[block::block] -= n_i
             np.take(below.cumsum(out=below), rank, out=counts)
-            np.divide(counts, sig_i.n_samples, out=cdf)
+            np.divide(counts, n_i, out=cdf)
             np.abs(np.subtract(cdf, self_cdf, out=cdf), out=cdf)
-            np.maximum.reduceat(cdf, starts, out=gaps[i])
-        gaps = gaps.reshape(n_problems, n_problems, n_features)
-        statistics = np.maximum(gaps, gaps.transpose(1, 0, 2))
-        return self._aggregate_similarity_matrix(signatures, 1.0 - statistics)
+            np.maximum.reduceat(cdf, starts, out=rows[i])
 
 
 class WassersteinTest(_UnivariateTest):
@@ -384,7 +469,10 @@ class WassersteinTest(_UnivariateTest):
         return cached
 
     #: Cap on the (rows_a, P_b, K, F) gap tensor a single chunk of the
-    #: grid kernel materializes (in float64 elements, ~64 MB).
+    #: grid kernel materializes (in float64 elements, ~64 MB). It binds
+    #: only when size groups are large; lowered to the fold's block
+    #: budget it made WD ~17% slower on dexter and a 400-problem set
+    #: (``benchmarks/bench_integration.py``) for under 1 MB less peak.
     _GRID_CHUNK_ELEMENTS = 8_000_000
 
     def _grid_distance_block(self, stacked_a, stacked_b, n_a, n_b):
@@ -443,39 +531,58 @@ class WassersteinTest(_UnivariateTest):
         per-pair merged-support integration. Pairwise results agree
         with :meth:`signature_similarity` to well below 1e-9 (summation
         order differs).
+
+        Working memory: the stacked sorted columns (the problems'
+        features once more), one row's (P, n, F) gaps or one size-group
+        pair's grid chunk (at most :attr:`_GRID_CHUNK_ELEMENTS`), and
+        one fold block: each row, or each size-group pair's block, is
+        folded into ``sim_p`` as soon as it exists.
         """
         n_problems = len(signatures)
         n_features = self._check_shared_feature_space(signatures)
-        similarities = np.ones((n_problems, n_problems, n_features))
         by_size = {}
         for i, signature in enumerate(signatures):
             by_size.setdefault(signature.n_samples, []).append(i)
         if len(by_size) == 1:
             stacked = np.stack([sig.sorted_columns for sig in signatures])
-            for i in range(n_problems):
-                distance = np.abs(stacked - stacked[i]).mean(axis=1)
-                similarities[i] = 1.0 - np.minimum(distance, 1.0)
+
+            def fill(start, stop, out):
+                for i in range(start, stop):
+                    distance = np.abs(stacked - stacked[i]).mean(axis=1)
+                    np.subtract(1.0, np.minimum(distance, 1.0), out=out[i - start])
+
+            blocks = self._row_blocks(n_problems, n_features, fill)
         else:
-            stacks = {
-                n_samples: np.stack(
-                    [signatures[i].sorted_columns for i in indices]
+            blocks = self._size_group_blocks(signatures, by_size)
+        return self._fold_similarity_matrix(signatures, blocks)
+
+    def _size_group_blocks(self, signatures, by_size):
+        """Fold blocks of the mixed-size kernel, one per size group: the
+        group's rows against its own and every larger group, assembled
+        from one grid block per pair of size groups (each unordered
+        pair once; the fold mirrors it)."""
+        sizes = sorted(by_size)
+        stacks = {
+            n_samples: np.stack([signatures[i].sorted_columns for i in indices])
+            for n_samples, indices in by_size.items()
+        }
+        # The problems in ascending size order, and where each group's
+        # columns start in it.
+        columns = np.concatenate([by_size[n_samples] for n_samples in sizes])
+        starts = np.cumsum([0] + [len(by_size[n]) for n in sizes])
+        n_features = signatures[0].n_features
+        for position, n_a in enumerate(sizes):
+            first = starts[position]
+            block = np.empty((len(by_size[n_a]), len(columns) - first, n_features))
+            for later, n_b in enumerate(sizes[position:], start=position):
+                distance = self._grid_distance_block(
+                    stacks[n_a], stacks[n_b], n_a, n_b
                 )
-                for n_samples, indices in by_size.items()
-            }
-            sizes = sorted(by_size)
-            for position, n_a in enumerate(sizes):
-                rows_a = by_size[n_a]
-                for n_b in sizes[position:]:
-                    distance = self._grid_distance_block(
-                        stacks[n_a], stacks[n_b], n_a, n_b
-                    )
-                    block = 1.0 - np.minimum(distance, 1.0)
-                    rows_b = by_size[n_b]
-                    similarities[np.ix_(rows_a, rows_b)] = block
-                    similarities[np.ix_(rows_b, rows_a)] = (
-                        block.transpose(1, 0, 2)
-                    )
-        return self._aggregate_similarity_matrix(signatures, similarities)
+                np.subtract(
+                    1.0, np.minimum(distance, 1.0),
+                    out=block[:, starts[later] - first:starts[later + 1] - first],
+                )
+            yield by_size[n_a], columns[first:], block
 
 
 class PopulationStabilityTest(_UnivariateTest):
@@ -547,19 +654,31 @@ class PopulationStabilityTest(_UnivariateTest):
         """All-pairs ``sim_p`` over a list of signatures in one pass.
 
         Bin proportions and their logs are computed once per problem
-        and the P×P PSI reduction runs row-blocked in numpy. Pairwise
+        and the P×P PSI reduction runs row by row in numpy. Pairwise
         results agree with :meth:`signature_similarity` to well below
         1e-9 (``log p_a − log p_b`` replaces ``log(p_a / p_b)``).
+
+        Working memory: the (P, F, n_bins) proportions and their logs,
+        two reused row buffers of that shape, and one fold block: each
+        row is folded into ``sim_p`` as soon as it exists.
         """
         n_problems = len(signatures)
         n_features = self._check_shared_feature_space(signatures)
         props = np.stack([self._proportions(sig) for sig in signatures])
         logs = np.log(props)
-        similarities = np.empty((n_problems, n_problems, n_features))
-        for i in range(n_problems):
-            psi = np.sum((props[i] - props) * (logs[i] - logs), axis=2)
-            similarities[i] = 1.0 / (1.0 + np.maximum(psi, 0.0))
-        return self._aggregate_similarity_matrix(signatures, similarities)
+        prop_gaps = np.empty_like(props)
+        log_gaps = np.empty_like(props)
+
+        def fill(start, stop, out):
+            for i in range(start, stop):
+                np.subtract(props[i], props, out=prop_gaps)
+                np.subtract(logs[i], logs, out=log_gaps)
+                psi = np.sum(np.multiply(prop_gaps, log_gaps, out=prop_gaps), axis=2)
+                np.divide(1.0, 1.0 + np.maximum(psi, 0.0), out=out[i - start])
+
+        return self._fold_similarity_matrix(
+            signatures, self._row_blocks(n_problems, n_features, fill)
+        )
 
 
 class ClassifierTwoSampleTest:

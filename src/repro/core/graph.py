@@ -220,7 +220,10 @@ class ERProblemGraph:
         # LRU signature store (eviction must not purge valid pairs).
         self._pair_witness = {}
         self._sketch_index = SketchIndex()
-        self._index_pending = set()
+        # Vertices not yet in the sketch matrix, in insertion order (a
+        # dict, not a set: the matrix rows, hence the stored sketch
+        # order and sketch-distance ties, must not follow the hash seed).
+        self._index_pending = {}
 
     # -- construction ------------------------------------------------------
 
@@ -367,7 +370,7 @@ class ERProblemGraph:
                 )
             else:
                 self._journal_offset += 1
-            self._index_pending.add(key)
+            self._index_pending[key] = None
 
     def _check_members(self, problems):
         """``{key: row}`` of a batch about to be inserted; raises
@@ -444,7 +447,7 @@ class ERProblemGraph:
         self._rows = {other: i for i, other in enumerate(self._keys)}
         self._journal.append(JournalEntry(JournalEntry.REMOVE, key, edges))
         self._sketch_index.discard(key)
-        self._index_pending.discard(key)
+        self._index_pending.pop(key, None)
 
     def _edges(self):
         """``(rows, earlier rows, weights, pair orders)`` of every edge,
@@ -501,15 +504,16 @@ class ERProblemGraph:
         return max(64, int(4 * math.sqrt(len(self._problems))))
 
     def _sync_sketch_index(self):
-        """Fold pending vertices into the sketch matrix."""
-        for key in list(self._index_pending):
+        """Fold pending vertices into the sketch matrix, in insertion
+        order."""
+        for key in self._index_pending:
             problem = self._problems.get(key)
             if problem is not None:
                 self._sketch_index.add(
                     key, self._signatures.signature(key, problem.features)
                 )
                 self.stats["sketch_rows_built"] += 1
-            self._index_pending.discard(key)
+        self._index_pending.clear()
 
     # -- pair cache --------------------------------------------------------
 
@@ -776,7 +780,7 @@ class ERProblemGraph:
                 arrays["sketch_rows"],
             )
         else:
-            instance._index_pending.update(keys)
+            instance._index_pending.update(dict.fromkeys(keys))
         instance._journal = [
             JournalEntry.from_json(entry) for entry in meta["journal"]
         ]

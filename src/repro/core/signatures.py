@@ -324,6 +324,12 @@ def pairwise_similarities(signatures, test):
     ``sim_p(i, j)`` in that order. The diagonal is fixed at 1.0
     (self-similarity — never consumed by the graph, which has no
     self-loops).
+
+    Working memory, beyond the P×P result: the batched kernels fold
+    their rows into ``sim_p`` in constant-size blocks, so the largest
+    transient is KS's (P, P, F) gap array, 8·P²·F bytes, plus one
+    feature's O(Σ n_i) walk arrays (see each test's
+    ``signature_similarity_matrix``); the per-pair path holds one pair.
     """
     signatures = list(signatures)
     n = len(signatures)

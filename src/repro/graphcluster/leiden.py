@@ -66,7 +66,7 @@ def leiden(graph, resolution=1.0, random_state=None, max_levels=20,
             current, part, community_strength, list(range(len(current))),
             resolution, rng,
         )
-        if not moved or len(np.unique(part)) == len(current):
+        if not moved or np.count_nonzero(np.bincount(part)) == len(current):
             break
         refined = _refine(current, part, resolution, rng, theta)
         aggregated, group = current.aggregate(refined)

@@ -2,6 +2,10 @@
 counters, and format versioning."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,3 +314,41 @@ def test_batch_solving_continues_after_restart(tmp_path):
         assert a.retrained == b.retrained
         assert a.new_model == b.new_model
     assert twin.counters["batch_solves"] == 1
+
+
+_SAVE_INGEST_SHAPED = """
+import sys
+from repro.core import MoRER, MoRERConfig
+from tests.conftest import make_regime_problems
+
+morer = MoRER(MoRERConfig(selection="cov", random_state=8401))
+morer.fit(make_regime_problems(160, seed=8401, prefix="F"))
+stream = make_regime_problems(12, seed=8402, n_regimes=8, prefix="P")
+for batch in (stream[:4], stream[4:5], stream[5:]):
+    morer.solve_batch(batch, strategy="cov")
+morer.save(sys.argv[1])
+"""
+
+
+def test_graph_store_bytes_ignore_the_hash_seed(tmp_path):
+    """An ingest-shaped fit past ``index_threshold`` plus three cov
+    ticks, saved in processes under two string-hash seeds, writes a
+    byte-identical ``graph.npz``: the graph folds its vertices into the
+    sketch matrix in insertion order, not in the iteration order of a
+    set of keys, so ``sketch_order`` and ``sketch_rows`` agree too."""
+    root = Path(__file__).resolve().parents[1]
+    stored = []
+    for hash_seed in (0, 1):
+        env = dict(
+            os.environ, PYTHONHASHSEED=str(hash_seed),
+            PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+        )
+        store = tmp_path / f"store-{hash_seed}"
+        subprocess.run(
+            [sys.executable, "-c", _SAVE_INGEST_SHAPED, str(store)],
+            env=env, cwd=root, check=True, timeout=300,
+        )
+        stored.append((store / "graph.npz").read_bytes())
+        with np.load(store / "graph.npz") as arrays:
+            assert "sketch_rows" in arrays.files
+    assert stored[0] == stored[1]

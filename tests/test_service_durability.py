@@ -5,7 +5,11 @@ recover-on-startup path."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -517,3 +521,58 @@ def test_cli_recovery_replays_and_checkpoints(tmp_path, monkeypatch):
     assert restored.problem_graph.version == live.problem_graph.version
     _, report = read_wal(wal_dir)
     assert report.n_records == 0
+
+
+_RECOVER_THEN_RETRAIN = """
+import sys
+
+import numpy
+
+if "numpy.ma" in sys.modules:
+    print("numpy.ma loads with numpy")
+    sys.exit(0)
+from repro.durability import recover
+from repro.service import MoRERService
+from tests.conftest import make_regime_problems
+
+store, wal_dir = sys.argv[1:]
+morer, _ = recover(wal_dir, store)
+stream = make_regime_problems(24, seed=4, n_regimes=8, prefix="P")
+with MoRERService(morer) as service:
+    responses = [
+        response
+        for start in range(0, len(stream), 4)
+        for response in service.solve_batch(stream[start:start + 4])
+    ]
+print(sum(response.retrained for response in responses),
+      "numpy.ma" in sys.modules)
+"""
+
+
+def test_serving_never_imports_numpy_ma(tmp_path):
+    """A recovered store serving ``cov`` ticks, retrains included,
+    never loads ``numpy.ma``: counting distinct values with
+    ``np.unique`` and no ``return_*`` flag would import it (NumPy 2.4
+    asks ``np.ma.is_masked``), and every fresh server would pay for its
+    import in time and memory."""
+    root = Path(__file__).resolve().parents[1]
+    from tests.conftest import make_regime_problems
+
+    MoRER(selection="cov", random_state=3).fit(
+        make_regime_problems(48, seed=3, prefix="F")
+    ).save(tmp_path / "store")
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _RECOVER_THEN_RETRAIN,
+         str(tmp_path / "store"), str(tmp_path / "wal")],
+        env=env, cwd=root, check=True, capture_output=True, text=True,
+        timeout=300,
+    ).stdout.split()
+    if out[0] == "numpy.ma":
+        pytest.skip("this NumPy imports numpy.ma with numpy itself")
+    retrains, loaded = int(out[0]), out[1]
+    assert retrains >= 1
+    assert loaded == "False"
