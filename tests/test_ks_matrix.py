@@ -66,9 +66,15 @@ def problem_sets(draw):
     return matrices
 
 
-def _both_kernels(matrices, name):
+def _both_kernels(matrices, name, budget=None):
+    """The kernel's and the oracle's matrices; ``budget`` overrides the
+    kernel's block budgets (1: one-row fold blocks and, for KS, one
+    walk per feature)."""
     test_class, reference = ORACLES[name]
     test = test_class()
+    if budget is not None:
+        test._BLOCK_ELEMENTS = budget
+        test._WALK_ELEMENTS = budget
     # Fresh signatures per kernel: neither may lean on the other's
     # lazily cached statistics.
     kernel = test.signature_similarity_matrix(
@@ -79,10 +85,10 @@ def _both_kernels(matrices, name):
 
 
 @settings(max_examples=60, deadline=None)
-@given(problem_sets())
+@given(problem_sets(), st.sampled_from([None, 1]))
 @pytest.mark.parametrize("name", TESTS)
-def test_all_pairs_kernels_equal_oracles_exactly(name, matrices):
-    kernel, oracle = _both_kernels(matrices, name)
+def test_all_pairs_kernels_equal_oracles_exactly(name, matrices, budget):
+    kernel, oracle = _both_kernels(matrices, name, budget)
     assert np.array_equal(kernel, oracle)
 
 
@@ -109,27 +115,17 @@ def test_all_pairs_kernels_edge_cases_equal_oracles_exactly(name):
 
 
 @pytest.mark.parametrize("name", TESTS)
-def test_kernels_equal_oracles_across_block_sizes(name, monkeypatch):
+def test_kernels_equal_oracles_across_block_sizes(name):
     """Rows fold in blocks of ``_BLOCK_ELEMENTS`` and KS walks all
     features at once only when they fit ``_WALK_ELEMENTS``: one-row
     blocks with one feature per walk, and one block with every feature
     in one walk, give the oracle's bits."""
     matrices = _mixed_size_family_matrices()
     for budget in (1, 10**9):
-        monkeypatch.setattr(
-            KolmogorovSmirnovTest, "_BLOCK_ELEMENTS", budget
-        )
-        monkeypatch.setattr(
-            KolmogorovSmirnovTest, "_WALK_ELEMENTS", budget
-        )
-        monkeypatch.setattr(WassersteinTest, "_BLOCK_ELEMENTS", budget)
-        monkeypatch.setattr(
-            PopulationStabilityTest, "_BLOCK_ELEMENTS", budget
-        )
-        kernel, oracle = _both_kernels(matrices, name)
+        kernel, oracle = _both_kernels(matrices, name, budget)
         assert np.array_equal(kernel, oracle), budget
         equal_sizes = [m[:30] for m in matrices]
-        kernel, oracle = _both_kernels(equal_sizes, name)
+        kernel, oracle = _both_kernels(equal_sizes, name, budget)
         assert np.array_equal(kernel, oracle), budget
 
 
