@@ -1,4 +1,4 @@
-"""Batched ``sel_cov`` bench: multi-probe journal replay + warm restart.
+"""Batched ``sel_cov`` bench: multi-probe row replay + warm restart.
 
 Builds MoRER instances over 400–800 initial problems and serves the
 same probe stream three ways:
@@ -6,9 +6,9 @@ same probe stream three ways:
 * **full** — the exact reference (``index_threshold`` above any size
   the run reaches): every solve integrates against all vertices and
   re-runs Leiden;
-* **seq** — warm sequential solving (one journal replay per probe);
+* **seq** — warm sequential solving (one row replay per probe);
 * **batch** — :meth:`MoRER.solve_batch` at sizes 8 and 32: one
-  sketch-prefiltered integration pass and one journal replay per
+  sketch-prefiltered integration pass and one row replay per
   batch, decisions per probe.
 
 Reported per size: amortised per-probe milliseconds for every arm, the

@@ -18,12 +18,8 @@ and dexter at scale 1.0.
 Per set and test it reports the best-of-``repeats`` time and the traced
 peak (tracemalloc, signatures warm) of kernel and reference, asserts
 identical matrices (``np.array_equal``) and asserts the kernel's peak
-within :func:`tests.matrix_reference.kernel_memory_bound`. The WD
-reference computes its quantile grids afresh, while the kernel's LRU
-of 128 grids replaces its entries during a call on a set with more
-size pairs than that, which tracemalloc counts: below P = 160 this
-reads as a higher WD peak than the reference's. It also reports two
-design costs:
+within :func:`tests.matrix_reference.kernel_memory_bound`. It also
+reports two design costs:
 
 * the KS walk: a set whose merged support of all features fits
   ``_WALK_ELEMENTS`` walks them at once, as before (the 16-probe batch,
@@ -107,7 +103,7 @@ def _compare(name, matrices, repeats):
     test = make_distribution_test(name)
     reference = REFERENCES[name]
     signatures = _signatures(matrices)
-    test.signature_similarity_matrix(signatures)  # warm WD's grid cache
+    test.signature_similarity_matrix(signatures)  # warm-up call
     kernel, kernel_peak = traced_peak(
         test.signature_similarity_matrix, signatures
     )

@@ -8,7 +8,7 @@ set of distribution regimes, then serves a probe stream through
   run reaches): every solve integrates the probe against all vertices
   and re-runs Leiden from scratch;
 * **incremental** — the warm-started path (``index_threshold=1``:
-  journal replay + the sketch-prefiltered graph insertion): bounded
+  row replay + the sketch-prefiltered graph insertion): bounded
   local moves around the inserted vertex, full reclusters only on
   modularity degradation or the periodic bound.
 

@@ -10,7 +10,7 @@ probe stream from 16 concurrent ``sel_cov`` client threads:
 * **batched** — ``max_batch_size=16``: the background scheduler
   coalesces whatever the 16 clients have in flight into one
   ``solve_batch`` tick (one sketch-prefiltered integration pass + one
-  journal replay per tick);
+  row replay per tick);
 * **instrumented** — the batched arm with the full observability stack
   live: metrics registry on (the serialised/batched arms run with
   ``metrics=False``), a per-client token bucket checked per request,

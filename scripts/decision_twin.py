@@ -1,0 +1,184 @@
+#!/usr/bin/env python3
+"""Decision twin: two revisions of MoRER decide and store identically.
+
+    python scripts/decision_twin.py --base HEAD --seeds 9901 9902 9903
+
+Exports two git revisions the way ``scripts/bench_pairs.py`` does (with
+its ``_export``; the default head is this working tree's tracked files,
+staged or not, so a new file must be ``git add``-ed to take part) and,
+in each, runs three ``sel_cov`` scenarios per seed, each in its own
+subprocess under ``PYTHONHASHSEED=0``. perfbench's
+``Generator(seed, 6, 2)`` draws the fit set, ``MoRERConfig(selection=
+"cov", random_state=seed)`` fits it, and ``solve_batch`` ticks of 1-16
+probes drawn from ``stream("S", 16, 1)`` follow:
+
+* ``fit160`` — a 160-problem fit plus 25 ticks (above the default
+  ``index_threshold`` of 128: prefiltered integration, row replay);
+* ``fit48`` — a 48-problem fit plus 25 ticks, which crosses
+  ``index_threshold`` mid-run;
+* ``fit120`` — a 120-problem fit plus 12 ticks.
+
+Per scenario it prints one digest per part: ``decisions`` (every
+probe's predictions, cluster id, retrain and new-model flags, labels
+spent and coverage, and the clusters after every tick), ``state`` (the
+counters and the RNG state), and, of a save after the last tick,
+``graph.npz``, the repository files and ``morer.json``'s ``partition``
+block. The store is then loaded and the live and the loaded instance
+solve three more ticks; ``twin`` digests the loaded one's decisions,
+which must equal the live one's. Exit code 0 when every digest of the
+head equals the base's and every loaded twin decided like its live
+instance.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+from bench_pairs import _export
+
+SCENARIOS = {"fit160": (160, 25), "fit48": (48, 25), "fit120": (120, 12)}
+
+_CHILD = r"""
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from perfbench.gen import Generator
+from repro.core import MoRER, MoRERConfig
+
+seed, n_fit, n_ticks, store = (
+    int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), Path(sys.argv[4])
+)
+
+
+def digest(value):
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def tick(morer, batch):
+    results = morer.solve_batch(batch, strategy="cov")
+    return {
+        "results": [
+            [r.predictions.astype(int).tolist(), int(r.cluster_id),
+             bool(r.retrained), bool(r.new_model), int(r.labels_spent),
+             float(r.coverage)]
+            for r in results
+        ],
+        "clusters": sorted(
+            sorted(list(key) for key in cluster)
+            for cluster in morer.clusters_
+        ),
+    }
+
+
+generator = Generator(seed, 6, 2)
+fit = generator.known("F", n_fit)
+stream = generator.stream("S", 16, 1)
+sizes = np.random.default_rng([seed, 1]).integers(1, 17, n_ticks + 3)
+batches = [[next(stream)[0] for _ in range(size)] for size in sizes]
+
+morer = MoRER(MoRERConfig(selection="cov", random_state=seed)).fit(fit)
+decisions = [tick(morer, batch) for batch in batches[:n_ticks]]
+state = {
+    "counters": morer.counters,
+    "rng": morer._rng.bit_generator.state,
+}
+morer.save(store)
+repository = {
+    str(path.relative_to(store)): hashlib.sha256(path.read_bytes()).hexdigest()
+    for path in sorted((store / "repository").rglob("*")) if path.is_file()
+}
+twin = MoRER.load(store)
+live = [tick(morer, batch) for batch in batches[n_ticks:]]
+loaded = [tick(twin, batch) for batch in batches[n_ticks:]]
+print(json.dumps({
+    "decisions": digest(decisions),
+    "state": digest(state),
+    "graph.npz": hashlib.sha256((store / "graph.npz").read_bytes()).hexdigest(),
+    "repository": digest(repository),
+    "partition": digest(
+        json.loads((store / "morer.json").read_text())["partition"]
+    ),
+    "twin": digest(loaded),
+    "twin_matches_live": digest(loaded) == digest(live),
+}))
+"""
+
+
+def _parse(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD",
+                        help="git revision (default HEAD)")
+    parser.add_argument("--head", default=None,
+                        help="git revision (default: this working tree)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[9901],
+                        help="perfbench generator seeds (default 9901)")
+    parser.add_argument("--workdir", default=None,
+                        help="where the sides are exported (default: a "
+                             "temporary directory, removed afterwards)")
+    return parser.parse_args(argv)
+
+
+def _scenario(checkout, seed, name, store):
+    """One scenario's digests in ``checkout``, from a fresh process."""
+    n_fit, n_ticks = SCENARIOS[name]
+    env = dict(
+        os.environ, PYTHONHASHSEED="0",
+        PYTHONPATH=os.pathsep.join([os.path.join(checkout, "src"), checkout]),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(seed), str(n_fit), str(n_ticks),
+         store],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    if done.returncode:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"{name} (seed {seed}) failed in {checkout}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None):
+    args = _parse(argv)
+    workdir = args.workdir or tempfile.mkdtemp(prefix="decision-twin-")
+    owns_workdir = args.workdir is None
+    same = True
+    try:
+        checkouts = {"base": _export(args.base, workdir, "base"),
+                     "head": _export(args.head, workdir, "head")}
+        for seed in args.seeds:
+            for name in SCENARIOS:
+                digests = {
+                    side: _scenario(
+                        checkout, seed, name,
+                        os.path.join(workdir, f"{side}-{name}-{seed}"),
+                    )
+                    for side, checkout in checkouts.items()
+                }
+                for part, base in digests["base"].items():
+                    head = digests["head"][part]
+                    ok = base == head
+                    if part == "twin_matches_live":
+                        ok = base is True and head is True
+                    same = same and ok
+                    print(f"seed {seed} {name:>6} {part:>17}: "
+                          f"{'same' if ok else 'DIFFERENT'}  {head}")
+    finally:
+        if owns_workdir:
+            shutil.rmtree(workdir, ignore_errors=True)
+    print("decision twin:", "identical" if same else "DIFFERENT")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

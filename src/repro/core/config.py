@@ -103,7 +103,7 @@ class MoRERConfig:
         holds this many problems, an insertion is compared (and
         connected) only with its ``max(64, 4 * sqrt(problems))``
         sketch-nearest vertices, and a Leiden recluster replays the
-        graph's mutation journal into the warm
+        graph rows past the cursor of the warm
         :class:`~repro.core.partition_state.PartitionState` instead of
         a full run.
     recluster_tolerance : float

@@ -29,7 +29,6 @@ Every test offers two equivalent entry points:
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 
 import numpy as np
 
@@ -387,17 +386,6 @@ class WassersteinTest(_UnivariateTest):
 
     name = "wd"
 
-    #: Bound on the memoized merged-quantile grids (LRU): corpora of
-    #: near-uniform sizes hit a handful of entries forever, while a
-    #: stream of all-distinct sizes cannot retain O(sizes²) arrays.
-    _GRID_CACHE_SIZE = 128
-
-    def __init__(self):
-        # (n_a, n_b) -> merged-quantile-grid (widths, idx_a, idx_b);
-        # grids depend only on the sample sizes, so a handful of
-        # entries serve every batch over typical corpora.
-        self._grid_cache = OrderedDict()
-
     def feature_similarity(self, values_a, values_b):
         """One minus the exact empirical W1 distance."""
         a = np.sort(np.asarray(values_a, dtype=float))
@@ -449,24 +437,16 @@ class WassersteinTest(_UnivariateTest):
         ``lcm(n_a, n_b)``, so segment boundaries and the floor-division
         gather indices are exact (no float-rounding flips near i/n).
         """
-        cached = self._grid_cache.get((n_a, n_b))
-        if cached is not None:
-            self._grid_cache.move_to_end((n_a, n_b))
-        else:
-            lcm = (n_a // math.gcd(n_a, n_b)) * n_b
-            step_a = lcm // n_a
-            step_b = lcm // n_b
-            edges = np.union1d(
-                np.arange(step_a, lcm + 1, step_a, dtype=np.int64),
-                np.arange(step_b, lcm + 1, step_b, dtype=np.int64),
-            )
-            starts = np.concatenate([[0], edges[:-1]])
-            widths = np.diff(np.concatenate([[0], edges])) / lcm
-            cached = (widths, starts // step_a, starts // step_b)
-            self._grid_cache[(n_a, n_b)] = cached
-            while len(self._grid_cache) > self._GRID_CACHE_SIZE:
-                self._grid_cache.popitem(last=False)
-        return cached
+        lcm = (n_a // math.gcd(n_a, n_b)) * n_b
+        step_a = lcm // n_a
+        step_b = lcm // n_b
+        edges = np.union1d(
+            np.arange(step_a, lcm + 1, step_a, dtype=np.int64),
+            np.arange(step_b, lcm + 1, step_b, dtype=np.int64),
+        )
+        starts = np.concatenate([[0], edges[:-1]])
+        widths = np.diff(np.concatenate([[0], edges])) / lcm
+        return widths, starts // step_a, starts // step_b
 
     #: Cap on the (rows_a, P_b, K, F) gap tensor a single chunk of the
     #: grid kernel materializes (in float64 elements, ~64 MB). It binds

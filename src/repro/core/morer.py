@@ -18,28 +18,25 @@ larger one reranks its sketch-nearest entries exactly
 (:mod:`repro.core.sketch_index`). A graph of fewer problems compares an
 insertion with every vertex and reclusters with a full run; a larger
 one compares it with its sketch-nearest vertices and reclusters by
-journal replay (below). Paper-scale reproductions stay exact wherever
+row replay (below). Paper-scale reproductions stay exact wherever
 their structures stay small.
 
-``sel_cov`` as a *session* over a mutation journal
---------------------------------------------------
-Probes arrive — and leave — as a stream, so the warm state is organised
-around :class:`~repro.core.graph.ERProblemGraph`'s mutation journal and
-one :class:`~repro.core.partition_state.PartitionState` (partition,
+``sel_cov`` as a *session* over graph rows
+------------------------------------------
+Probes arrive as a stream and :math:`G_P` only grows, so the warm state
+is one :class:`~repro.core.partition_state.PartitionState` (partition,
 delta-tracked per-community :math:`(L_c, K_c)` modularity aggregates,
-journal cursor). Once a Leiden graph holds ``config.index_threshold``
-problems, a solve *replays* the journal past the cursor: inserted
-probes join the seed as singletons, removed problems (repository
-maintenance, even out-of-band ``remove_problem`` calls) drop out of the
-seed with their recorded neighbours queued, and one bounded local move
-re-examines the perturbed region — regardless of whether one probe or
-a whole :meth:`MoRER.solve_batch` batch landed since. The degradation check
-reads the aggregates (O(moved region)); no full
+row cursor) over :class:`~repro.core.graph.ERProblemGraph`'s rows.
+Once a Leiden graph holds ``config.index_threshold`` problems, a solve
+*replays* the rows past the cursor: inserted probes join the seed as
+singletons with their edges to earlier rows, and one bounded local
+move re-examines the perturbed region — regardless of whether one probe
+or a whole :meth:`MoRER.solve_batch` batch landed since. The
+degradation check reads the aggregates (O(moved region)); no full
 :func:`~repro.graphcluster.modularity` pass appears on the warm path.
 A full Leiden run happens only on a modularity drop beyond
-``recluster_tolerance``, every ``full_recluster_every`` insertions,
-after Eq. 14 retraining, or when the journal cannot reach back to the
-cursor.
+``recluster_tolerance``, every ``full_recluster_every`` insertions, or
+after Eq. 14 retraining.
 
 Batching and persistence
 ------------------------
@@ -50,8 +47,8 @@ retrain per probe; integration time is attributed per-probe through
 ``SolveResult.overhead_seconds`` (never double-counted against
 :meth:`overhead_seconds`). :meth:`MoRER.save` / :meth:`MoRER.load`
 persist the whole session — config, repository, graph (problems,
-edges in creation order, the pair-cache extras, sketch matrix, pending
-journal), partition state and RNG stream — versioned under
+edges in creation order, the pair-cache extras, sketch matrix),
+partition state and RNG stream — versioned under
 :data:`PERSISTENCE_FORMAT`, so a warm restart answers its first
 ``sel_cov`` probe with zero recomputation and decides exactly as the
 never-saved instance would (see ``tests/test_morer_persistence.py``
@@ -97,9 +94,11 @@ __all__ = [
 #: loudly rather than deserialising garbage. Format 2 stores each
 #: graph fact once (see :meth:`ERProblemGraph.export_state`); format 3
 #: drops the index knobs from the config, the graph meta and the
-#: repository manifest, keeping ``index_threshold`` alone. A store
-#: written in an older format must be refitted.
-PERSISTENCE_FORMAT = 3
+#: repository manifest, keeping ``index_threshold`` alone; format 4
+#: drops the mutation journal and its version from the graph meta (the
+#: graph only grows, so its rows are the log). A store written in an
+#: older format must be refitted.
+PERSISTENCE_FORMAT = 4
 
 
 class UnsupportedFormatError(ValueError):
@@ -167,11 +166,11 @@ class MoRER:
         self.trained_keys = set()
         # Incremental sel_cov state: one PartitionState carrying the
         # warm partition, its delta-tracked modularity aggregates and
-        # the journal cursor it reflects. None = the next solve
-        # reclusters fully.
+        # the row cursor it reflects. None = the next solve reclusters
+        # fully.
         self._partition = None
         #: Runtime instrumentation: how often the solve path ran a full
-        #: Leiden pass vs accepted a journal replay, how many O(edges)
+        #: Leiden pass vs accepted a row replay, how many O(edges)
         #: quality passes were paid (aggregate rebuilds at full runs —
         #: the warm path pays none), and how many batches were served.
         self.counters = {
@@ -377,7 +376,7 @@ class MoRER:
         inserted in one call to the graph's insertion body
         (:meth:`ERProblemGraph.add_problems`, the same body a single
         :meth:`solve` runs with one probe), the partition is updated
-        by one journal replay (one bounded local move over every
+        by one row replay (one bounded local move over every
         inserted vertex), and then each probe gets its reuse/retrain
         decision in order against the shared clustering — so the
         per-solve integration overhead is amortised across the batch.
@@ -486,7 +485,7 @@ class MoRER:
 
     def _incremental_clustering_active(self):
         """Whether the *next* recluster may warm-start by replaying the
-        journal into the partition state."""
+        graph rows past the partition state's cursor."""
         if not self._track_cluster_cache():
             return False
         if self._partition is None:
@@ -495,13 +494,7 @@ class MoRER:
             self.config.full_recluster_every
         ):
             return False
-        graph = self.problem_graph
-        # Any journaled mutation — including out-of-band removals —
-        # replays; only a trimmed journal (or a bulk build epoch)
-        # forces the full path.
-        if not graph.can_replay(self._partition.cursor):
-            return False
-        return len(graph) >= self.config.index_threshold
+        return len(self.problem_graph) >= self.config.index_threshold
 
     def _timed_cluster(self):
         started = time.perf_counter()
@@ -513,14 +506,13 @@ class MoRER:
             outcome = self._partition.replay(
                 graph, config.resolution, seed
             )
-            if outcome is not None and outcome.quality >= (
+            if outcome.quality >= (
                 self._partition.reference_modularity
                 - config.recluster_tolerance
             ):
                 # Repeat solves of already-integrated problems replay
-                # an empty journal slice: nothing changed, so the warm
-                # streak does not consume the periodic full-recluster
-                # budget.
+                # no row: nothing changed, so the warm streak does not
+                # consume the periodic full-recluster budget.
                 self._partition.accept(outcome)
                 clusters = communities_from_partition(outcome.partition)
                 self.counters["warm_reclusters"] += 1
@@ -535,12 +527,6 @@ class MoRER:
                     config.resolution,
                 )
                 self.counters["full_quality_passes"] += 1
-        # Reclaim the journal entries the partition state has replayed
-        # (all of them, when no partition state is live).
-        graph.trim_journal(
-            graph.version if self._partition is None
-            else self._partition.cursor
-        )
         self._add_timing("clustering", time.perf_counter() - started)
         self.clusters_ = clusters
         return clusters
@@ -654,9 +640,9 @@ class MoRER:
           order, the memoized pairs no edge carries and the
           insertion-prefilter sketch matrix, each fact once
           (:meth:`ERProblemGraph.export_state`);
-        * ``morer.json`` — config, graph metadata + pending journal,
-          the :class:`PartitionState`, trained keys, clusters, timings
-          and the RNG stream state.
+        * ``morer.json`` — config, graph metadata, the
+          :class:`PartitionState` (with its row cursor), trained keys,
+          clusters, timings and the RNG stream state.
 
         The write is **atomic and crash-safe**: everything lands in a
         temp sibling that is fsynced and renamed into place
@@ -671,9 +657,9 @@ class MoRER:
         exactly which log records the snapshot already absorbed.
 
         :meth:`load` restores all of it, so the first post-restart
-        ``sel_cov`` solve replays the journal instead of rebuilding
-        signatures, sketches or the partition, and draws the same
-        seeds the pre-save instance would have.
+        ``sel_cov`` solve replays the rows past the cursor instead of
+        rebuilding signatures, sketches or the partition, and draws the
+        same seeds the pre-save instance would have.
         """
         if self.repository is None:
             raise NotFittedError("MoRER is not fitted; call fit() first")

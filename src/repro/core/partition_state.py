@@ -1,4 +1,4 @@
-"""The warm ``sel_cov`` partition: seed, aggregates, journal cursor.
+"""The warm ``sel_cov`` partition: seed, aggregates, row cursor.
 
 A :class:`PartitionState` is everything MoRER needs to answer "what
 does the cluster structure look like *now*" without re-running Leiden:
@@ -8,30 +8,30 @@ does the cluster structure look like *now*" without re-running Leiden:
   (:class:`~repro.graphcluster.ModularityAggregates`), so the
   ``recluster_tolerance`` degradation check never pays an O(edges)
   :func:`~repro.graphcluster.modularity` pass;
-* ``cursor`` — the graph :attr:`~repro.core.graph.ERProblemGraph.version`
-  the partition reflects;
+* ``cursor`` — how many graph rows the partition covers (the graph's
+  :attr:`~repro.core.graph.ERProblemGraph.version` when it was synced);
 * ``reference_modularity`` / ``inserts_since_full`` — the degradation
   reference from the last full run and how many insertions the warm
   streak has absorbed since.
 
-:meth:`replay` is the one mutation path: it reads the graph's mutation
-journal past the cursor, folds every insert (new singleton, edges into
-the aggregates) and removal (drop the vertex, queue its recorded
-neighbours) into a *trial* copy, then runs one bounded
+:meth:`replay` is the one mutation path. The graph only grows, so the
+rows past the cursor are everything that changed: replay folds each of
+them (a new singleton, its edges to earlier rows into the aggregates)
+into a *trial* copy, then runs one bounded
 :func:`~repro.graphcluster.local_move` over all perturbed vertices —
 one local move per replay regardless of how many probes a batch
-inserted or how many removals repository maintenance issued in between.
-The caller inspects the trial's quality and either :meth:`accept`\\ s it
-or falls back to a full recluster; a rejected trial leaves the state
-untouched.
+inserted. The caller inspects the trial's quality and either
+:meth:`accept`\\ s it or falls back to a full recluster; a rejected
+trial leaves the state untouched.
 
 Both the local move and :meth:`from_full_run`'s aggregates pass run
 the CSR kernel of :mod:`repro.graphcluster` on the graph's cached
-:meth:`~repro.core.graph.ERProblemGraph.csr` view. The partition's
-mixed labels (ints from full runs, problem keys and negative ints from
-replays) become integer codes for the kernel and come back as they
-were, in the partition dict's key order, so the state and its
-persisted form are the ones the dict implementation produced.
+:meth:`~repro.core.graph.ERProblemGraph.csr` view, and replay reads the
+new rows from the same view. The partition's mixed labels (ints from
+full runs, problem keys from replays) become integer codes for the
+kernel and come back as they were, in the partition dict's key order,
+so the state and its persisted form are the ones the dict
+implementation produced.
 
 The state is JSON-serialisable (:meth:`to_dict` / :meth:`from_dict`),
 which is what makes MoRER-level persistence cheap: a restarted process
@@ -71,7 +71,7 @@ def _decode_label(label):
 
 
 class PartitionState:
-    """Warm partition + modularity aggregates + journal cursor."""
+    """Warm partition + modularity aggregates + row cursor."""
 
     def __init__(self, partition, cursor, aggregates,
                  reference_modularity, inserts_since_full=0):
@@ -90,80 +90,46 @@ class PartitionState:
             graph.csr(), partition
         )
         return cls(
-            partition, graph.version, aggregates,
+            partition, len(graph), aggregates,
             aggregates.quality(resolution),
         )
 
     def replay(self, graph, resolution=1.0, random_state=None):
-        """Fold the journal past the cursor into a trial partition.
+        """Fold the rows past the cursor into a trial partition.
 
-        Returns a :class:`ReplayOutcome`, or ``None`` when the journal
-        no longer reaches back to the cursor (entries trimmed, or a
-        bulk :meth:`~repro.core.graph.ERProblemGraph.build` epoch) and
-        only a full recluster can answer. ``self`` is never mutated —
-        call :meth:`accept` on the outcome to commit.
+        Each new row joins as a singleton labelled by its own key, with
+        its edges to earlier rows — the head of its
+        :meth:`~repro.core.graph.ERProblemGraph.csr` neighbour list, in
+        the candidate order it was inserted with — added to the
+        aggregates. Returns a :class:`ReplayOutcome`; ``self`` is never
+        mutated — call :meth:`accept` on the outcome to commit.
         """
-        entries = graph.journal_since(self.cursor)
-        if entries is None:
-            return None
         rng = check_random_state(random_state)
         partition = dict(self.partition)
         aggregates = self.aggregates.copy()
-        # Labels already in use: an inserted vertex must start as a
-        # *genuine* singleton. Its own key is the natural label, but
-        # after remove/re-insert churn that key may still label a
-        # surviving community (a neighbour moved into it before the
-        # removal) — silently joining it would corrupt the aggregates,
-        # so collisions fall back to fresh negative ints (full runs
-        # only ever assign labels >= 0).
-        used = set(partition.values())
-        fresh = -1
-        changed = set()
-        inserts = 0
-        for entry in entries:
-            edges = entry.edges
-            self_loop = edges.get(entry.key, 0.0)
-            if self_loop:
-                edges = {
-                    k: w for k, w in edges.items() if k != entry.key
-                }
-            if entry.op == entry.INSERT:
-                label = entry.key
-                if label in used:
-                    while fresh in used:
-                        fresh -= 1
-                    label = fresh
-                    fresh -= 1
-                used.add(label)
-                partition[entry.key] = label
-                aggregates.add_node(
-                    label, edges, partition, self_loop
-                )
-                changed.add(entry.key)
-                inserts += 1
-            else:
-                label = partition.pop(entry.key, None)
-                changed.discard(entry.key)
-                if label is not None:
-                    aggregates.remove_node(
-                        label, edges, partition, self_loop
-                    )
-                changed.update(edges)
         csr = graph.csr()
+        nodes = csr.nodes
         queued = np.zeros(len(csr), dtype=bool)
-        for key in changed:
-            row = csr.index.get(key)
-            if row is not None:
-                queued[row] = True
-                queued[csr.neighbors(row)] = True
+        for row in range(self.cursor, len(csr)):
+            neighbours = csr.neighbors(row)
+            earlier = int(np.count_nonzero(neighbours < row))
+            start = csr.indptr[row]
+            key = nodes[row]
+            partition[key] = key
+            aggregates.add_node(key, zip(
+                [nodes[other] for other in neighbours[:earlier].tolist()],
+                csr.weights[start:start + earlier].tolist(),
+            ), partition)
+            queued[row] = True
+            queued[neighbours] = True
         partition, _ = local_move(
             csr, partition, resolution, rng,
-            nodes=[csr.nodes[row] for row in np.flatnonzero(queued)],
+            nodes=[nodes[row] for row in np.flatnonzero(queued)],
             aggregates=aggregates,
         )
         return ReplayOutcome(
             partition, aggregates, aggregates.quality(resolution),
-            inserts, graph.version,
+            len(csr) - self.cursor, len(csr),
         )
 
     def accept(self, outcome):

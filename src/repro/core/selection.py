@@ -15,7 +15,7 @@ probe with every vertex, and every recluster is a full run. From a
 graph of ``index_threshold`` problems on both are sublinear in graph
 size: insertion compares the probe with its
 ``max(64, 4 * sqrt(problems))`` sketch-nearest vertices, and
-reclustering replays the graph's mutation journal into MoRER's
+reclustering replays the graph rows past the cursor of MoRER's
 :class:`~repro.core.partition_state.PartitionState` (one bounded local
 move over the perturbed region, delta-tracked modularity) — see
 :meth:`MoRER._timed_cluster` for the replay/fallback policy.

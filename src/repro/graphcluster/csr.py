@@ -11,9 +11,8 @@ per-community sum adds the same floats in the same order as a dict loop
 over that adjacency, and results are bit-identical to the dict
 implementation kept in ``tests/leiden_reference.py``.
 
-Strengths and the total weight are carried, not recomputed: a graph
-that has lost vertices holds the values its owner accumulated through
-the removals, which may differ from a fresh sum by ulps.
+Strengths and the total weight are carried, not recomputed: the graph
+holds the values its owner accumulated edge by edge.
 """
 
 from __future__ import annotations

@@ -76,16 +76,6 @@ class Graph:
             del self._adj[v][u]
         self._shift_edge(u, v, -weight)
 
-    def remove_node(self, node):
-        """Remove ``node`` and all incident edges."""
-        for neighbour, weight in list(self._adj[node].items()):
-            if neighbour != node:
-                del self._adj[neighbour][node]
-                self._strengths[neighbour] -= weight
-            self._total -= weight
-        del self._adj[node]
-        del self._strengths[node]
-
     # -- queries -----------------------------------------------------------
 
     def __contains__(self, node):

@@ -46,7 +46,7 @@ def local_move(graph, partition, resolution=1.0, rng=None, nodes=None,
         Bounded work-queue variant: seed the queue with only these
         nodes instead of every node of the graph. Neighbours of moved
         nodes still join the queue, so improvements propagate outward
-        exactly as in the full sweep — the journal-replay path uses
+        exactly as in the full sweep — the row-replay path uses
         this to touch only the region around a mutation. The seed
         queue is canonicalised to graph order before the shuffle, so
         passing a set (hash-ordered) cannot leak ``PYTHONHASHSEED``

@@ -3,7 +3,7 @@
 Besides the one-shot :func:`modularity` pass this module provides
 :class:`ModularityAggregates`, the delta-tracked form used by the
 incremental ``sel_cov`` path: per-community :math:`(L_c, K_c)` sums
-updated in O(1) per node move / graph mutation, so the degradation
+updated in O(1) per node move / inserted edge, so the degradation
 check after a bounded local move costs O(moved region) instead of one
 O(edges) :func:`modularity` sweep per solve.
 """
@@ -97,18 +97,16 @@ class ModularityAggregates:
     .. math:: Q = \\frac{\\sum_c L_c}{m}
               - \\gamma \\frac{\\sum_c K_c^2}{4 m^2}
 
-    Three mutation channels keep the sums current:
+    Two mutation channels keep the sums current:
 
     * :meth:`move` — a node changes community (``local_move``);
     * :meth:`add_node` — a vertex joins as a singleton community with
-      edges to existing vertices (journal replay of an insertion);
-    * :meth:`remove_node` — a vertex leaves with its incident edges
-      (journal replay of a removal).
+      edges to existing vertices (the replay of an inserted row).
 
     Labels never get garbage-collected on reaching zero strength (float
     cancellation makes "exactly zero" unreliable); callers rebuild from
     scratch at every full recluster, which bounds the dead-label count
-    by the churn between full runs.
+    by the moves between full runs.
     """
 
     __slots__ = ("m", "intra", "strength", "intra_total", "strength_sq")
@@ -192,35 +190,16 @@ class ModularityAggregates:
         self._shift_strength(old, -k)
         self._shift_strength(new, k)
 
-    def add_node(self, label, edges, partition, self_loop=0.0):
+    def add_node(self, label, edges, partition):
         """A vertex joins as singleton community ``label`` with
-        ``edges`` (``neighbour -> weight``, neighbours only); every
-        neighbour must be covered by ``partition``."""
-        k = 2.0 * self_loop
-        for neighbour, weight in edges.items():
+        ``edges`` (``(neighbour, weight)`` pairs, in the order they are
+        summed); every neighbour must be covered by ``partition``."""
+        k = 0.0
+        for neighbour, weight in edges:
             self.m += weight
             self._shift_strength(partition[neighbour], weight)
             k += weight
-        self.m += self_loop
-        if self_loop:
-            self._shift_intra(label, self_loop)
         self._shift_strength(label, k)
-
-    def remove_node(self, label, edges, partition, self_loop=0.0):
-        """A vertex labelled ``label`` leaves with its incident
-        ``edges``; ``partition`` must no longer contain it (pop first)
-        but still cover its neighbours."""
-        k = 2.0 * self_loop
-        for neighbour, weight in edges.items():
-            self.m -= weight
-            self._shift_strength(partition[neighbour], -weight)
-            if partition[neighbour] == label:
-                self._shift_intra(label, -weight)
-            k += weight
-        self.m -= self_loop
-        if self_loop:
-            self._shift_intra(label, -self_loop)
-        self._shift_strength(label, -k)
 
     def __repr__(self):
         return (

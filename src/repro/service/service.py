@@ -21,7 +21,7 @@ coalesces whatever is queued — up to ``service_max_batch_size``
 requests, holding a non-full tick open ``service_max_wait_ms`` for
 stragglers — into **one** :meth:`MoRER.solve_batch` call per tick.
 That is exactly the amortisation :meth:`solve_batch` already provides
-(one sketch-prefiltered integration pass + one journal replay per
+(one sketch-prefiltered integration pass + one row replay per
 batch), now triggered by concurrent client pressure instead of an
 explicit batch: N clients solving simultaneously pay one integration,
 and their decisions are byte-identical to a direct ``solve_batch`` of
@@ -498,7 +498,6 @@ class MoRERService:
             n_problems=len(graph),
             total_labels_spent=morer.total_labels_spent(),
             graph_version=graph.version,
-            journal_pending=graph.journal_length,
             counters=dict(morer.counters),
             timings=dict(morer.timings),
             service=service,

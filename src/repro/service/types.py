@@ -238,7 +238,7 @@ class RepositoryStats:
     """Operational snapshot of a served repository.
 
     Combines repository facts (entries, labels spent), MoRER's runtime
-    counters/timings, the graph's journal position, and the service's
+    counters/timings, the graph's version, and the service's
     own serving counters (requests, dispatched micro-batches, largest
     coalesced batch, overload rejections).
     """
@@ -248,7 +248,6 @@ class RepositoryStats:
     n_problems: int = 0
     total_labels_spent: int = 0
     graph_version: int = 0
-    journal_pending: int = 0
     counters: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     service: dict = field(default_factory=dict)
@@ -260,7 +259,6 @@ class RepositoryStats:
             "n_problems": int(self.n_problems),
             "total_labels_spent": int(self.total_labels_spent),
             "graph_version": int(self.graph_version),
-            "journal_pending": int(self.journal_pending),
             "counters": dict(self.counters),
             "timings": dict(self.timings),
             "service": dict(self.service),
@@ -274,7 +272,6 @@ class RepositoryStats:
             n_problems=int(data.get("n_problems", 0)),
             total_labels_spent=int(data.get("total_labels_spent", 0)),
             graph_version=int(data.get("graph_version", 0)),
-            journal_pending=int(data.get("journal_pending", 0)),
             counters=dict(data.get("counters", {})),
             timings=dict(data.get("timings", {})),
             service=dict(data.get("service", {})),

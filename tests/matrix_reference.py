@@ -6,11 +6,11 @@ folded similarity rows into ``sim_p`` as they were produced, kept
 verbatim as functions of ``(test, signatures)``: each builds the full
 (P, P, F) per-feature similarity tensor and aggregates it in one pass
 (:func:`aggregate_similarity_matrix`). The helpers they called on the
-test object are copied too (the quantile-grid kernel without its LRU
-cache), so an oracle reads only the signatures and the test's
-parameters, never the code it checks. The kernels run the same float
-operations and the same F-length reduction per pair, so they must agree
-bit for bit (``np.array_equal``), not to a tolerance.
+test object are copied too (the quantile-grid kernel), so an oracle
+reads only the signatures and the test's parameters, never the code it
+checks. The kernels run the same float operations and the same
+F-length reduction per pair, so they must agree bit for bit
+(``np.array_equal``), not to a tolerance.
 """
 
 import math
@@ -181,11 +181,8 @@ def kernel_memory_bound(test, signatures):
       its merged support: Σ n_i values, or F·Σ n_i when that fits
       ``_WALK_ELEMENTS``;
     * WD: the stacked sorted columns (the features once more), one
-      gap-array-sized size-group block, the grid kernel's gathers of
-      one size-group pair (about the features once more) and its LRU
-      of merged quantile grids (three arrays of at most n_a + n_b
-      values each), which a set with more size pairs than the cache
-      holds replaces in full on every call;
+      gap-array-sized size-group block and the grid kernel's gathers
+      of one size-group pair (about the features once more);
     * PSI: the (P, F, n_bins) proportions, their logs and two row
       buffers of that shape.
 
@@ -203,9 +200,7 @@ def kernel_memory_bound(test, signatures):
         walked = support
     working = {
         "ks": gap_array + 10 * 8 * walked,
-        "wd": gap_array + 2 * features + 8 * getattr(
-            test, "_GRID_CACHE_SIZE", 0
-        ) * 3 * 2 * max(sig.n_samples for sig in signatures),
+        "wd": gap_array + 2 * features,
         "psi": 4 * 8 * n_problems * n_features * getattr(test, "n_bins", 0),
     }[test.name]
     return int(1.1 * (working + fold)) + 64 * 1024

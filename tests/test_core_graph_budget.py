@@ -67,14 +67,6 @@ def test_graph_unknown_algorithm(problem_family):
         graph.cluster("kmeans")
 
 
-def test_graph_remove_problem(problem_family):
-    graph = ERProblemGraph.build(problem_family, "ks")
-    key = problem_family[0].key
-    graph.remove_problem(key)
-    assert key not in graph
-    assert len(graph) == 5
-
-
 # -- budget distribution --------------------------------------------------------------
 
 

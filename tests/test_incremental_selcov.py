@@ -79,10 +79,6 @@ def test_graph_prefilter_engages_past_threshold():
     probe = make_regime_problems(1, seed=52, prefix="X")[0]
     graph.add_problem(probe)
     assert len(graph.to_graph().neighbors(probe.key)) <= 64
-    # The sketch index follows removals.
-    graph.remove_problem(probe.key)
-    assert probe.key not in graph._sketch_index
-    assert len(graph) == 80
 
 
 def test_graph_candidate_validation():
@@ -101,9 +97,7 @@ def test_graph_version_counter_tracks_mutations():
     assert graph.version == 4
     probe = make_problem("X", "Y", seed=53)
     graph.add_problem(probe)
-    assert graph.version == 5
-    graph.remove_problem(probe.key)
-    assert graph.version == 6
+    assert graph.version == 5 == len(graph)
 
 
 # -- MoRER partition cache ---------------------------------------------------------
@@ -169,44 +163,6 @@ def test_sel_cov_retraining_invalidates_partition_cache():
     assert retrained  # the scenario must actually exercise Eq. 14
 
 
-def test_sel_cov_out_of_band_removal_survives_warm_start():
-    """Regression: an out-of-band ``remove_problem`` used to desync the
-    version counter and force a full recluster; the journal now replays
-    it (drop the vertex, queue its neighbours) and the seed survives."""
-    family = make_problem_family(8)
-    morer = _fit(SERVING, family)
-    morer.solve(_probes(1)[0])
-    assert morer._incremental_clustering_active()
-    full_runs = morer.counters["full_reclusters"]
-    victim = next(iter(morer.problem_graph.problems()))
-    morer.problem_graph.remove_problem(victim)
-    assert morer._incremental_clustering_active()
-    result = morer.solve(_probes(2, seed=300)[1])
-    assert result.predictions is not None
-    # The removal rode the warm path: no extra full run, the streak
-    # kept absorbing, and the victim is gone from the partition.
-    assert morer.counters["full_reclusters"] == full_runs
-    assert morer._inserts_since_full == 2
-    assert all(victim not in cluster for cluster in morer.clusters_)
-    assert victim not in morer._partition.partition
-
-
-def test_sel_cov_journal_trim_forces_full_recluster():
-    """Replay is only possible while the journal reaches the cursor."""
-    family = make_problem_family(8)
-    morer = _fit(SERVING, family)
-    morer.solve(_probes(1)[0])
-    assert morer._incremental_clustering_active()
-    graph = morer.problem_graph
-    graph.add_problem(_probes(3, seed=310)[2])
-    graph.trim_journal(graph.version)  # discard before MoRER replays
-    assert not morer._incremental_clustering_active()
-    full_runs = morer.counters["full_reclusters"]
-    morer.solve(_probes(2, seed=300)[1])
-    assert morer.counters["full_reclusters"] == full_runs + 1
-    assert morer._incremental_clustering_active()  # cache rebuilt
-
-
 def test_sel_cov_full_recluster_every_bounds_warm_streak():
     family = make_problem_family(8)
     morer = _fit(SERVING, family, full_recluster_every=2)
@@ -251,7 +207,3 @@ def test_sel_cov_incremental_with_non_leiden_stays_full():
         morer.solve(probe)
     assert morer._inserts_since_full == 0
     assert morer._partition is None
-    # No consumer: the journal must not accumulate either.
-    assert morer.problem_graph.journal_since(
-        morer.problem_graph.version
-    ) == []

@@ -136,12 +136,12 @@ def test_kernels_stay_within_their_memory_bound(name):
     gives (:func:`tests.matrix_reference.kernel_memory_bound`): for KS
     one gap array, one feature's walk and one fold block. The
     full-tensor kernels peaked at 11.2 (KS), 6.8 (WD) and 6.9 MB (PSI)
-    here, against bounds of about 2.8, 4.1 and 4.0 MB."""
+    here, against bounds of about 2.8, 3.0 and 4.0 MB."""
     matrices = [p.features for p in make_regime_problems(160, seed=160)]
     test = ORACLES[name][0]()
     signatures = [ProblemSignature(m) for m in matrices]
-    # Warm: the signatures' statistics and WD's quantile-grid cache
-    # outlive the call, so they are not the kernel's working memory.
+    # Warm: the signatures' statistics outlive the call, so they are
+    # not the kernel's working memory.
     test.signature_similarity_matrix(signatures)
     matrix, peak = traced_peak(test.signature_similarity_matrix, signatures)
     assert peak <= kernel_memory_bound(test, signatures), peak

@@ -27,8 +27,9 @@ from tests.conftest import make_regime_problems
 
 
 def _random_graph(rng):
-    """Tied weights, shuffled edge insertion, self-loops, removals and
-    re-insertions: every order the dict graph can hold."""
+    """Tied weights, shuffled edge insertion and self-loops: every order
+    the dict graph can hold. (No removal draws: nothing can remove a
+    vertex any more, so no removed-and-re-added adjacency order.)"""
     nodes = [f"n{i}" for i in rng.permutation(int(rng.integers(1, 36)))]
     graph = Graph()
     for node in nodes:
@@ -39,22 +40,14 @@ def _random_graph(rng):
     for a, b in pairs:
         if rng.random() < density and (a != b or rng.random() < 0.2):
             graph.add_edge(a, b, float(rng.choice([0.25, 0.5, 1.0])))
-    for node in nodes:
-        if rng.random() < 0.1:
-            edges = dict(graph.neighbors(node))
-            graph.remove_node(node)
-            if rng.random() < 0.5:
-                for other, weight in edges.items():
-                    if other in graph:
-                        graph.add_edge(node, other, weight)
     return graph
 
 
 def _mixed_partition(graph, rng):
     """Community labels as the partition state holds them: ints from
-    full runs, node keys and negative ints from replays."""
+    full runs and node keys from replays."""
     nodes = list(graph.nodes())
-    labels = [0, 1, 2, -1, ("S0", "S1"), ("S2", "S3")]
+    labels = [0, 1, 2, ("S0", "S1"), ("S2", "S3")]
     partition = {
         node: labels[int(rng.integers(0, len(labels)))] for node in nodes
     }
@@ -121,13 +114,11 @@ def test_kernel_matches_the_dict_oracle(seed, resolution):
 
 def test_problem_graph_csr_is_its_dict_copy():
     """The array store's CSR view and ``to_graph()`` describe the same
-    graph, after batch inserts, removals and re-insertions."""
+    graph, after batch inserts."""
     problems = make_regime_problems(24, seed=1)
     graph = ERProblemGraph.build(problems[:16], "ks")
     graph.add_problems(problems[16:20])
-    graph.remove_problem(problems[3].key)
-    graph.remove_problem(problems[17].key)
-    graph.add_problems([problems[3], *problems[20:]])
+    graph.add_problems(problems[20:])
     csr, copy_ = graph.csr(), CSRGraph.from_graph(graph.to_graph())
     assert csr.nodes == copy_.nodes == list(graph.problems())
     for name in ("indptr", "indices", "weights", "strengths"):

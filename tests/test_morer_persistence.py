@@ -85,7 +85,7 @@ def test_first_post_restart_solve_rebuilds_nothing(tmp_path):
     assert twin.problem_graph._signatures.builds == 0
     result = twin.solve(probe)
     assert np.array_equal(result.predictions, warm_result.predictions)
-    # No partition rebuild: the solve replayed the journal.
+    # No partition rebuild: the solve replayed the new row.
     assert twin.counters["full_reclusters"] == 0
     assert twin.counters["full_quality_passes"] == 0
     assert twin.counters["warm_reclusters"] == 1
@@ -131,16 +131,20 @@ _FORMAT_2_KEYS = {
     },
     "graph": {"use_index": "auto", "n_candidates": 0, "sketch_bins": 16},
 }
+#: What a format-3 store holds that format 4 dropped: the graph's
+#: mutation journal and its version.
+_FORMAT_3_KEYS = {"graph": {"version": 11, "journal": []}}
 
 
 def test_load_rejects_unknown_format(tmp_path):
-    """An unknown format, and format 2 (the last one before the index
-    knobs went), are both refused by name."""
+    """An unknown format, format 2 (the last one before the index knobs
+    went) and format 3 (the last one with a mutation journal) are all
+    refused by name."""
     morer = _fit_warm(n_solves=1)
     morer.save(tmp_path / "store")
     state_path = tmp_path / "store" / "morer.json"
     saved = state_path.read_text()
-    for fmt, extra in ((999, {}), (2, _FORMAT_2_KEYS)):
+    for fmt, extra in ((999, {}), (2, _FORMAT_2_KEYS), (3, _FORMAT_3_KEYS)):
         state = json.loads(saved)
         state["format"] = fmt
         for part, keys in extra.items():
@@ -185,13 +189,10 @@ def _solve_ticks(morer, ticks):
     ]
 
 
-def _assert_restored_exactly(live, twin, removed=False):
+def _assert_restored_exactly(live, twin):
     """The loaded graph equals the live one bit for bit: node order,
     adjacency dicts, strengths, total weight, pair cache, signature
-    statistics and sketch rows. After removals (``removed``) only the
-    adjacency is exact: the live graph subtracted the removed weights
-    from its strengths and total, the replay never added them, and the
-    two sums may differ by ulps."""
+    statistics and sketch rows."""
     graph, restored = live.problem_graph, twin.problem_graph
     mine, theirs = graph.to_graph(), restored.to_graph()
     nodes = list(mine.nodes())
@@ -200,8 +201,6 @@ def _assert_restored_exactly(live, twin, removed=False):
         assert list(theirs.neighbors(key).items()) == list(
             mine.neighbors(key).items()
         ), key
-    if removed:
-        return
     for key in nodes:
         assert theirs.strength(key) == mine.strength(key)
     assert theirs.total_weight() == mine.total_weight()
@@ -268,38 +267,34 @@ def test_restore_is_exact_after_prefiltered_ticks(tmp_path):
     _assert_decides_identically(morer, twin, seed=4000)
 
 
-def test_restore_after_removals_keeps_adjacency(tmp_path):
-    morer = _fit_warm()
-    for key in [problem.key for problem in make_problem_family(10)[:3]]:
-        morer.problem_graph.remove_problem(key)
-    morer.problem_graph.add_problem(make_problem_family(10)[1])
-    morer.save(tmp_path / "store")
-    twin = MoRER.load(tmp_path / "store")
-    _assert_restored_exactly(morer, twin, removed=True)
-
-
-def test_round_trip_preserves_pending_journal(tmp_path):
-    """Mutations journaled but not yet replayed must survive the
-    restart: the loaded instance replays them on its first solve."""
+def test_round_trip_replays_rows_past_the_cursor(tmp_path):
+    """Rows added after the last solve lie past the partition cursor;
+    they survive the restart, and the loaded instance replays them on
+    its first solve, with no full recluster, deciding like the live
+    one."""
     morer = _fit_warm(n_solves=2)
-    # Out-of-band mutations after the last solve stay pending.
-    extra = _probes(1, seed=60, prefix="P")[0]
-    morer.problem_graph.add_problem(extra)
-    victim = next(iter(make_problem_family(10)[0:1])).key
-    morer.problem_graph.remove_problem(victim)
-    assert morer.problem_graph.journal_since(
-        morer._partition.cursor
-    )
+    extra = _probes(3, seed=60, prefix="P")
+    morer.problem_graph.add_problems(extra)
+    cursor = morer._partition.cursor
+    assert len(morer.problem_graph) == cursor + len(extra)
     morer.save(tmp_path / "pending")
     twin = MoRER.load(tmp_path / "pending")
-    pending = twin.problem_graph.journal_since(twin._partition.cursor)
-    assert [entry.op for entry in pending] == ["insert", "remove"]
+    assert twin._partition.cursor == cursor
+    assert list(twin.problem_graph.problems())[cursor:] == [
+        problem.key for problem in extra
+    ]
     probe = _probes(1, seed=61, prefix="Q")[0]
     mine = morer.solve(probe)
     theirs = twin.solve(probe)
     assert np.array_equal(mine.predictions, theirs.predictions)
+    assert (theirs.cluster_id, theirs.retrained, theirs.new_model) == (
+        mine.cluster_id, mine.retrained, mine.new_model
+    )
     assert twin.counters["full_reclusters"] == 0
-    assert victim not in twin._partition.partition
+    assert twin.counters["warm_reclusters"] == 1
+    assert twin._partition.partition == morer._partition.partition
+    assert twin._partition.cursor == len(twin.problem_graph)
+    _assert_decides_identically(morer, twin, seed=5000)
 
 
 def test_batch_solving_continues_after_restart(tmp_path):

@@ -1,7 +1,8 @@
-"""Mutation-journal tests: entry bookkeeping, replay exactness,
-batched insertion/solving, timing attribution, and a property-style
-mixed-churn suite driving random interleaved insert / remove /
-``solve_batch`` sequences against the full-recluster reference."""
+"""Graph-row tests: the rows as the mutation record, row-replay
+exactness (also on the prefiltered path, where candidates come in
+sketch order), batched insertion/solving, timing attribution, and a
+property-style suite driving random interleaved solve / ``solve_batch``
+sequences against the full-recluster reference."""
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ import pytest
 from repro.core import (
     ERProblemGraph,
     MoRER,
+    MoRERConfig,
     PartitionState,
     adjusted_rand_index,
+    partition_state,
 )
-from repro.core.graph import JournalEntry
 from repro.graphcluster import (
     ModularityAggregates,
     modularity,
@@ -49,50 +51,33 @@ def _fit(index_threshold, family, **overrides):
     return MoRER(**config).fit(family)
 
 
-# -- journal bookkeeping -----------------------------------------------------------
+# -- rows as the mutation record ---------------------------------------------------
 
 
 def test_journal_records_mutations_with_edges():
+    """The rows are the graph's mutation record: ``version`` counts
+    them, and a new row's edges are exactly the ones its insertion
+    created — all to earlier rows, each the last entry of the earlier
+    row's neighbour list, weighted by the pair's §4.2 similarity."""
     graph = ERProblemGraph.build(make_problem_family(5), "ks")
-    # build is an epoch boundary: version advanced, nothing replayable.
     assert graph.version == 5
-    assert graph.journal_since(0) is None
-    assert graph.journal_since(5) == []
     probe = make_problem("X", "Y", seed=50)
     graph.add_problem(probe)
-    entries = graph.journal_since(5)
-    assert len(entries) == 1
-    assert entries[0].op == JournalEntry.INSERT
-    assert entries[0].key == probe.key
-    # The journaled edges are exactly the edges the insertion created.
-    assert entries[0].edges == dict(graph.to_graph().neighbors(probe.key))
-    recorded = dict(entries[0].edges)
-    graph.remove_problem(probe.key)
-    entries = graph.journal_since(5)
-    assert [e.op for e in entries] == [
-        JournalEntry.INSERT, JournalEntry.REMOVE
-    ]
-    assert entries[1].edges == recorded
-    # Trim reclaims consumed entries and shifts the replay horizon.
-    graph.trim_journal(6)
-    assert graph.journal_since(5) is None
-    assert [e.op for e in graph.journal_since(6)] == [JournalEntry.REMOVE]
-    assert graph.can_replay(7) and not graph.can_replay(4)
-
-
-def test_journal_entry_json_round_trip():
-    entry = JournalEntry(
-        JournalEntry.REMOVE, ("A", "B"), {("C", "D"): 0.25}
-    )
-    twin = JournalEntry.from_json(entry.to_json())
-    assert twin.op == entry.op
-    assert twin.key == entry.key
-    assert twin.edges == entry.edges
+    assert graph.version == 6
+    csr = graph.csr()
+    assert csr.index[probe.key] == 5
+    neighbours = csr.neighbors(5).tolist()
+    assert neighbours and all(other < 5 for other in neighbours)
+    for other, weight in zip(neighbours, csr.weights[csr.indptr[5]:]):
+        assert csr.neighbors(other)[-1] == 5
+        assert abs(weight - graph.test.problem_similarity(
+            probe.features, graph.problem(csr.nodes[other]).features
+        )) < TOLERANCE
 
 
 def test_replay_tracks_modularity_exactly_through_churn():
     """Replayed aggregates must equal a fresh O(edges) modularity pass
-    after arbitrary insert/remove interleavings."""
+    after batched and single inserts."""
     graph = ERProblemGraph.build(make_problem_family(8), "ks")
     clusters = graph.cluster("leiden", 1.0, 0)
     state = PartitionState.from_full_run(
@@ -100,12 +85,9 @@ def test_replay_tracks_modularity_exactly_through_churn():
     )
     probes = _probes(5, seed=70)
     graph.add_problems(probes[:3])
-    graph.remove_problem(probes[1].key)
     graph.add_problem(probes[3])
-    graph.remove_problem(make_problem_family(8)[0].key)
     graph.add_problem(probes[4])
     outcome = state.replay(graph, 1.0, 0)
-    assert outcome is not None
     assert set(outcome.partition) == set(graph.problems())
     communities = {}
     for node, label in outcome.partition.items():
@@ -120,33 +102,60 @@ def test_replay_tracks_modularity_exactly_through_churn():
     assert state.inserts_since_full == 5
 
 
-def test_replay_reinsertion_label_collision_stays_exact():
-    """Regression: a re-inserted key whose old community label survived
-    (a neighbour moved into it before the removal) must start as a
-    genuine singleton — silently joining the surviving community
-    corrupted the aggregates."""
-    family = make_problem_family(8)
-    graph = ERProblemGraph.build(family, "ks")
-    clusters = graph.cluster("leiden", 1.0, 0)
-    state = PartitionState.from_full_run(
-        graph, partition_from_communities(clusters)
+def test_replay_folds_rows_in_candidate_order(monkeypatch):
+    """On the prefiltered path (``index_threshold=1``) a probe meets its
+    candidates in sketch order, not row order, and its edges keep that
+    order. The aggregates (and partition) replay hands to the local move
+    equal, bit for bit, folding the snapshot's creation-order
+    ``edge_rows`` / ``edge_weights`` of the rows past the cursor through
+    ``ModularityAggregates.add_node``."""
+    handed = []
+    move = partition_state.local_move
+
+    def spy(graph, partition, resolution, rng, nodes=None, aggregates=None):
+        state = morer._partition
+        handed.append((
+            state.cursor, len(graph), dict(state.partition),
+            state.aggregates.copy(), dict(partition), aggregates.copy(),
+        ))
+        return move(graph, partition, resolution, rng, nodes=nodes,
+                    aggregates=aggregates)
+
+    monkeypatch.setattr(partition_state, "local_move", spy)
+    morer = MoRER(MoRERConfig(
+        selection="cov", random_state=9, index_threshold=1,
+    )).fit(make_regime_problems(24, seed=9, prefix="F"))
+    stream = make_regime_problems(40, seed=10, n_regimes=8, prefix="P")
+    for size in (3, 1, 5, 2, 4, 6, 3):
+        batch, stream = stream[:size], stream[size:]
+        morer.solve_batch(batch)
+    assert len(handed) >= 3
+    _, arrays = morer.problem_graph.export_state()
+    keys = list(morer.problem_graph.problems())
+    edges = {}
+    for (new, old), weight in zip(
+        arrays["edge_rows"].tolist(), arrays["edge_weights"].tolist()
+    ):
+        edges.setdefault(new, []).append((old, weight))
+    assert any(
+        [old for old, _ in edges.get(row, [])]
+        != sorted(old for old, _ in edges.get(row, []))
+        for row in range(24, len(keys))
     )
-    probe = _probes(1, seed=75)[0]
-    # Relabel one whole community to the probe's key: exactly the state
-    # remove/re-insert churn leaves behind.
-    target = next(iter(state.partition.values()))
-    for node, label in list(state.partition.items()):
-        if label == target:
-            state.partition[node] = probe.key
-    state.aggregates = ModularityAggregates.from_partition(
-        graph.csr(), state.partition
-    )
-    graph.add_problem(probe)
-    outcome = state.replay(graph, 1.0, 0)
-    communities = list(_group(outcome.partition).values())
-    assert abs(
-        outcome.quality - modularity(graph.to_graph(), communities, 1.0)
-    ) < TOLERANCE
+    for cursor, n, partition, aggregates, got_partition, got in handed:
+        for row in range(cursor, n):
+            partition[keys[row]] = keys[row]
+            aggregates.add_node(keys[row], [
+                (keys[old], weight) for old, weight in edges.get(row, [])
+            ], partition)
+        assert list(got_partition.items()) == list(partition.items())
+        assert got.m == aggregates.m
+        assert list(got.intra.items()) == list(aggregates.intra.items())
+        assert list(got.strength.items()) == list(
+            aggregates.strength.items()
+        )
+        assert got.intra_total == aggregates.intra_total
+        assert got.strength_sq == aggregates.strength_sq
 
 
 def test_aggregates_from_partition_matches_modularity():
@@ -164,7 +173,7 @@ def test_aggregates_from_partition_matches_modularity():
 
 def test_add_problems_matches_sequential_exact_mode():
     """A KS batch insert is bit-identical to one-at-a-time inserts: the
-    same adjacency order, edge weight bits and journal entries."""
+    same adjacency order, edge weight bits and rows."""
     family = make_problem_family(6)
     probes = _probes(4, seed=80)
     sequential = ERProblemGraph.build(family, "ks")
@@ -180,29 +189,22 @@ def test_add_problems_matches_sequential_exact_mode():
         )
     assert list(batched_graph.edges()) == list(sequential_graph.edges())
     assert batched.stats == sequential.stats
-    # One journal entry per member, in insertion order.
-    entries = batched.journal_since(6)
-    assert [e.key for e in entries] == [p.key for p in probes]
-    assert [e.to_json() for e in entries] == [
-        e.to_json() for e in sequential.journal_since(6)
-    ]
 
 
 def test_add_problems_edges_follow_candidate_order():
     """Edges follow candidate order — existing vertices, then earlier
-    batch members — also when only some pairs come from the cache."""
+    batch members — so each row's neighbour list starts with its edges
+    to earlier rows in that order, before the edges later rows
+    brought."""
     family = make_problem_family(6)
-    graph = ERProblemGraph.build(family[:4], "ks")
-    target, moved = family[0], family[3]
-    graph.remove_problem(target.key)
-    graph.add_problem(family[4])  # never compared with target
-    graph.remove_problem(moved.key)
-    graph.add_problem(moved)  # now after family[4]; its pair stays cached
-    graph.add_problems([target, family[5]])
-    assert list(graph.to_graph().neighbors(target.key)) == [
-        family[1].key, family[2].key, family[4].key, moved.key,
-        family[5].key,
-    ]
+    keys = [problem.key for problem in family]
+    graph = ERProblemGraph.build(family[:3], "ks")
+    graph.add_problem(family[3])
+    graph.add_problems(family[4:])
+    adjacency = graph.to_graph()
+    assert list(adjacency.neighbors(keys[3])) == keys[:3] + keys[4:]
+    assert list(adjacency.neighbors(keys[4])) == keys[:4] + [keys[5]]
+    assert list(adjacency.neighbors(keys[5])) == keys[:5]
 
 
 def test_add_problems_prefilters_through_the_index():
@@ -359,21 +361,18 @@ def test_no_full_modularity_pass_on_warm_solves(monkeypatch):
 
 
 def test_mixed_churn_random_interleavings():
-    """Random interleaved insert / remove / solve_batch sequences: the
-    journal-replayed instance must track the full-recluster reference
+    """Random interleaved solve / solve_batch sequences: the
+    row-replayed instance must track the full-recluster reference
     (ARI >= 0.97, identical retraining decisions) while keeping its
-    journal cursor coherent after every step."""
+    row cursor coherent after every step."""
     rng = np.random.default_rng(7)
     family = make_problem_family(12)
     incremental = _fit(SERVING, family)
     reference = _fit(EXACT, family)
     probe_pool = _probes(18, seed=500, prefix="G")
     next_probe = 0
-    removable = []
     for _step in range(12):
-        op = rng.choice(["batch", "solve", "remove"])
-        if op == "remove" and not removable:
-            op = "solve"
+        op = rng.choice(["batch", "solve"])
         if op == "batch":
             size = int(rng.integers(2, 5))
             batch = probe_pool[next_probe:next_probe + size]
@@ -385,8 +384,7 @@ def test_mixed_churn_random_interleavings():
             for got, want in zip(batch_results, reference_results):
                 assert got.retrained == want.retrained
                 assert got.new_model == want.new_model
-            removable.extend(p.key for p in batch)
-        elif op == "solve":
+        else:
             if next_probe >= len(probe_pool):
                 break
             probe = probe_pool[next_probe]
@@ -395,41 +393,25 @@ def test_mixed_churn_random_interleavings():
             want = reference.solve(probe)
             assert got.retrained == want.retrained
             assert got.new_model == want.new_model
-            removable.append(probe.key)
-        else:
-            victim = removable.pop(int(rng.integers(len(removable))))
-            incremental.problem_graph.remove_problem(victim)
-            reference.problem_graph.remove_problem(victim)
         # Clustering quality tracks the full reference.
         assert adjusted_rand_index(
-            [c & set(incremental.problem_graph.problems())
-             for c in incremental.clusters_ if c
-             & set(incremental.problem_graph.problems())],
-            [c & set(reference.problem_graph.problems())
-             for c in reference.clusters_ if c
-             & set(reference.problem_graph.problems())],
+            incremental.clusters_, reference.clusters_
         ) >= 0.97
-        # Journal / partition-cursor coherence after every step.
+        # Row-cursor coherence after every step: every step reclusters,
+        # so a live partition covers exactly the graph's rows and its
+        # delta-tracked quality matches a fresh full pass.
         graph = incremental.problem_graph
         state = incremental._partition
         if state is not None:
-            assert graph.can_replay(state.cursor)
-            pending = graph.journal_since(state.cursor)
-            assert pending is not None
-            assert set(state.partition) | {
-                e.key for e in pending if e.op == JournalEntry.INSERT
-            } >= set(graph.problems())
-            if not pending:
-                # Fully synced: partition covers the graph exactly and
-                # the delta-tracked quality matches a fresh full pass.
-                assert set(state.partition) == set(graph.problems())
-                assert abs(
-                    state.aggregates.quality(1.0)
-                    - modularity(
-                        graph.to_graph(), list(_group(state.partition).values()),
-                        1.0,
-                    )
-                ) < TOLERANCE
+            assert state.cursor == len(graph)
+            assert set(state.partition) == set(graph.problems())
+            assert abs(
+                state.aggregates.quality(1.0)
+                - modularity(
+                    graph.to_graph(), list(_group(state.partition).values()),
+                    1.0,
+                )
+            ) < TOLERANCE
     assert next_probe > 8  # the scenario consumed a real stream
 
 

@@ -89,7 +89,7 @@ def test_fit_request_requires_labels():
 def test_repository_stats_round_trip():
     stats = RepositoryStats(
         fitted=True, n_entries=2, n_problems=9, total_labels_spent=40,
-        graph_version=11, journal_pending=3,
+        graph_version=11,
         counters={"batch_solves": 1}, timings={"search": 0.5},
         service={"cov_solves": 4},
     )

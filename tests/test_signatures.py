@@ -245,10 +245,6 @@ def test_wd_matrix_mixed_sizes_uses_grid_batch_not_pair_fallback():
     for j, signature in enumerate(signatures[1:]):
         raw = test.signature_similarity(signatures[0], signature)
         assert abs(many[j] - raw) < TOLERANCE, j
-    # Grids are memoized per size pair: a second call adds no entries.
-    n_grids = len(test._grid_cache)
-    test.signature_similarity_matrix(signatures)
-    assert len(test._grid_cache) == n_grids
 
 
 @pytest.mark.parametrize("name", ["wd", "psi"])
@@ -410,117 +406,42 @@ def test_graph_build_matches_naive_path(name):
     assert max(deviations) < TOLERANCE
 
 
-def test_graph_pair_cache_survives_reinsertion():
+def test_graph_batch_pairs_run_through_the_matrix_kernel():
+    """The fit set and a batch each send their inner pairs through one
+    all-pairs matrix kernel call and the batch's pairs with the
+    vertices through the one-vs-many kernel; ``stats["pair_evals"]``
+    counts exactly the pairs the kernels evaluated."""
     test = _CountingKS()
-    problems = make_problem_family(4)
-    graph = ERProblemGraph.build(problems, test)
-    calls_after_build = test.calls
-    assert calls_after_build == 6  # C(4, 2)
-    target = problems[0]
-    graph.remove_problem(target.key)
-    graph.add_problem(target)
-    # All pair similarities were memoized: no recomputation at all.
-    assert test.calls == calls_after_build
-    raw = make_distribution_test("ks")
-    for other in problems[1:]:
-        assert abs(
-            graph.similarity(target.key, other.key)
-            - _raw_edge(raw, target, other)
-        ) < TOLERANCE
-
-
-def test_graph_pair_cache_survives_batch_reinsertion():
-    """Re-inserting a removed batch reuses every memoized pair, the
-    batch's inner pairs included: no kernel runs at all. Mixed with
-    new problems, only the pairs involving those are evaluated."""
-    test = _CountingKS()
-    family = make_problem_family(8)
+    family = make_problem_family(6)
     graph = ERProblemGraph.build(family[:2], test)
-    batch = family[2:6]
-    graph.add_problems(batch)
-    # 1 build pair, 4 x 2 members-vs-vertices, 6 inner batch pairs;
-    # the fit set and the batch each go through the all-pairs kernel.
+    graph.add_problems(family[2:])
+    # 1 build pair, 4 x 2 members-vs-vertices, 6 inner batch pairs.
     assert test.calls == graph.stats["pair_evals"] == 1 + 4 * 2 + 6
-    assert test.matrix_calls == 2
-    edges = {(u, v): w for u, v, w in graph.to_graph().edges()}
-    calls, evals = test.calls, graph.stats["pair_evals"]
-    for problem in batch:
-        graph.remove_problem(problem.key)
-    graph.add_problems(batch)
-    assert test.calls == calls
-    assert graph.stats["pair_evals"] == evals
-    assert {(u, v): w for u, v, w in graph.to_graph().edges()} == edges
-    graph.remove_problem(batch[0].key)
-    graph.remove_problem(batch[1].key)
-    graph.add_problems(batch[:2] + family[6:])
-    # Each new member meets the 4 vertices, both re-inserted members
-    # and the earlier new member: 6 + 7 pairs, no cached one again.
-    assert test.calls - calls == graph.stats["pair_evals"] - evals == 13
     assert test.matrix_calls == 2
 
 
 def test_graph_pair_cache_survives_signature_lru_eviction():
     """Evicting a signature from the LRU store must not purge the
-    key's still-valid memoized pair similarities."""
+    key's memoized pair similarities: with no pair above
+    ``min_similarity`` every pair lives in the pair cache, and the
+    pairs of an evicted problem are answered without a kernel call."""
     test = _CountingKS()
     problems = make_problem_family(4)
-    graph = ERProblemGraph.build(problems, test, signature_cache_size=2)
+    graph = ERProblemGraph.build(
+        problems, test, min_similarity=1.0, signature_cache_size=2
+    )
     calls_after_build = test.calls
+    assert calls_after_build == 6  # C(4, 2)
     assert len(graph._signatures) == 2  # the other two were evicted
     evicted = problems[0]
     assert evicted.key not in graph._signatures
-    graph.remove_problem(evicted.key)
-    graph.add_problem(evicted)
-    assert test.calls == calls_after_build
-
-
-def test_graph_pair_cache_evicted_when_features_are_garbage_collected():
-    """Once a removed problem's feature matrix dies, its memoized pairs
-    can never validate again and must be evicted (bounded memory).
-
-    The matrix stays alive while the LRU signature store holds it, so
-    the eviction fires only after both the external references and the
-    store entry are gone — i.e. the pair cache is bounded by live data
-    plus the LRU capacity.
-    """
-    import gc
-
-    problems = make_problem_family(4)
-    graph = ERProblemGraph.build(problems, "ks")
-    victim_key = problems[0].key
-    others = [problem.key for problem in problems[1:]]
-    graph.remove_problem(victim_key)
-    # Removed, the victim's pairs stay memoized while its matrix lives.
-    evals = graph.stats["pair_evals"]
-    for other in others:
-        graph.pair_similarity(victim_key, other)
-    assert graph.stats["pair_evals"] == evals
-    graph._signatures.invalidate(victim_key)  # simulate LRU eviction
-    del problems[0]
-    gc.collect()
-    # Evicted: nothing answers for the victim any more.
-    for other in others:
-        with pytest.raises(KeyError):
-            graph.pair_similarity(victim_key, other)
-    assert victim_key not in graph._pair_witness
-
-
-def test_graph_purges_stale_pairs_on_changed_reinsertion():
-    problems = make_problem_family(4)
-    graph = ERProblemGraph.build(problems, "ks")
-    target = problems[0]
-    graph.remove_problem(target.key)
-    changed = make_problem(
-        target.source_a, target.source_b, shift=0.4, seed=123
-    )
-    assert changed.key == target.key
-    graph.add_problem(changed)
     raw = make_distribution_test("ks")
     for other in problems[1:]:
         assert abs(
-            graph.similarity(changed.key, other.key)
-            - _raw_edge(raw, changed, other)
+            graph.pair_similarity(evicted.key, other.key)
+            - raw.problem_similarity(evicted.features, other.features)
         ) < TOLERANCE
+    assert test.calls == calls_after_build
 
 
 def test_graph_pair_similarity_accessor():
