@@ -30,24 +30,24 @@ def main():
     morer = MoRER(b_total=200, b_min=20, al_method="bootstrap",
                   distribution_test="psi", random_state=3)
     morer.fit(split.initial)
-    store = Path(tempfile.mkdtemp()) / "music-repository"
-    morer.repository.save(store)
-    print(f"saved {len(morer.repository)} cluster models to {store}")
+    with tempfile.TemporaryDirectory() as scratch:
+        store = Path(scratch) / "music-repository"
+        morer.repository.save(store)
+        print(f"saved {len(morer.repository)} cluster models to {store}")
 
-    # Session 2: reload and serve new ER problems without refitting.
-    repository = ModelRepository.load(store)
-    truths, predictions = [], []
-    for problem in split.unsolved:
-        entry, similarity = repository.search(problem.without_labels())
-        truths.append(problem.labels)
-        predictions.append(entry.predict(problem.features))
-    precision, recall, f1 = precision_recall_f1(
-        np.concatenate(truths), np.concatenate(predictions)
-    )
-    print(f"reloaded repository served {len(split.unsolved)} problems: "
-          f"P={precision:.3f} R={recall:.3f} F1={f1:.3f}")
-    print(f"store contents: {sorted(p.name for p in store.iterdir())}")
-
+        # Session 2: reload and serve new ER problems without refitting.
+        repository = ModelRepository.load(store)
+        truths, predictions = [], []
+        for problem in split.unsolved:
+            entry, similarity = repository.search(problem.without_labels())
+            truths.append(problem.labels)
+            predictions.append(entry.predict(problem.features))
+        precision, recall, f1 = precision_recall_f1(
+            np.concatenate(truths), np.concatenate(predictions)
+        )
+        print(f"reloaded repository served {len(split.unsolved)} problems: "
+              f"P={precision:.3f} R={recall:.3f} F1={f1:.3f}")
+        print(f"store contents: {sorted(p.name for p in store.iterdir())}")
 
 if __name__ == "__main__":
     main()

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ml.metrics import f1_score
-from ..ml.utils import check_random_state
+from ..ml.utils import check_random_state, unique_classes
 from .lm_common import PairTransformerClassifier
 
 __all__ = ["AnyMatchClassifier"]
@@ -62,7 +62,7 @@ class AnyMatchClassifier:
         val_labels = sample_labels[:n_val]
         train_pairs = sample_pairs[n_val:]
         train_labels = sample_labels[n_val:]
-        if len(train_pairs) < 4 or len(np.unique(train_labels)) < 2:
+        if len(train_pairs) < 4 or len(set(train_labels.tolist())) < 2:
             train_pairs, train_labels = sample_pairs, sample_labels
             val_pairs, val_labels = sample_pairs, sample_labels
 
@@ -103,9 +103,9 @@ class AnyMatchClassifier:
 def _balanced_sample(labels, budget, rng):
     """Sample up to ``budget`` indices, keeping both classes present."""
     indices = rng.permutation(len(labels))[:budget]
-    present = np.unique(labels[indices])
+    present = unique_classes(labels[indices])
     if len(present) < 2:
-        for cls in np.unique(labels):
+        for cls in unique_classes(labels):
             if cls not in present:
                 members = np.nonzero(labels == cls)[0]
                 if len(members):

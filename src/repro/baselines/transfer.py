@@ -109,7 +109,7 @@ class TransER:
         indices, labels = self.pseudo_label(target_features)
         self.n_pseudo_labels_ = len(indices)
         X = np.asarray(target_features, dtype=float)
-        if len(indices) >= 10 and len(np.unique(labels)) == 2:
+        if len(indices) >= 10 and len(set(labels.tolist())) == 2:
             rng = check_random_state(self.random_state)
             self._target_model = RandomForestClassifier(
                 n_estimators=30, max_depth=10,

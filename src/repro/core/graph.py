@@ -23,9 +23,10 @@ Array store
 :math:`G_P` lives in arrays, not in a dict graph. Vertices are rows in
 insertion order. Edges are kept in *creation order* — each new vertex's
 edges to earlier vertices, in candidate order — as ``(row, earlier
-row, weight)`` arrays, the same rows a snapshot stores. Node strengths
-and the total weight are accumulated edge by edge in that order, the
-float sequence a dict ``Graph.add_edge`` would run.
+row, weight)`` arrays; a snapshot stores the same edges, with each
+row's edge count in place of the per-edge row. Node strengths and the
+total weight are accumulated edge by edge in that order, the float
+sequence a dict ``Graph.add_edge`` would run.
 :meth:`ERProblemGraph.csr` derives a
 :class:`~repro.graphcluster.CSRGraph` once per mutation, listing each
 vertex's neighbours in creation order of its edges; Leiden, Louvain and
@@ -405,10 +406,13 @@ class ERProblemGraph:
           ``offsets[i]:offsets[i + 1]``);
         * ``labels`` (int8) — the labelled problems' labels,
           concatenated, with the per-problem ``labelled`` flag;
-        * ``edge_rows`` (int32 ``(row, earlier row)``) and
-          ``edge_weights`` — the edge store as it is, in *creation
-          order*: the vertices in insertion order, each with its edges
-          to earlier vertices in candidate order;
+        * ``edge_counts``, ``edge_earlier`` (both int32) and
+          ``edge_weights`` — the edge store in *creation order*: the
+          vertices in insertion order, each with its edges to earlier
+          vertices in candidate order. ``edge_counts[i]`` is how many
+          edges row ``i`` brought, so each edge's new row is stored
+          once per row, not once per edge; ``edge_earlier`` and
+          ``edge_weights`` hold each edge's earlier row and weight;
         * ``pair_rows`` / ``pair_values`` — the pair cache: the
           evaluated pairs no edge carries (at or below
           ``min_similarity``, or computed on demand), in the order they
@@ -458,7 +462,9 @@ class ERProblemGraph:
             ),
         }
         new, old, weights = self._edges()
-        arrays["edge_rows"] = np.stack([new, old], axis=1).astype(np.int32)
+        arrays["edge_counts"] = np.bincount(
+            new, minlength=len(self._keys)).astype(np.int32)
+        arrays["edge_earlier"] = old.astype(np.int32)
         arrays["edge_weights"] = weights.copy()
         arrays["pair_rows"] = np.asarray(
             [(rows[key_a], rows[key_b]) for key_a, key_b in self._pair_cache],
@@ -485,11 +491,12 @@ class ERProblemGraph:
         without statistics — the same code the live graph ran derives
         them lazily from the restored features, bit for bit — so the
         restored signature store reports zero
-        :attr:`SignatureStore.builds`. The edge arrays are taken as
-        they are; strengths and the total weight are summed edge by
-        edge in creation order, which gives back the live graph's
-        values bit for bit. For order-symmetric tests the stored
-        extra pairs refill the pair cache in their stored order.
+        :attr:`SignatureStore.builds`. Each edge's new row comes back
+        from the per-row ``edge_counts``; strengths and the total
+        weight are summed edge by edge in creation order (an edge adds
+        to its new row, then to its earlier row), which gives back the
+        live graph's values bit for bit. For order-symmetric tests the
+        stored extra pairs refill the pair cache in their stored order.
         The sketch matrix comes back preloaded, so the first
         prefiltered insertion derives no sketch row.
         """
@@ -526,15 +533,16 @@ class ERProblemGraph:
             keys.append(key)
             instance._problems[key] = problem
             instance._signatures.put(key, ProblemSignature(problem.features))
-        edge_rows = arrays["edge_rows"].astype(np.intp)
+        new = np.repeat(
+            np.arange(len(keys), dtype=np.intp), arrays["edge_counts"]
+        )
+        old = arrays["edge_earlier"].astype(np.intp)
         weights = np.array(arrays["edge_weights"], dtype=float)
         n_edges = len(weights)
-        instance._edge_store = (
-            edge_rows[:, 0].copy(), edge_rows[:, 1].copy(), weights,
-        )
+        instance._edge_store = (new, old, weights)
         instance._strength = np.bincount(
-            edge_rows.reshape(-1), weights=np.repeat(weights, 2),
-            minlength=len(keys),
+            np.stack([new, old], axis=1).reshape(-1),
+            weights=np.repeat(weights, 2), minlength=len(keys),
         )
         instance._total = float(np.cumsum(weights)[-1]) if n_edges else 0.0
         if instance._cache_pairs:

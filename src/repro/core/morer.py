@@ -96,9 +96,12 @@ __all__ = [
 #: drops the index knobs from the config, the graph meta and the
 #: repository manifest, keeping ``index_threshold`` alone; format 4
 #: drops the mutation journal and its version from the graph meta (the
-#: graph only grows, so its rows are the log). A store written in an
-#: older format must be refitted.
-PERSISTENCE_FORMAT = 4
+#: graph only grows, so its rows are the log); format 5 writes each
+#: random forest as one ensemble (its trees' node arrays concatenated),
+#: ``graph.npz``'s edges as per-row counts plus each edge's earlier row
+#: (no per-edge ``edge_rows``) and a compact repository manifest. A
+#: store written in an older format must be refitted.
+PERSISTENCE_FORMAT = 5
 
 
 class UnsupportedFormatError(ValueError):
@@ -633,12 +636,14 @@ class MoRER:
         Layout (``format`` :data:`PERSISTENCE_FORMAT`):
 
         * ``repository/`` — the :meth:`ModelRepository.save` directory
-          (manifest, models, training arrays, search sketch matrix);
+          (manifest, one JSON file per model — a random forest as one
+          ensemble — training arrays, search sketch matrix);
         * ``graph.npz`` (uncompressed: the features and edge weights
           that make up most of it barely deflate) — the problems'
           concatenated features and labels, the edges in creation
-          order, the memoized pairs no edge carries and the
-          insertion-prefilter sketch matrix, each fact once
+          order (per-row counts, each edge's earlier row and weight),
+          the memoized pairs no edge carries and the insertion-prefilter
+          sketch matrix, each fact once
           (:meth:`ERProblemGraph.export_state`);
         * ``morer.json`` — config, graph metadata, the
           :class:`PartitionState` (with its row cursor), trained keys,

@@ -6,9 +6,21 @@ vectors :math:`P_{C_i}` the AL method selected (the cluster's
 *representative*, used to match new problems against the cluster), and
 bookkeeping (which problems contributed, how many labels were spent).
 
-Persistence is a plain directory — ``manifest.json`` + one ``.npz`` of
-arrays + JSON-serialised models — no pickle, so stores are portable and
-auditable (the paper's future-work backend, §7).
+Persistence is a plain directory — no pickle, so stores are portable
+and auditable (the paper's future-work backend, §7):
+
+* ``manifest.json`` (compact JSON) — the test, the config, the next
+  entry id, ``index_threshold`` and each entry's keys, labels spent and
+  model class;
+* ``vectors.npz`` — each entry's training features and labels, plus
+  the search sketch matrix once the repository is indexed;
+* ``model_<cluster id>.json`` — the entry's model from its
+  ``to_dict()``: ``__class__``, ``params`` and ``fitted``. A random
+  forest is one ensemble
+  (:meth:`~repro.ml.RandomForestClassifier.to_dict`): its params and
+  ``classes_`` once, then under ``trees`` each tree's ``random_state``
+  and ``n_nodes`` and the five node arrays concatenated in tree order;
+  other estimators list their fitted attributes.
 """
 
 from __future__ import annotations
@@ -434,7 +446,7 @@ class ModelRepository:
                     arrays["sketch_rows"] = rows
             except ValueError:
                 pass
-        (path / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        (path / "manifest.json").write_text(json.dumps(manifest))
         np.savez_compressed(path / "vectors.npz", **arrays)
 
     @classmethod

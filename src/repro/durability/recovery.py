@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 #: File the service drops inside every snapshot it takes while a WAL is
-#: attached: ``{"wal_seq": ..., "graph_version": ...}``.
+#: attached: ``{"wal_seq": ...}``, the last WAL record it absorbed.
 DURABILITY_MANIFEST = "durability.json"
 
 

@@ -6,18 +6,34 @@ drop-in replacement. Both ensembles draw their trees' seeds and
 bootstrap samples one tree after another, as a per-tree loop would, and
 hand the draw counts to :func:`repro.ml.tree.grow_trees`, which grows
 every tree together; prediction routes all trees at once through
-:class:`repro.ml.tree.TreeEnsemble`.
+:class:`repro.ml.tree.TreeEnsemble`. A random forest serialises as one
+ensemble too (:meth:`RandomForestClassifier.to_dict`): the trees' node
+arrays concatenated, with nothing a tree shares with its forest
+repeated per tree.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, ClassifierMixin
-from .tree import DecisionTreeClassifier, TreeEnsemble, grow_trees
+from .base import BaseEstimator, ClassifierMixin, _encode
+from .tree import (
+    _GROWTH_PARAMS,
+    DecisionTreeClassifier,
+    TreeEnsemble,
+    _spread,
+    grow_trees,
+)
 from .utils import check_random_state, check_X_y
 
 __all__ = ["RandomForestClassifier", "BaggingClassifier"]
+
+#: The node arrays a serialised forest holds, each concatenated over
+#: the trees in tree order, with the dtype the tree kernel gives them.
+_NODE_ARRAYS = {
+    "children_left": np.int64, "children_right": np.int64,
+    "feature": np.int64, "threshold": np.float64, "value": np.float64,
+}
 
 
 class RandomForestClassifier(BaseEstimator, ClassifierMixin):
@@ -96,6 +112,73 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
     def predict(self, X):
         """Majority-probability prediction."""
         return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
+
+    def to_dict(self):
+        """Serialise the forest as one ensemble, each fact once.
+
+        Beside the params and the forest's fitted ``classes_`` and
+        ``n_features_in_``, ``"trees"`` holds each tree's
+        ``random_state`` and ``n_nodes`` and the five node arrays
+        (:data:`_NODE_ARRAYS`), each concatenated in tree order as one
+        flat list (``value`` row by row over the forest's classes, 0
+        where a tree lacks a class). The rest of a tree follows: its
+        growth params are the forest's, and its ``classes_`` are those
+        its root counts. An unfitted forest serialises as any estimator
+        does.
+        """
+        trees = getattr(self, "estimators_", None)
+        if trees is None:
+            return super().to_dict()
+        columns = zip(*(
+            (tree.children_left_, tree.children_right_, tree.feature_,
+             tree.threshold_,
+             _spread(tree.value_, tree.classes_, self.classes_, fill=0.0))
+            for tree in trees
+        ))
+        return {
+            "__class__": type(self).__name__,
+            "params": self.get_params(),
+            "fitted": {
+                "classes_": _encode(self.classes_),
+                "n_features_in_": self.n_features_in_,
+            },
+            "trees": {
+                "random_state": [tree.random_state for tree in trees],
+                "n_nodes": [tree.n_nodes_ for tree in trees],
+                **{
+                    name: np.concatenate(column).ravel().tolist()
+                    for name, column in zip(_NODE_ARRAYS, columns)
+                },
+            },
+        }
+
+    @classmethod
+    def from_dict(cls, state):
+        """Rebuild a forest serialised with :meth:`to_dict`, handing
+        each tree its slice of the node arrays through the kernel's own
+        ``_set_fitted``, so the trees equal the fitted ones."""
+        forest = super().from_dict(state)
+        trees = state.get("trees")
+        if trees is None:
+            return forest
+        classes = forest.classes_
+        columns = [
+            np.asarray(trees[name], dtype=dtype)
+            for name, dtype in _NODE_ARRAYS.items()
+        ]
+        columns[-1] = columns[-1].reshape(-1, len(classes))
+        params = {name: getattr(forest, name) for name in _GROWTH_PARAMS}
+        ends = np.cumsum(trees["n_nodes"]).tolist()
+        forest.estimators_ = [
+            DecisionTreeClassifier(**params, random_state=seed)._set_fitted(
+                classes, forest.n_features_in_,
+                [column[end - n_nodes:end] for column in columns],
+            )
+            for seed, n_nodes, end in zip(
+                trees["random_state"], trees["n_nodes"], ends)
+        ]
+        forest._ensemble = None
+        return forest
 
 
 def _class_members(y_enc, n_classes):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin
-from .utils import check_array, check_X_y
+from .utils import check_array, check_X_y, unique_classes
 
 __all__ = ["LogisticRegression"]
 
@@ -59,7 +59,7 @@ class LogisticRegression(BaseEstimator, ClassifierMixin):
     def fit(self, X, y):
         """Fit by full-batch gradient descent with backtracking line search."""
         X, y = check_X_y(X, y)
-        self.classes_ = np.unique(y)
+        self.classes_ = unique_classes(y)
         if len(self.classes_) == 1:
             # Degenerate single-class training data: predict the constant.
             self.coef_ = np.zeros(X.shape[1])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import clone
-from .utils import check_random_state
+from .utils import check_random_state, unique_classes
 
 __all__ = [
     "train_test_split",
@@ -41,7 +41,7 @@ def train_test_split(
     if stratify is not None:
         stratify = np.asarray(stratify)
         test_idx = []
-        for cls in np.unique(stratify):
+        for cls in unique_classes(stratify):
             members = np.nonzero(stratify == cls)[0]
             if shuffle:
                 members = rng.permutation(members)
@@ -79,7 +79,7 @@ class StratifiedKFold:
         n = len(y)
         rng = check_random_state(self.random_state)
         fold_of = np.empty(n, dtype=int)
-        for cls in np.unique(y):
+        for cls in unique_classes(y):
             members = np.nonzero(y == cls)[0]
             if self.shuffle:
                 members = rng.permutation(members)

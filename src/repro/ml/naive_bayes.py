@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator, ClassifierMixin
-from .utils import check_array, check_X_y
+from .utils import check_array, check_X_y, unique_classes
 
 __all__ = ["GaussianNB"]
 
@@ -26,7 +26,7 @@ class GaussianNB(BaseEstimator, ClassifierMixin):
     def fit(self, X, y):
         """Estimate class priors, means and variances."""
         X, y = check_X_y(X, y)
-        self.classes_ = np.unique(y)
+        self.classes_ = unique_classes(y)
         n_classes = len(self.classes_)
         self.theta_ = np.zeros((n_classes, X.shape[1]))
         self.var_ = np.zeros((n_classes, X.shape[1]))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import BaseEstimator
-from .utils import check_array
+from .utils import check_array, unique_classes
 
 __all__ = ["StandardScaler", "MinMaxScaler", "LabelEncoder"]
 
@@ -74,7 +74,7 @@ class LabelEncoder(BaseEstimator):
 
     def fit(self, y):
         """Learn the sorted label vocabulary."""
-        self.classes_ = np.unique(np.asarray(y))
+        self.classes_ = unique_classes(np.asarray(y))
         return self
 
     def transform(self, y):
@@ -84,7 +84,7 @@ class LabelEncoder(BaseEstimator):
         bad = (indices >= len(self.classes_)) | (self.classes_[np.minimum(
             indices, len(self.classes_) - 1)] != y)
         if np.any(bad):
-            raise ValueError(f"unseen labels: {np.unique(y[bad])!r}")
+            raise ValueError(f"unseen labels: {unique_classes(y[bad])!r}")
         return indices
 
     def fit_transform(self, y):

@@ -418,11 +418,12 @@ def _depth_first(children_left, children_right, feature, threshold, value):
     )
 
 
-def _spread(value, tree_classes, classes):
-    """``value``'s class columns placed among ``classes``; -1 elsewhere."""
+def _spread(value, tree_classes, classes, fill=-1.0):
+    """``value``'s class columns placed among ``classes``; ``fill``
+    elsewhere."""
     if len(tree_classes) == len(classes):
         return value
-    spread = np.full((len(value), len(classes)), -1.0)
+    spread = np.full((len(value), len(classes)), fill)
     spread[:, np.searchsorted(classes, tree_classes)] = value
     return spread
 

@@ -14,6 +14,7 @@ __all__ = [
     "check_array",
     "check_X_y",
     "class_distribution",
+    "unique_classes",
 ]
 
 
@@ -70,6 +71,15 @@ def check_X_y(X, y):
             f"X has {X.shape[0]} samples but y has {y.shape[0]} labels"
         )
     return X, y
+
+
+def unique_classes(y):
+    """The sorted distinct values of ``y``: ``np.unique(y)``'s values
+    and dtype, from NumPy's sort path. A flagless ``np.unique`` first
+    asks ``np.ma.is_masked`` (NumPy 2.4), which imports ``numpy.ma``
+    into a process that otherwise never needs it; asked for the
+    inverse, it sorts straight away."""
+    return np.unique(y, return_inverse=True)[0]
 
 
 def class_distribution(y):

@@ -434,14 +434,10 @@ class MoRERService:
         with self._lock.write_lock():
             extras = None
             if self._wal is not None:
-                graph = self._morer.problem_graph
                 extras = {
-                    DURABILITY_MANIFEST: json.dumps({
-                        "wal_seq": self._wal.seq,
-                        "graph_version": (
-                            0 if graph is None else graph.version
-                        ),
-                    }),
+                    DURABILITY_MANIFEST: json.dumps(
+                        {"wal_seq": self._wal.seq}
+                    ),
                 }
             try:
                 self._morer.save(path, extras=extras)
@@ -491,13 +487,11 @@ class MoRERService:
         service["last_checkpoint_error"] = self._last_checkpoint_error
         if not fitted:
             return RepositoryStats(fitted=False, service=service)
-        graph = morer.problem_graph
         return RepositoryStats(
             fitted=True,
             n_entries=len(morer.repository),
-            n_problems=len(graph),
+            n_problems=len(morer.problem_graph),
             total_labels_spent=morer.total_labels_spent(),
-            graph_version=graph.version,
             counters=dict(morer.counters),
             timings=dict(morer.timings),
             service=service,

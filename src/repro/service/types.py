@@ -237,17 +237,16 @@ class FitRequest:
 class RepositoryStats:
     """Operational snapshot of a served repository.
 
-    Combines repository facts (entries, labels spent), MoRER's runtime
-    counters/timings, the graph's version, and the service's
-    own serving counters (requests, dispatched micro-batches, largest
-    coalesced batch, overload rejections).
+    Combines repository facts (entries, problems, labels spent),
+    MoRER's runtime counters/timings, and the service's own serving
+    counters (requests, dispatched micro-batches, largest coalesced
+    batch, overload rejections).
     """
 
     fitted: bool
     n_entries: int = 0
     n_problems: int = 0
     total_labels_spent: int = 0
-    graph_version: int = 0
     counters: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     service: dict = field(default_factory=dict)
@@ -258,7 +257,6 @@ class RepositoryStats:
             "n_entries": int(self.n_entries),
             "n_problems": int(self.n_problems),
             "total_labels_spent": int(self.total_labels_spent),
-            "graph_version": int(self.graph_version),
             "counters": dict(self.counters),
             "timings": dict(self.timings),
             "service": dict(self.service),
@@ -271,7 +269,6 @@ class RepositoryStats:
             n_entries=int(data.get("n_entries", 0)),
             n_problems=int(data.get("n_problems", 0)),
             total_labels_spent=int(data.get("total_labels_spent", 0)),
-            graph_version=int(data.get("graph_version", 0)),
             counters=dict(data.get("counters", {})),
             timings=dict(data.get("timings", {})),
             service=dict(data.get("service", {})),

@@ -93,19 +93,76 @@ def test_bagging_default_base_estimator():
     assert committee.score(X, y) > 0.7
 
 
-def test_forest_serialisation_roundtrip():
+def _assert_same_forest(forest, rebuilt):
+    """Params, classes and every tree's params and fitted arrays are
+    equal, values and dtypes."""
+    assert rebuilt.get_params() == forest.get_params()
+    assert rebuilt.classes_.dtype == forest.classes_.dtype
+    assert np.array_equal(rebuilt.classes_, forest.classes_)
+    assert rebuilt.n_features_in_ == forest.n_features_in_
+    assert len(rebuilt.estimators_) == len(forest.estimators_)
+    for tree, twin in zip(forest.estimators_, rebuilt.estimators_):
+        assert twin.get_params() == tree.get_params()
+        assert twin.n_nodes_ == tree.n_nodes_
+        assert twin.n_features_in_ == tree.n_features_in_
+        for name in ("classes_", "children_left_", "children_right_",
+                     "feature_", "threshold_", "value_"):
+            mine, theirs = getattr(tree, name), getattr(twin, name)
+            assert theirs.dtype == mine.dtype, name
+            assert np.array_equal(theirs, mine), name
+
+
+def _round_trip(forest):
     import json
 
-    X, y = _data(100)
-    forest = RandomForestClassifier(n_estimators=4, random_state=1).fit(X, y)
-    rebuilt = RandomForestClassifier.from_dict(
+    return RandomForestClassifier.from_dict(
         json.loads(json.dumps(forest.to_dict()))
     )
+
+
+def test_forest_serialisation_roundtrip():
+    X, y = _data(100)
+    forest = RandomForestClassifier(n_estimators=4, random_state=1).fit(X, y)
+    rebuilt = _round_trip(forest)
+    _assert_same_forest(forest, rebuilt)
+    # The arithmetic is unchanged, so the probabilities are equal, not
+    # merely close.
+    assert np.array_equal(forest.predict_proba(X), rebuilt.predict_proba(X))
     assert np.array_equal(forest.predict(X), rebuilt.predict(X))
-    proba_diff = np.abs(
-        forest.predict_proba(X) - rebuilt.predict_proba(X)
-    ).max()
-    assert proba_diff < 1e-12
+
+
+def test_forest_serialisation_keeps_a_tree_missing_a_class():
+    """A tree whose bootstrap lacks a class stores zero counts for it in
+    the forest's class columns; the load derives its ``classes_`` from
+    the root counts again."""
+    X = np.array([[0.1, 0.5], [0.4, 0.2], [0.9, 0.7], [0.3, 0.8]])
+    y = np.array([0, 1, 2, 2])
+    forest = RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y)
+    lacking = [len(tree.classes_) < 3 for tree in forest.estimators_]
+    assert any(lacking) and not all(lacking)
+    rebuilt = _round_trip(forest)
+    _assert_same_forest(forest, rebuilt)
+    assert np.array_equal(forest.predict_proba(X), rebuilt.predict_proba(X))
+
+
+def test_forest_serialises_as_one_ensemble():
+    """The params and classes are written once, not once per tree, and
+    an unfitted forest still round-trips."""
+    X, y = _data(100)
+    forest = RandomForestClassifier(n_estimators=6, random_state=2).fit(X, y)
+    state = forest.to_dict()
+    assert "estimators_" not in state["fitted"]
+    trees = state["trees"]
+    n_nodes = sum(tree.n_nodes_ for tree in forest.estimators_)
+    assert trees["random_state"] == [
+        tree.random_state for tree in forest.estimators_
+    ]
+    assert len(trees["children_left"]) == n_nodes
+    assert len(trees["value"]) == n_nodes * len(forest.classes_)
+    unfitted = _round_trip(RandomForestClassifier(n_estimators=3))
+    assert unfitted.get_params() == RandomForestClassifier(
+        n_estimators=3).get_params()
+    assert not hasattr(unfitted, "estimators_")
 
 
 def test_bagging_n_estimators_validated():

@@ -136,15 +136,30 @@ _FORMAT_2_KEYS = {
 _FORMAT_3_KEYS = {"graph": {"version": 11, "journal": []}}
 
 
+def _as_format_4_graph(path):
+    """Rewrite ``graph.npz`` with format 4's edge arrays: one
+    ``(row, earlier row)`` pair per edge instead of per-row counts."""
+    with np.load(path) as stored:
+        arrays = dict(stored)
+    new = np.repeat(np.arange(len(arrays["edge_counts"])),
+                    arrays.pop("edge_counts"))
+    arrays["edge_rows"] = np.stack(
+        [new, arrays.pop("edge_earlier")], axis=1).astype(np.int32)
+    np.savez(path, **arrays)
+
+
 def test_load_rejects_unknown_format(tmp_path):
     """An unknown format, format 2 (the last one before the index knobs
-    went) and format 3 (the last one with a mutation journal) are all
+    went), format 3 (the last one with a mutation journal) and format 4
+    (the last one with per-edge rows and per-tree model dicts) are all
     refused by name."""
     morer = _fit_warm(n_solves=1)
     morer.save(tmp_path / "store")
     state_path = tmp_path / "store" / "morer.json"
     saved = state_path.read_text()
-    for fmt, extra in ((999, {}), (2, _FORMAT_2_KEYS), (3, _FORMAT_3_KEYS)):
+    _as_format_4_graph(tmp_path / "store" / "graph.npz")
+    for fmt, extra in ((999, {}), (2, _FORMAT_2_KEYS), (3, _FORMAT_3_KEYS),
+                       (4, {})):
         state = json.loads(saved)
         state["format"] = fmt
         for part, keys in extra.items():
@@ -158,16 +173,35 @@ def test_load_rejects_unknown_format(tmp_path):
 
 
 def test_snapshot_holds_nothing_derivable(tmp_path):
-    """``graph.npz`` stores each fact once: no signature statistics,
-    and no memoized pair that an edge carries with the same value (the
-    pairs at or below ``min_similarity`` remain)."""
+    """The store holds each fact once. ``graph.npz`` has no signature
+    statistics, no per-edge new row (each row's edge count instead) and
+    no memoized pair that an edge carries with the same value (the
+    pairs at or below ``min_similarity`` remain); each model file holds
+    its forest as one ensemble, with no per-tree estimator dict."""
     morer = _fit_warm(min_similarity=0.8)
     morer.save(tmp_path / "store")
+    for entry in morer.repository:
+        state = json.loads(
+            (tmp_path / "store" / "repository"
+             / f"model_{entry.cluster_id}.json").read_text()
+        )
+        assert state["__class__"] == "RandomForestClassifier"
+        assert set(state["fitted"]) == {"classes_", "n_features_in_"}
+        assert len(state["trees"]["n_nodes"]) == entry.model.n_estimators
+        assert "__estimator__" not in json.dumps(state)
     with np.load(tmp_path / "store" / "graph.npz") as arrays:
         assert not [name for name in arrays.files if name.startswith("sig_")]
+        assert "edge_rows" not in arrays.files
+        counts = arrays["edge_counts"]
+        assert len(counts) == len(morer.problem_graph)
+        assert counts.sum() == len(arrays["edge_earlier"]) == len(
+            arrays["edge_weights"]
+        )
+        new = np.repeat(np.arange(len(counts)), counts)
         edges = {
             frozenset(pair): weight for pair, weight in zip(
-                arrays["edge_rows"].tolist(), arrays["edge_weights"]
+                zip(new.tolist(), arrays["edge_earlier"].tolist()),
+                arrays["edge_weights"],
             )
         }
         assert arrays["pair_rows"].shape[0] > 0
@@ -190,10 +224,25 @@ def _solve_ticks(morer, ticks):
 
 
 def _assert_restored_exactly(live, twin):
-    """The loaded graph equals the live one bit for bit: node order,
-    adjacency dicts, strengths, total weight, pair cache, signature
-    statistics and sketch rows."""
+    """The loaded graph equals the live one bit for bit: features, the
+    edge store, node order, adjacency dicts, strengths, total weight,
+    pair cache, signature statistics and sketch rows; and every loaded
+    model equals the saved one and predicts the same."""
     graph, restored = live.problem_graph, twin.problem_graph
+    for key, problem in graph.problems().items():
+        assert np.array_equal(restored.problem(key).features, problem.features)
+    for mine, theirs in zip(graph._edges(), restored._edges()):
+        assert theirs.dtype == mine.dtype
+        assert np.array_equal(theirs, mine)
+    assert restored._strength.tobytes() == graph._strength.tobytes()
+    assert restored._total == graph._total
+    probe = _probes(1, seed=77, prefix="M")[0].features
+    for entry in live.repository:
+        model = twin.repository.entries[entry.cluster_id].model
+        assert model.to_dict() == entry.model.to_dict()
+        assert np.array_equal(
+            model.predict_proba(probe), entry.model.predict_proba(probe)
+        )
     mine, theirs = graph.to_graph(), restored.to_graph()
     nodes = list(mine.nodes())
     assert list(theirs.nodes()) == nodes

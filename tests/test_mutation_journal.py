@@ -106,9 +106,9 @@ def test_replay_folds_rows_in_candidate_order(monkeypatch):
     """On the prefiltered path (``index_threshold=1``) a probe meets its
     candidates in sketch order, not row order, and its edges keep that
     order. The aggregates (and partition) replay hands to the local move
-    equal, bit for bit, folding the snapshot's creation-order
-    ``edge_rows`` / ``edge_weights`` of the rows past the cursor through
-    ``ModularityAggregates.add_node``."""
+    equal, bit for bit, folding the snapshot's creation-order edges
+    (``edge_counts`` / ``edge_earlier`` / ``edge_weights``) of the rows
+    past the cursor through ``ModularityAggregates.add_node``."""
     handed = []
     move = partition_state.local_move
 
@@ -133,8 +133,10 @@ def test_replay_folds_rows_in_candidate_order(monkeypatch):
     _, arrays = morer.problem_graph.export_state()
     keys = list(morer.problem_graph.problems())
     edges = {}
-    for (new, old), weight in zip(
-        arrays["edge_rows"].tolist(), arrays["edge_weights"].tolist()
+    new_rows = np.repeat(np.arange(len(keys)), arrays["edge_counts"])
+    for new, old, weight in zip(
+        new_rows.tolist(), arrays["edge_earlier"].tolist(),
+        arrays["edge_weights"].tolist(),
     ):
         edges.setdefault(new, []).append((old, weight))
     assert any(

@@ -89,12 +89,17 @@ def test_fit_request_requires_labels():
 def test_repository_stats_round_trip():
     stats = RepositoryStats(
         fitted=True, n_entries=2, n_problems=9, total_labels_spent=40,
-        graph_version=11,
         counters={"batch_solves": 1}, timings={"search": 0.5},
         service={"cov_solves": 4},
     )
     twin = RepositoryStats.from_dict(stats.to_dict())
     assert twin == stats
+    # The problem count is sent once: an older server's graph_version
+    # (always equal to n_problems) is not sent, and read past if given.
+    assert "graph_version" not in stats.to_dict()
+    assert RepositoryStats.from_dict(
+        dict(stats.to_dict(), graph_version=9)
+    ) == stats
 
 
 # -- strict config overrides (satellite) --------------------------------------------

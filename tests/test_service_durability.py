@@ -416,20 +416,30 @@ def test_cli_force_bootstrap_discards_deliberately(tmp_path, monkeypatch):
     assert report.n_records == 0      # the stranded records are gone
 
 
+#: Store formats this build refuses: an unknown one, and format 4 (the
+#: last one with per-edge rows in ``graph.npz`` and per-tree model
+#: dicts).
+_UNSUPPORTED_FORMATS = (999, 4)
+
+
 def _unsupported_store(tmp_path):
     """A checkpointed 8-problem store (with a ``.prev`` generation and
-    an empty WAL) whose live ``morer.json`` names format 999."""
+    an empty WAL); :func:`_name_format` makes it unsupported."""
     store, wal_dir = tmp_path / "store", tmp_path / "wal"
     service = MoRERService(demo_morer(8), wal_dir=wal_dir)
     service.save(store)
     service.solve(demo_probes(1, seed=3)[0])
     service.save(store)
     service.close()
+    return store, wal_dir
+
+
+def _name_format(store, fmt):
+    """Make the store's live ``morer.json`` name format ``fmt``."""
     manifest = store / "morer.json"
     state = json.loads(manifest.read_text())
-    state["format"] = 999
+    state["format"] = fmt
     manifest.write_text(json.dumps(state))
-    return store, wal_dir
 
 
 def _store_digest(tmp_path):
@@ -445,13 +455,15 @@ def test_recover_stops_on_an_unsupported_store_format(tmp_path):
     """An intact store in another format is not damage: recovery
     neither falls back to ``.prev`` nor starts an unfitted instance."""
     store, wal_dir = _unsupported_store(tmp_path)
-    before = _store_digest(tmp_path)
-    with pytest.raises(
-        UnsupportedFormatError,
-        match=f"format 999 .*reads format {PERSISTENCE_FORMAT}",
-    ):
-        recover(wal_dir, store=store)
-    assert _store_digest(tmp_path) == before
+    for fmt in _UNSUPPORTED_FORMATS:
+        _name_format(store, fmt)
+        before = _store_digest(tmp_path)
+        with pytest.raises(
+            UnsupportedFormatError,
+            match=f"format {fmt} .*reads format {PERSISTENCE_FORMAT}",
+        ):
+            recover(wal_dir, store=store)
+        assert _store_digest(tmp_path) == before
 
 
 def test_cli_demo_never_bootstraps_over_an_unsupported_store(
@@ -463,17 +475,20 @@ def test_cli_demo_never_bootstraps_over_an_unsupported_store(
             raise AssertionError("the gateway must not start")
 
     store, wal_dir = _unsupported_store(tmp_path)
-    before = _store_digest(tmp_path)
     monkeypatch.setattr("repro.service.ServiceHTTPServer", _NoServer)
     args = build_parser().parse_args([
         "serve", "--demo", "4", "--store", str(store),
         "--wal-dir", str(wal_dir),
     ])
-    with pytest.raises(
-        SystemExit, match=f"format 999 .*reads format {PERSISTENCE_FORMAT}",
-    ):
-        _serve(args)
-    assert _store_digest(tmp_path) == before
+    for fmt in _UNSUPPORTED_FORMATS:
+        _name_format(store, fmt)
+        before = _store_digest(tmp_path)
+        with pytest.raises(
+            SystemExit,
+            match=f"format {fmt} .*reads format {PERSISTENCE_FORMAT}",
+        ):
+            _serve(args)
+        assert _store_digest(tmp_path) == before
 
 
 def test_cli_recovery_replays_and_checkpoints(tmp_path, monkeypatch):
@@ -531,6 +546,7 @@ import numpy
 if "numpy.ma" in sys.modules:
     print("numpy.ma loads with numpy")
     sys.exit(0)
+from repro.core import MoRER
 from repro.durability import recover
 from repro.service import MoRERService
 from tests.conftest import make_regime_problems
@@ -544,16 +560,19 @@ with MoRERService(morer) as service:
         for start in range(0, len(stream), 4)
         for response in service.solve_batch(stream[start:start + 4])
     ]
+MoRER(classifier="logistic_regression", model_generation="supervised",
+      random_state=5).fit(make_regime_problems(12, seed=5, prefix="S"))
 print(sum(response.retrained for response in responses),
       "numpy.ma" in sys.modules)
 """
 
 
 def test_serving_never_imports_numpy_ma(tmp_path):
-    """A recovered store serving ``cov`` ticks, retrains included,
-    never loads ``numpy.ma``: counting distinct values with
-    ``np.unique`` and no ``return_*`` flag would import it (NumPy 2.4
-    asks ``np.ma.is_masked``), and every fresh server would pay for its
+    """A recovered store serving ``cov`` ticks, retrains included, and
+    then a supervised ``logistic_regression`` fit never load
+    ``numpy.ma``: counting distinct values with ``np.unique`` and no
+    ``return_*`` flag would import it (NumPy 2.4 asks
+    ``np.ma.is_masked``), and every fresh server would pay for its
     import in time and memory."""
     root = Path(__file__).resolve().parents[1]
     from tests.conftest import make_regime_problems
