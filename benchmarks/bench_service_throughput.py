@@ -11,13 +11,12 @@ probe stream from 16 concurrent ``sel_cov`` client threads:
   coalesces whatever the 16 clients have in flight into one
   ``solve_batch`` tick (one sketch-prefiltered integration pass + one
   row replay per tick);
-* **instrumented** — the batched arm with the full observability stack
-  live: metrics registry on (the serialised/batched arms run with
-  ``metrics=False``), a per-client token bucket checked per request,
-  and a concurrent ``/metrics``-equivalent scraper rendering the
-  registry throughout the run. Measures the observability overhead
-  (target < 3% on the per-request p50) and asserts the decisions stay
-  identical to the uninstrumented batched arm.
+* **instrumented** — the batched arm with the gateway's admission and
+  scraping on top of the metrics every service records: a per-client
+  token bucket checked per request and a concurrent
+  ``/metrics``-equivalent scraper rendering the registry throughout
+  the run. Measures their overhead (target < 3% on the per-request
+  p50) and asserts the decisions stay identical to the batched arm.
 
 Both arms serve the identical probe set under nondeterministic arrival
 order (client scheduling — exactly the serving situation). Asserts
@@ -32,6 +31,7 @@ agrees. ``--smoke`` runs one reduced size with a relaxed floor for CI.
 
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -115,6 +115,12 @@ def _decision(response):
     return (response.retrained, response.new_model)
 
 
+def _largest_tick(by_key):
+    """The most responses one scheduler tick served (they share its
+    ``batch_id``)."""
+    return max(Counter(r.batch_id for r in by_key.values()).values())
+
+
 def run(sizes, n_probes):
     results = {}
     for size in sizes:
@@ -124,26 +130,24 @@ def run(sizes, n_probes):
 
         with MoRERService(
             _fit(problems), max_batch_size=1, max_wait_ms=0,
-            metrics=False,
         ) as serialised:
             elapsed, serial_by_key = _drive(serialised, probes)
             row["serial_ms"] = 1e3 * elapsed / n_probes
-            row["serial_batches"] = serialised.counters[
+            row["serial_batches"] = serialised.stats().service[
                 "batches_dispatched"
             ]
 
         with MoRERService(
             _fit(problems), max_batch_size=N_CLIENTS, max_wait_ms=25,
-            metrics=False,
         ) as batched:
             elapsed, batch_by_key = _drive(batched, probes)
             row["batched_ms"] = 1e3 * elapsed / n_probes
-            row["batches"] = batched.counters["batches_dispatched"]
-            row["max_coalesced"] = batched.counters["max_coalesced"]
+            row["batches"] = batched.stats().service["batches_dispatched"]
+            row["max_coalesced"] = _largest_tick(batch_by_key)
 
-        # The batched arm again with the full observability stack on:
-        # metrics, a (generous) per-client token-bucket check per
-        # request, and a concurrent scraper rendering the registry.
+        # The batched arm again with the gateway's admission and
+        # scraping on: a (generous) per-client token-bucket check per
+        # request and a concurrent scraper rendering the registry.
         with MoRERService(
             _fit(problems), max_batch_size=N_CLIENTS, max_wait_ms=25,
         ) as instrumented:

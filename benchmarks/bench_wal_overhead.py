@@ -51,7 +51,7 @@ def run(n_problems, n_probes, tmp_dir):
     durable.save(store)
     elapsed, durable_responses = _drive(durable, probes)
     row["wal_fsync_ms"] = 1e3 * elapsed / n_probes
-    row["wal_records"] = durable.counters["wal_records"]
+    row["wal_records"] = durable.metrics.wal_appends_total.value()
 
     # Crash without saving; recover and compare against the live twin.
     started = time.perf_counter()
@@ -106,8 +106,8 @@ def test_wal_overhead_and_recovery(benchmark, smoke, tmp_path):
     assert row["replayed"] >= 1
     assert row["recovered_identical"], row
     assert row["predictions_match"], row
-    # The WAL records exactly the solve ticks (plus retrain markers).
-    assert row["wal_records"] >= n_probes
+    # The WAL holds one record per solve tick, and nothing else.
+    assert row["wal_records"] == n_probes
     # Durability must not dominate serving: even per-record fsync stays
     # within a small multiple of the un-logged service (cov solves do
     # clustering work; framing JSON is noise). Generous for CI disks.

@@ -15,6 +15,7 @@ it into a fresh gateway.
 
 import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 
 from repro import MoRER
@@ -57,9 +58,10 @@ def main():
     # 3. sel_cov from 8 concurrent clients: the scheduler coalesces
     #    the in-flight requests into shared solve_batch ticks.
     probes = demo_probes(8, seed=123)
+    replies = [None] * len(probes)
 
     def one(index):
-        reply = client.solve(probes[index], strategy="cov")
+        reply = replies[index] = client.solve(probes[index], strategy="cov")
         print(f"  client {index}: cluster {reply.cluster_id} "
               f"retrained={reply.retrained}")
 
@@ -71,9 +73,11 @@ def main():
     for thread in threads:
         thread.join()
     stats = client.stats()
+    # A tick stamps its id on every reply it produced.
+    largest = max(Counter(reply.batch_id for reply in replies).values())
     print(f"served {stats.service['cov_solves']} cov solves in "
           f"{stats.service['batches_dispatched']} micro-batch ticks "
-          f"(largest {stats.service['max_coalesced']}); repository now "
+          f"(largest {largest}); repository now "
           f"holds {stats.n_problems} problems")
 
     # 4. Save server-side, restore into a fresh gateway.

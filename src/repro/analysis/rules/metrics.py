@@ -11,7 +11,7 @@ instruments), then collects every emission of the shape::
     <...>.metrics.<attr>.<op>(...)     # self.metrics.solves_total.inc(
     metrics.<attr>.<op>(...)           # local alias
 
-for ``op`` in ``inc``/``dec``/``set``/``observe``/``set_total``, and
+for ``op`` in ``inc``/``set``/``observe``/``set_total``, and
 reports both directions of drift:
 
 - an emission whose ``<attr>`` resolves to no spec entry (the scrape
@@ -32,7 +32,7 @@ from ..framework import META_RULE, Finding, Rule, rule, terminal_name
 __all__ = ["MetricsDrift"]
 
 SPEC_NAME = "SERVICE_METRIC_SPECS"
-_EMIT_OPS = frozenset({"inc", "dec", "set", "observe", "set_total"})
+_EMIT_OPS = frozenset({"inc", "set", "observe", "set_total"})
 #: Reads (tests, dashboards) are not emissions but still must resolve.
 _READ_OPS = frozenset({"value", "snapshot"})
 

@@ -35,7 +35,7 @@ import numpy as np
 from ..ml.linear import LogisticRegression
 from ..ml.metrics import f1_score
 from ..ml.model_selection import cross_val_predict
-from ..ml.utils import check_random_state
+from ..ml.utils import check_random_state, unique_classes
 
 __all__ = [
     "KolmogorovSmirnovTest",
@@ -392,7 +392,7 @@ class WassersteinTest(_UnivariateTest):
         b = np.sort(np.asarray(values_b, dtype=float))
         if a.size == 0 or b.size == 0:
             raise ValueError("empty sample in Wasserstein test")
-        support = np.unique(np.concatenate([a, b, [0.0, 1.0]]))
+        support = unique_classes(np.concatenate([a, b, [0.0, 1.0]]))
         cdf_a = np.searchsorted(a, support, side="right") / a.size
         cdf_b = np.searchsorted(b, support, side="right") / b.size
         widths = np.diff(support)

@@ -40,8 +40,11 @@ class ERProblem:
             raise ValueError("features must be a 2-d array")
         if features.shape[0] == 0:
             raise ValueError("an ER problem needs at least one record pair")
-        if np.any(features < -1e-9) or np.any(features > 1 + 1e-9):
-            raise ValueError("similarity features must lie in [0, 1]")
+        # The in-range form rejects NaN too: every comparison with it fails.
+        if not (np.all(features >= -1e-9) and np.all(features <= 1 + 1e-9)):
+            raise ValueError(
+                "similarity features must be finite and lie in [0, 1]"
+            )
         self.source_a = str(source_a)
         self.source_b = str(source_b)
         self.features = np.clip(features, 0.0, 1.0)

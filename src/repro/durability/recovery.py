@@ -171,8 +171,7 @@ def recover(wal_dir, store=None, config=None):
                 morer.solve_batch(_problems_from(record), strategy="cov")
             elif kind == "fit":
                 morer.fit(_problems_from(record))
-            # "epoch" markers (retrain/new-model notices, snapshot
-            # acknowledgements) carry no state — skip.
+            # Records of any other kind carry no state — skip.
         except Exception as exc:  # noqa: BLE001 - a record that failed
             # live fails identically on replay (same determinism that
             # makes replay exact); the partial effects it *did* apply

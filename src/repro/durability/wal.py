@@ -259,7 +259,6 @@ class WriteAheadLog:
         self.fsync_interval = max(float(fsync_interval_ms), 0.0) / 1000.0
         self.config = config
         self.wal_dir.mkdir(parents=True, exist_ok=True)
-        self.records_appended = 0
         #: Physical fsync calls issued and the cumulative seconds they
         #: took — the gateway's /metrics pulls these at scrape time.
         self.fsyncs = 0
@@ -337,7 +336,6 @@ class WriteAheadLog:
         except OSError as exc:
             raise WALError(f"WAL append failed: {exc}") from exc
         self._seq = seq
-        self.records_appended += 1
         return seq
 
     def sync(self):
@@ -432,8 +430,6 @@ def _main(argv=None):
             extra = ""
             if kind in ("solve_batch", "fit"):
                 extra = f" problems={len(record.get('problems', []))}"
-            elif kind == "epoch":
-                extra = f" event={record.get('event')!r}"
             print(f"seq={record.get('seq')} kind={kind}{extra}")
     return report
 

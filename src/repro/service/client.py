@@ -12,15 +12,15 @@ in-process callers are written identically.
 
 Retry policy
 ------------
-The client retries **idempotent** calls only — ``healthz``/``stats``
-and solves whose strategy is explicitly ``"base"`` — and only on
-failures where retrying is safe and useful: connection-level errors
-(:class:`~repro.service.TransportError`; the request may never have
-arrived) and 429 ``Overloaded`` / ``RateLimited`` / 503 ``Unavailable``
-back-pressure. Sleeps follow exponential backoff with jitter; when a
-429 carries a ``Retry-After`` the sleep honours it (the server knows
-exactly when the token bucket refills — sleeping less just burns an
-attempt).
+The client retries **idempotent** calls only — ``healthz``, ``stats``,
+``metrics`` and solves whose strategy is explicitly ``"base"`` — and
+only on failures where retrying is safe and useful: connection-level
+errors (:class:`~repro.service.TransportError`; the request may never
+have arrived) and 429 ``Overloaded`` / ``RateLimited`` / 503
+``Unavailable`` back-pressure. Sleeps follow exponential backoff with
+jitter; when a 429 carries a ``Retry-After`` the sleep honours it (the
+server knows exactly when the token bucket refills — sleeping less
+just burns an attempt).
 
 ``cov`` solves and ``fit`` are **never** auto-retried: they mutate
 server state. A ``cov`` request that timed out client-side may still
@@ -147,7 +147,9 @@ class ServiceClient:
             with urllib.request.urlopen(
                 request, timeout=self.timeout
             ) as response:
-                return json.loads(response.read().decode("utf-8"))
+                body = response.read().decode("utf-8")
+            # /metrics answers in the Prometheus text format, not JSON.
+            return body if path == "/metrics" else json.loads(body)
         except urllib.error.HTTPError as exc:
             detail = exc.read()
             retry_after = _parse_retry_after(exc.headers)
@@ -197,34 +199,7 @@ class ServiceClient:
     def metrics(self):
         """Scrape ``GET /metrics``: the raw Prometheus text exposition
         (see ``docs/OPERATIONS.md`` for the series reference)."""
-        request = urllib.request.Request(
-            self.base_url + "/metrics",
-            headers=(
-                {} if self.client_id is None
-                else {"X-Client-Id": self.client_id}
-            ),
-            method="GET",
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            detail = exc.read()
-            try:
-                error = json.loads(detail.decode("utf-8"))["error"]
-                raise error_for_code(
-                    error.get("code"), error.get("message", "")
-                ) from None
-            except (ValueError, KeyError, AttributeError):
-                raise ServiceError(
-                    f"HTTP {exc.code} from /metrics: {detail[:200]!r}"
-                ) from None
-        except urllib.error.URLError as exc:
-            raise TransportError(
-                f"cannot reach {self.base_url}/metrics: {exc.reason}"
-            ) from None
+        return self._request("GET", "/metrics", idempotent=True)
 
     def solve(self, request, strategy=None):
         """Solve one problem; returns a

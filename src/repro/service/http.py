@@ -18,8 +18,7 @@ GET       ``/stats``      — -> :meth:`RepositoryStats.to_dict`
 GET       ``/metrics``    — -> Prometheus text exposition (counters,
                           gauges, latency/batch histograms; see
                           ``docs/OPERATIONS.md`` for the full series
-                          reference). 404 when the service was built
-                          with ``metrics=False``.
+                          reference)
 POST      ``/solve``      :meth:`SolveRequest.to_dict` ->
                           :meth:`SolveResponse.to_dict`
 POST      ``/solve_batch``  ``{"requests": [SolveRequest...]}`` ->
@@ -461,17 +460,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self._reply(200, self.server.service.stats().to_dict())
 
     def _get_metrics(self, _payload):
-        metrics = self.server.service.metrics
-        if not metrics.enabled:
-            self._error_code = "not_found"
-            self._reply(404, {
-                "error": {"code": "not_found",
-                          "message": "metrics are disabled for this "
-                                     "service"},
-                "request_id": self.request_id,
-            })
-            return
-        body = metrics.render().encode("utf-8")
+        body = self.server.service.metrics.render().encode("utf-8")
         self._send(200, body,
                    "text/plain; version=0.0.4; charset=utf-8")
 

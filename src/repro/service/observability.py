@@ -36,7 +36,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "ServiceMetrics",
-    "NullServiceMetrics",
     "AccessLog",
     "SERVICE_METRIC_SPECS",
     "DEFAULT_LATENCY_BUCKETS",
@@ -250,13 +249,12 @@ class Counter(_MetricFamily):
 
 
 class Gauge(_MetricFamily):
-    """A value that can go up and down; optionally pull-time computed."""
+    """A value that can go up and down."""
 
     kind = "gauge"
 
     def __init__(self, name, help_text, labelnames=()):
         super().__init__(name, help_text, labelnames)
-        self._fn = None
         if not self.labelnames:
             self._series[()] = 0.0
 
@@ -265,31 +263,12 @@ class Gauge(_MetricFamily):
         with self._lock:
             self._series[key] = float(value)
 
-    def inc(self, amount=1.0, **labels):
-        key = self._key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
-
-    def dec(self, amount=1.0, **labels):
-        self.inc(-amount, **labels)
-
-    def set_function(self, fn):
-        """Compute the (unlabelled) value at render time."""
-        if self.labelnames:
-            raise ValueError("set_function requires an unlabelled gauge")
-        self._fn = fn
-
     def value(self, **labels):
         with self._lock:
             return self._series.get(self._key(labels), 0.0)
 
     def render(self, out):
         self._header(out)
-        if self._fn is not None:
-            try:
-                self.set(self._fn())
-            except Exception:  # noqa: BLE001 - a scrape must not 500
-                pass
         with self._lock:
             series = sorted(self._series.items())
         for key, value in series:
@@ -394,10 +373,6 @@ class MetricsRegistry:
         with self._lock:
             self._collectors.append(fn)
 
-    def get(self, name):
-        with self._lock:
-            return self._families.get(name)
-
     def names(self):
         """Registered family names, in registration order."""
         with self._lock:
@@ -424,12 +399,8 @@ class ServiceMetrics:
     registry and exposed as attributes (spec name minus the ``morer_``
     prefix: ``metrics.http_requests_total`` and so on)."""
 
-    enabled = True
-
-    def __init__(self, registry=None):
-        self.registry = registry if registry is not None else (
-            MetricsRegistry()
-        )
+    def __init__(self):
+        self.registry = MetricsRegistry()
         for spec in SERVICE_METRIC_SPECS:
             kind = spec["type"]
             if kind == "counter":
@@ -454,50 +425,6 @@ class ServiceMetrics:
 
     def render(self):
         return self.registry.render()
-
-
-class _NullInstrument:
-    """Accepts every instrument call and does nothing."""
-
-    def inc(self, *args, **kwargs):
-        pass
-
-    def dec(self, *args, **kwargs):
-        pass
-
-    def set(self, *args, **kwargs):
-        pass
-
-    def set_total(self, *args, **kwargs):
-        pass
-
-    def set_function(self, *args, **kwargs):
-        pass
-
-    def observe(self, *args, **kwargs):
-        pass
-
-    def value(self, *args, **kwargs):
-        return 0.0
-
-
-class NullServiceMetrics:
-    """Drop-in for :class:`ServiceMetrics` with instrumentation off —
-    the service code stays guard-free, ``/metrics`` answers 404."""
-
-    enabled = False
-    registry = None
-
-    def __init__(self):
-        null = _NullInstrument()
-        for spec in SERVICE_METRIC_SPECS:
-            setattr(self, spec["name"][len("morer_"):], null)
-
-    def register_collect(self, fn):
-        pass
-
-    def render(self):
-        return ""
 
 
 class AccessLog:

@@ -50,11 +50,7 @@ from .errors import (
     ServiceError,
     Unavailable,
 )
-from .observability import (
-    MetricsRegistry,
-    NullServiceMetrics,
-    ServiceMetrics,
-)
+from .observability import ServiceMetrics
 from .rwlock import ReadWriteLock, requires_read_lock, requires_write_lock
 from .types import FitRequest, RepositoryStats, SolveRequest, SolveResponse
 
@@ -102,20 +98,16 @@ class MoRERService:
         When > 0 (requires ``checkpoint_store``), the scheduler saves a
         snapshot and truncates the WAL after every ``checkpoint_every``
         appended records, bounding replay time after a crash.
-    metrics : optional
-        Observability wiring (see :mod:`repro.service.observability`).
-        ``None`` (the default) builds a fresh
-        :class:`~repro.service.observability.ServiceMetrics`; pass a
-        :class:`~repro.service.observability.MetricsRegistry` (or a
-        ready ``ServiceMetrics``) to share one across services, or
-        ``False`` to disable instrumentation entirely (the
-        ``/metrics`` endpoint then answers 404).
+
+    Every serving count lives in one instrument of :attr:`metrics`
+    (a :class:`~repro.service.observability.ServiceMetrics`): ``/metrics``
+    renders them and :meth:`stats` reads them.
     """
 
     def __init__(self, morer, max_batch_size=None, max_wait_ms=None,
                  max_queue_depth=None, wal_dir=None, fsync_policy=None,
                  fsync_interval_ms=None, checkpoint_store=None,
-                 checkpoint_every=0, metrics=None):
+                 checkpoint_every=0):
         if not isinstance(morer, MoRER):
             raise InvalidRequest(
                 f"MoRERService serves a MoRER, got {type(morer).__name__}"
@@ -144,29 +136,7 @@ class MoRERService:
         self._queue = []
         self._queue_cond = threading.Condition()
         self._closed = False
-        self._counter_lock = threading.Lock()
-        self.counters = {
-            "base_solves": 0,
-            "cov_solves": 0,
-            "batches_dispatched": 0,
-            "max_coalesced": 0,
-            "overload_rejections": 0,
-            "fits": 0,
-            "saves": 0,
-            "wal_records": 0,
-            "wal_failures": 0,
-            "checkpoints": 0,
-            "checkpoint_failures": 0,
-            "unavailable_rejections": 0,
-        }
-        if metrics is False:
-            self.metrics = NullServiceMetrics()
-        elif metrics is None:
-            self.metrics = ServiceMetrics()
-        elif isinstance(metrics, MetricsRegistry):
-            self.metrics = ServiceMetrics(registry=metrics)
-        else:
-            self.metrics = metrics
+        self.metrics = ServiceMetrics()
         self.metrics.register_collect(self._collect_metrics)
         self._tick_seq = 0
         self._degraded_reason = None
@@ -417,7 +387,6 @@ class MoRERService:
                 # repository/graph behind; flush its lazy caches so
                 # read-lock searches never rebuild them concurrently.
                 self._after_mutation()
-        self._bump("fits")
         return self.stats()
 
     def save(self, path):
@@ -451,16 +420,13 @@ class MoRERService:
                     # further mutations rather than risk un-replayable
                     # acks.
                     self._enter_degraded(f"checkpoint failed: {exc}")
-                    self._bump("checkpoint_failures")
                     self.metrics.checkpoints_total.inc(outcome="failed")
                 else:
                     self._last_checkpoint_seq = self._wal.seq
-                    self._bump("checkpoints")
                     self.metrics.checkpoints_total.inc(outcome="ok")
                     self.metrics.checkpoint_seconds.observe(
                         time.perf_counter() - started
                     )
-        self._bump("saves")
 
     def stats(self):
         """Operational snapshot (:class:`RepositoryStats`)."""
@@ -475,8 +441,25 @@ class MoRERService:
         fitted = morer.repository is not None
         with self._queue_cond:
             queue_depth = len(self._queue)
-        with self._counter_lock:
-            service = dict(self.counters)
+        metrics = self.metrics
+        counts = {
+            "base_solves": metrics.solves_total.value(strategy="base"),
+            "cov_solves": metrics.solves_total.value(strategy="cov"),
+            "batches_dispatched": metrics.scheduler_ticks_total.value(),
+            "overload_rejections": metrics.queue_rejections_total.value(
+                reason="overloaded"
+            ),
+            "wal_records": metrics.wal_appends_total.value(),
+            "wal_failures": metrics.wal_append_failures_total.value(),
+            "checkpoints": metrics.checkpoints_total.value(outcome="ok"),
+            "checkpoint_failures": metrics.checkpoints_total.value(
+                outcome="failed"
+            ),
+            "unavailable_rejections": metrics.queue_rejections_total.value(
+                reason="unavailable"
+            ),
+        }
+        service = {key: int(value) for key, value in counts.items()}
         service["queue_depth"] = queue_depth
         service["max_batch_size"] = self.max_batch_size
         service["max_wait_ms"] = self.max_wait_ms
@@ -581,7 +564,6 @@ class MoRERService:
     def _solve_base(self, problem):
         with self._lock.read_lock():
             result = self._morer.solve(problem, strategy="base")
-        self._bump("base_solves")
         self.metrics.solves_total.inc(strategy="base")
         return SolveResponse.from_result(result)
 
@@ -599,7 +581,6 @@ class MoRERService:
             if self._closed:
                 raise ServiceError("the service is closed")
             if len(self._queue) + len(pendings) > self.max_queue_depth:
-                self._bump("overload_rejections")
                 self.metrics.queue_rejections_total.inc(
                     reason="overloaded"
                 )
@@ -709,8 +690,6 @@ class MoRERService:
                 results = self._morer.solve_batch(problems, strategy="cov")
             finally:
                 self._after_mutation()
-            if any(r.retrained or r.new_model for r in results):
-                self._note_epoch("retrain")
             return results
 
     @requires_write_lock
@@ -733,35 +712,22 @@ class MoRERService:
             seq = self._wal.append(payload)
         except (WALError, OSError, InjectedFault) as exc:
             self._enter_degraded(str(exc) or repr(exc))
-            self._bump("wal_failures")
             self.metrics.wal_append_failures_total.inc()
             raise Unavailable(
                 "WAL append failed; durability lost — mutations are "
                 f"rejected, read-only solves continue ({exc})"
             ) from exc
-        self._bump("wal_records")
         self.metrics.wal_appends_total.inc()
         self.metrics.wal_append_seconds.observe(
             time.perf_counter() - started
         )
         return seq
 
-    @requires_write_lock
-    def _note_epoch(self, event):
-        """Best-effort epoch marker (retrains, recoveries). Markers
-        carry no replayed state, so losing one must not fail the solve
-        whose decision is already WAL-durable."""
-        try:
-            self._wal_append({"kind": "epoch", "event": event})
-        except Unavailable:
-            pass
-
     def _check_durable(self):
         """Reject mutations while degraded: a decision taken now would
         be missing from the WAL, so a post-crash replay could not
         reproduce it — refusing is the honest failure mode."""
         if self._wal is not None and self._degraded_reason is not None:
-            self._bump("unavailable_rejections")
             self.metrics.queue_rejections_total.inc(reason="unavailable")
             raise Unavailable(
                 "the service is degraded (WAL append failed: "
@@ -792,7 +758,6 @@ class MoRERService:
         try:
             self.save(self._checkpoint_store)
         except Exception as exc:  # noqa: BLE001 - scheduler must survive
-            self._bump("checkpoint_failures")
             self.metrics.checkpoints_total.inc(outcome="failed")
             self._checkpoint_fail_streak += 1
             self._last_checkpoint_error = f"{type(exc).__name__}: {exc}"
@@ -815,17 +780,10 @@ class MoRERService:
 
     def _record_tick(self, n_solves, seconds=0.0, results=None):
         """Account one dispatched tick; returns its id (the batch id
-        stamped on every response the tick produced)."""
-        # Counters first: a caller observing its resolved future must
-        # find stats() already reflecting the completed solve.
-        with self._counter_lock:
-            self.counters["cov_solves"] += n_solves
-            self.counters["batches_dispatched"] += 1
-            self.counters["max_coalesced"] = max(
-                self.counters["max_coalesced"], n_solves
-            )
-            self._tick_seq += 1
-            tick_id = self._tick_seq
+        stamped on every response the tick produced). Runs on the
+        scheduler thread before the tick's futures resolve, so a caller
+        holding its response finds stats() already counting it."""
+        self._tick_seq += 1
         metrics = self.metrics
         metrics.scheduler_ticks_total.inc()
         metrics.scheduler_coalesced_requests_total.inc(n_solves)
@@ -840,7 +798,7 @@ class MoRERService:
             else:
                 decision = "reuse"
             metrics.solve_decisions_total.inc(decision=decision)
-        return tick_id
+        return self._tick_seq
 
     @requires_write_lock
     def _after_mutation(self):
@@ -910,7 +868,3 @@ class MoRERService:
                 metrics.graph_problems.set(len(morer.problem_graph))
         except Exception:  # noqa: BLE001 - mid-mutation scrape
             pass
-
-    def _bump(self, counter):
-        with self._counter_lock:
-            self.counters[counter] += 1

@@ -238,9 +238,11 @@ class RepositoryStats:
     """Operational snapshot of a served repository.
 
     Combines repository facts (entries, problems, labels spent),
-    MoRER's runtime counters/timings, and the service's own serving
-    counters (requests, dispatched micro-batches, largest coalesced
-    batch, overload rejections).
+    MoRER's runtime counters/timings, and the service's serving state
+    under ``service``: its counts (solves by strategy, dispatched
+    micro-batches, rejections, WAL records and checkpoints, each read
+    from the ``/metrics`` series that records it), queue depth, limits
+    and durability status.
     """
 
     fitted: bool

@@ -30,6 +30,13 @@ def test_problem_validation_bounds():
         ERProblem("a", "b", np.empty((0, 2)))
 
 
+def test_problem_rejects_nan_features():
+    features = np.full((3, 2), 0.5)
+    features[1, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        ERProblem("a", "b", features)
+
+
 def test_problem_label_validation():
     features = np.ones((3, 2)) * 0.5
     with pytest.raises(ValueError, match="align"):

@@ -417,8 +417,7 @@ def test_recovery_tolerates_torn_tail_and_drops_only_the_tear(tmp_path):
     for probe in probes:
         service.solve(probe)
     service.close()
-    # Tear the *last solve record* mid-payload (epoch markers may
-    # trail it; a tear there would lose nothing replayable).
+    # Tear the *last solve record* mid-payload.
     segment = sorted(wal_dir.iterdir())[-1]
     solve_offsets = [
         off for off, record in _frame_offsets(segment)
@@ -443,6 +442,39 @@ def test_recovery_tolerates_torn_tail_and_drops_only_the_tear(tmp_path):
     )
     # And strictly behind the never-torn live process (which saw 5).
     assert live.problem_graph.version > recovered.problem_graph.version
+
+
+def test_recovery_skips_epoch_records_of_older_builds(tmp_path):
+    """Earlier builds appended an ``epoch`` record after each tick that
+    retrained; a segment holding one still recovers decision-identically."""
+    store, wal_dir = tmp_path / "store", tmp_path / "wal"
+    live = demo_morer(12)
+    service = MoRERService(live, wal_dir=wal_dir)
+    service.save(store)                       # checkpoint at seq 0
+    responses = [service.solve(probe) for probe in demo_probes(6, seed=7)]
+    service.close()
+    records, report = read_wal(wal_dir)
+    old_dir = tmp_path / "old_wal"
+    with WriteAheadLog(old_dir, config=report.config) as old:
+        for record, response in zip(records, responses):
+            old.append({k: v for k, v in record.items() if k != "seq"})
+            if response.retrained or response.new_model:
+                old.append({"kind": "epoch", "event": "retrain"})
+    old_records, _ = read_wal(old_dir)
+    assert len(old_records) > len(records)
+    recovered, old_report = recover(old_dir, store=store)
+    assert old_report.n_replayed == len(records) == 6
+    assert not old_report.replay_errors
+    assert recovered.problem_graph.version == live.problem_graph.version
+    assert (
+        recovered._rng.bit_generator.state == live._rng.bit_generator.state
+    )
+    assert recovered.total_labels_spent() == live.total_labels_spent()
+    next_probes = demo_probes(3, seed=99)
+    for mine, twins in zip(
+        _solve_all(live, next_probes), _solve_all(recovered, next_probes)
+    ):
+        assert np.array_equal(mine, twins)
 
 
 def test_restart_after_checkpoint_then_crash_replays_new_records(tmp_path):

@@ -196,7 +196,7 @@ def test_http_429_with_retry_after_before_the_queue(limited_gateway):
     client.solve(probes[0], strategy="cov")
     client.solve(probes[1], strategy="cov")
     service = limited_gateway.service
-    cov_before = service.counters["cov_solves"]
+    cov_before = service.stats().service["cov_solves"]
     with pytest.raises(RateLimited) as excinfo:
         client.solve(probes[2], strategy="cov")
     # The typed error carries the server's refill promise.
@@ -204,8 +204,9 @@ def test_http_429_with_retry_after_before_the_queue(limited_gateway):
     assert excinfo.value.retry_after > 0
     # The rejection happened before admission: nothing was solved,
     # queued or dispatched for the third probe.
-    assert service.counters["cov_solves"] == cov_before
-    assert service.counters["overload_rejections"] == 0
+    stats = service.stats().service
+    assert stats["cov_solves"] == cov_before
+    assert stats["overload_rejections"] == 0
     assert service.metrics.http_rate_limited_total.value(
         endpoint="/solve"
     ) >= 1
@@ -275,10 +276,10 @@ def test_batch_cost_counts_cov_members_only(limited_gateway):
     # A 3-cov batch exceeds the burst outright: rejected atomically,
     # nothing executed.
     service = limited_gateway.service
-    cov_before = service.counters["cov_solves"]
+    cov_before = service.stats().service["cov_solves"]
     with pytest.raises(RateLimited):
         client.solve_batch(demo_probes(3, seed=96), strategy="cov")
-    assert service.counters["cov_solves"] == cov_before
+    assert service.stats().service["cov_solves"] == cov_before
 
 
 def test_client_honours_retry_after_on_idempotent_retries(monkeypatch):

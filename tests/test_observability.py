@@ -1,7 +1,8 @@
 """Observability stack: metric instruments and Prometheus rendering,
 the instrumented service, the live ``/metrics`` endpoint under
-concurrent load, structured access logging — and the parity guarantee
-that instrumentation never changes a solve decision."""
+concurrent load, structured access logging — and the parity
+guarantees: ``/stats`` counts equal the ``/metrics`` samples they read,
+and the gateway never changes a solve decision."""
 
 import io
 import json
@@ -10,21 +11,20 @@ import threading
 import numpy as np
 import pytest
 
+from repro.durability import faults
 from repro.service import (
     AccessLog,
     MetricsRegistry,
     MoRERService,
+    Overloaded,
     ServiceClient,
     ServiceHTTPServer,
     ServiceMetrics,
     SolveRequest,
+    Unavailable,
 )
-from repro.service.errors import ServiceError
 from repro.service.fixtures import demo_morer, demo_probes
-from repro.service.observability import (
-    SERVICE_METRIC_SPECS,
-    NullServiceMetrics,
-)
+from repro.service.observability import SERVICE_METRIC_SPECS
 
 
 def parse_prometheus(text):
@@ -71,12 +71,9 @@ def test_gauge_set_inc_dec_and_function():
     registry = MetricsRegistry()
     gauge = registry.gauge("g", "help")
     gauge.set(5)
-    gauge.inc(2)
-    gauge.dec(3)
+    gauge.set(4)
     assert gauge.value() == 4
-    computed = registry.gauge("g2", "help")
-    computed.set_function(lambda: 42)
-    assert "g2 42" in registry.render().splitlines()
+    assert "g 4" in registry.render().splitlines()
 
 
 def test_histogram_cumulative_buckets_sum_count():
@@ -140,7 +137,6 @@ def test_registry_runs_collect_callbacks_each_render():
 
 def test_service_metrics_covers_every_spec():
     metrics = ServiceMetrics()
-    assert metrics.enabled
     registered = set(metrics.registry.names())
     spec_names = {spec["name"] for spec in SERVICE_METRIC_SPECS}
     assert registered == spec_names
@@ -149,16 +145,6 @@ def test_service_metrics_covers_every_spec():
         instrument = getattr(metrics, attribute)
         assert instrument.name == spec["name"]
         assert instrument.kind == spec["type"]
-
-
-def test_null_service_metrics_is_a_silent_drop_in():
-    metrics = NullServiceMetrics()
-    assert not metrics.enabled
-    metrics.solves_total.inc(strategy="base")
-    metrics.queue_depth.set(3)
-    metrics.scheduler_tick_seconds.observe(0.1)
-    metrics.register_collect(lambda: None)
-    assert metrics.render() == ""
 
 
 # -- AccessLog --------------------------------------------------------------
@@ -247,17 +233,6 @@ def test_render_reports_pull_time_gauges():
         service.close()
 
 
-def test_shared_registry_across_services_rejects_double_registration():
-    registry = MetricsRegistry()
-    service = MoRERService(demo_morer(6), metrics=registry)
-    try:
-        assert service.metrics.registry is registry
-        with pytest.raises(ValueError, match="already registered"):
-            MoRERService(demo_morer(6), metrics=registry)
-    finally:
-        service.close()
-
-
 # -- live HTTP ---------------------------------------------------------------
 
 
@@ -340,25 +315,6 @@ def test_metrics_endpoint_under_concurrent_burst(gateway):
         assert r.headers["Content-Type"].startswith(
             "text/plain; version=0.0.4"
         )
-
-
-def test_metrics_endpoint_404_when_disabled():
-    service = MoRERService(demo_morer(6), metrics=False)
-    server = ServiceHTTPServer(
-        service, ("127.0.0.1", 0),
-        access_log=AccessLog(stream=io.StringIO()),
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        client = ServiceClient(server.url)
-        client.wait_ready(timeout=5)
-        with pytest.raises(ServiceError, match="disabled"):
-            client.metrics()
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
 
 
 def _log_records(buffer, predicate, timeout=5.0):
@@ -447,14 +403,14 @@ def test_stdlib_lines_suppressed_at_info_level(gateway):
 
 
 def test_instrumentation_and_limiting_do_not_change_decisions():
-    """A rate-limited + instrumented run must produce byte-identical
-    solve decisions to a bare run of the same admitted requests."""
+    """A run through the rate-limited, access-logged gateway must
+    produce byte-identical solve decisions to an in-process run of the
+    same admitted requests."""
     probes = demo_probes(6, seed=61)
 
     def run(instrumented):
         service = MoRERService(
             demo_morer(10), max_batch_size=1, max_wait_ms=0,
-            metrics=None if instrumented else False,
         )
         if instrumented:
             server = ServiceHTTPServer(
@@ -487,11 +443,103 @@ def test_instrumentation_and_limiting_do_not_change_decisions():
             service.close()
 
     instrumented = run(instrumented=True)
-    bare = run(instrumented=False)
-    for a, b in zip(instrumented, bare):
+    in_process = run(instrumented=False)
+    for a, b in zip(instrumented, in_process):
         assert np.array_equal(a.predictions, b.predictions)
         assert a.cluster_id == b.cluster_id
         assert a.retrained == b.retrained
         assert a.new_model == b.new_model
         assert a.labels_spent == b.labels_spent
         assert a.coverage == pytest.approx(b.coverage)
+
+
+#: Each ``/stats`` service count and the ``/metrics`` sample it reads.
+STATS_SAMPLES = {
+    "base_solves": 'morer_solves_total{strategy="base"}',
+    "cov_solves": 'morer_solves_total{strategy="cov"}',
+    "batches_dispatched": "morer_scheduler_ticks_total",
+    "overload_rejections":
+        'morer_queue_rejections_total{reason="overloaded"}',
+    "wal_records": "morer_wal_appends_total",
+    "wal_failures": "morer_wal_append_failures_total",
+    "checkpoints": 'morer_checkpoints_total{outcome="ok"}',
+    "checkpoint_failures": 'morer_checkpoints_total{outcome="failed"}',
+    "unavailable_rejections":
+        'morer_queue_rejections_total{reason="unavailable"}',
+}
+
+
+def test_stats_counts_equal_their_metrics_samples(tmp_path):
+    """Every serving event is recorded once: each ``/stats`` count is
+    the ``/metrics`` sample it names, in process and over HTTP. Counts
+    that share a series differ, so a key reading the wrong label
+    fails."""
+    (tmp_path / "file").write_text("")
+    service = MoRERService(
+        demo_morer(10), max_batch_size=4, max_wait_ms=0,
+        max_queue_depth=4, wal_dir=tmp_path / "wal",
+        # Under a regular file: every scheduler checkpoint fails.
+        checkpoint_store=tmp_path / "file" / "store", checkpoint_every=1,
+    )
+    server = ServiceHTTPServer(
+        service, ("127.0.0.1", 0),
+        access_log=AccessLog(stream=io.StringIO()),
+    )
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    probes = demo_probes(12, seed=71)
+    try:
+        for probe in probes[:2]:
+            service.solve(SolveRequest(
+                problem=probe.without_labels(), strategy="base"
+            ))
+        service.save(tmp_path / "store")
+        service.save(tmp_path / "store")
+        responses = service.solve_batch([
+            SolveRequest(problem=probe, strategy="cov")
+            for probe in probes[2:6]
+        ])
+        # Admitted together, so the scheduler took them as one tick;
+        # its failed checkpoint runs before the next tick.
+        assert len({response.batch_id for response in responses}) == 1
+        with pytest.raises(Overloaded):
+            service.solve_batch([
+                SolveRequest(problem=probe, strategy="cov")
+                for probe in probes[6:11]
+            ])
+        faults.install("error:wal.pre_fsync")
+        try:
+            with pytest.raises(Unavailable):
+                service.solve(SolveRequest(
+                    problem=probes[11], strategy="cov"
+                ))
+        finally:
+            faults.clear()
+        for _ in range(2):
+            with pytest.raises(Unavailable, match="degraded"):
+                service.solve(SolveRequest(
+                    problem=probes[11], strategy="cov"
+                ))
+
+        client = ServiceClient(server.url)
+        views = [
+            (service.stats().service, service.metrics.render()),
+            (client.stats().service, client.metrics()),
+        ]
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+    (local, _), (remote, _) = views
+    assert remote == local
+    for stats, text in views:
+        samples = parse_prometheus(text)
+        for key, name in STATS_SAMPLES.items():
+            assert stats[key] == samples[name], key
+    assert {key: local[key] for key in STATS_SAMPLES} == {
+        "base_solves": 2, "cov_solves": 4, "batches_dispatched": 1,
+        "overload_rejections": 1, "wal_records": 1, "wal_failures": 1,
+        "checkpoints": 2, "checkpoint_failures": 1,
+        "unavailable_rejections": 2,
+    }
+    assert not {"max_coalesced", "fits", "saves"} & set(local)

@@ -155,7 +155,7 @@ def test_base_solve_matches_direct_morer(served):
     assert response.cluster_id == direct.cluster_id
     assert np.array_equal(response.predictions, direct.predictions)
     assert response.similarity == pytest.approx(direct.similarity)
-    assert served.counters["base_solves"] == 1
+    assert served.stats().service["base_solves"] == 1
 
 
 def test_service_accepts_problem_and_dict_requests(served):
@@ -193,7 +193,7 @@ def test_feature_schema_mismatch_rejected_at_admission(served):
     with pytest.raises(InvalidRequest, match="shared comparison schema"):
         served.solve(SolveRequest(problem=probe, strategy="cov"))
     # The bad probe never reached the graph (no poisoned batch).
-    assert served.counters["cov_solves"] == 0
+    assert served.stats().service["cov_solves"] == 0
 
 
 # -- micro-batching scheduler -------------------------------------------------------
@@ -217,8 +217,8 @@ def test_scheduler_coalesces_and_matches_solve_batch_byte_identically():
         ]
         responses = [future.result(timeout=30) for future in futures]
         # Everything coalesced into exactly one solve_batch tick.
-        assert service.counters["batches_dispatched"] == 1
-        assert service.counters["max_coalesced"] == len(probes)
+        assert service.stats().service["batches_dispatched"] == 1
+        assert [r.batch_id for r in responses] == [1] * len(probes)
         assert service.morer.counters["batch_solves"] == 1
     finally:
         service.close()
@@ -263,7 +263,7 @@ def test_bounded_queue_raises_overloaded():
             service._lock.release_write()
         assert first.result(timeout=30).predictions.size
         assert second.result(timeout=30).predictions.size
-        assert service.counters["overload_rejections"] == 1
+        assert service.stats().service["overload_rejections"] == 1
     finally:
         service.close()
 
@@ -288,7 +288,8 @@ def test_cancelled_future_does_not_kill_the_scheduler():
             problem=make_problem("FU", "FUb", seed=92), strategy="cov"
         ))
         assert follow_up.predictions.size
-        assert service.counters["cov_solves"] == 3  # cancelled one never ran
+        # The cancelled one never ran.
+        assert service.stats().service["cov_solves"] == 3
     finally:
         service.close()
 
@@ -309,7 +310,7 @@ def test_solve_batch_admission_is_all_or_nothing():
                 SolveRequest(problem=bad, strategy="cov"),
                 SolveRequest(problem=good[1], strategy="cov"),
             ])
-        assert service.counters["cov_solves"] == 0
+        assert service.stats().service["cov_solves"] == 0
         assert len(service.morer.problem_graph) == graph_size
         # A batch larger than the queue bound is rejected as a unit.
         with pytest.raises(Overloaded, match="queue is full"):
@@ -319,7 +320,7 @@ def test_solve_batch_admission_is_all_or_nothing():
             ])
         with service._queue_cond:
             assert not service._queue
-        assert service.counters["overload_rejections"] == 1
+        assert service.stats().service["overload_rejections"] == 1
         # A batch within the bound still solves normally.
         responses = service.solve_batch([
             SolveRequest(problem=probe, strategy="cov") for probe in good
@@ -464,7 +465,6 @@ def test_save_under_concurrent_load_round_trips(tmp_path):
         for thread in threads:
             thread.join(timeout=60)
         assert not errors, errors
-        assert service.counters["saves"] == 1
     finally:
         service.close()
     restored = MoRER.load(store)

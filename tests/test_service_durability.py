@@ -97,6 +97,40 @@ def test_degraded_solve_batch_envelopes_keep_base_members(tmp_path):
     service.close()
 
 
+def test_nan_cov_probe_is_rejected_before_the_wal(tmp_path):
+    service = MoRERService(demo_morer(8), wal_dir=tmp_path / "wal")
+    try:
+        payload = demo_probes(1, seed=12)[0].to_dict()
+        payload["features"][0][0] = float("nan")
+        with pytest.raises(InvalidRequest, match="finite"):
+            service.solve({"problem": payload, "strategy": "cov"})
+        assert service.stats().service["wal_seq"] == 0
+    finally:
+        service.close()
+    assert read_wal(tmp_path / "wal")[1].n_records == 0
+
+
+def test_retraining_tick_appends_one_wal_record(tmp_path):
+    """A tick is one ``solve_batch`` record, whatever it decided: no
+    marker follows a retrain or a new model."""
+    service = MoRERService(
+        demo_morer(10), wal_dir=tmp_path / "wal", max_batch_size=1,
+        max_wait_ms=0,
+    )
+    retrained = 0
+    try:
+        for probe in demo_probes(5, seed=5):
+            before = service.stats().service["wal_seq"]
+            response = service.solve(probe)
+            retrained += response.retrained or response.new_model
+            assert service.stats().service["wal_seq"] == before + 1
+    finally:
+        service.close()
+    assert retrained >= 1
+    records, _ = read_wal(tmp_path / "wal")
+    assert [record["kind"] for record in records] == ["solve_batch"] * 5
+
+
 def test_non_wal_service_never_degrades(tmp_path):
     service = MoRERService(demo_morer(8))
     health = service.healthz()
@@ -139,7 +173,7 @@ def test_solve_batch_envelopes_whole_call_conditions_still_raise():
     try:
         with pytest.raises(Overloaded):
             service.solve_batch_envelopes(probes)
-        assert service.counters["cov_solves"] == 0
+        assert service.stats().service["cov_solves"] == 0
     finally:
         service.close()
 
@@ -269,7 +303,7 @@ def test_checkpoint_every_snapshots_and_truncates(tmp_path):
     for probe in demo_probes(5, seed=16):
         service.solve(probe)
     service.close()
-    assert service.counters["checkpoints"] >= 1
+    assert service.stats().service["checkpoints"] >= 1
     assert store.is_dir()
     manifest = json.loads((store / "durability.json").read_text())
     assert manifest["wal_seq"] >= 2
@@ -546,7 +580,7 @@ import numpy
 if "numpy.ma" in sys.modules:
     print("numpy.ma loads with numpy")
     sys.exit(0)
-from repro.core import MoRER
+from repro.core import MoRER, make_distribution_test
 from repro.durability import recover
 from repro.service import MoRERService
 from tests.conftest import make_regime_problems
@@ -562,17 +596,21 @@ with MoRERService(morer) as service:
     ]
 MoRER(classifier="logistic_regression", model_generation="supervised",
       random_state=5).fit(make_regime_problems(12, seed=5, prefix="S"))
+rng = numpy.random.default_rng(6)
+make_distribution_test("wd").problem_similarity(
+    rng.random((40, 3)), rng.random((30, 3))
+)
 print(sum(response.retrained for response in responses),
       "numpy.ma" in sys.modules)
 """
 
 
 def test_serving_never_imports_numpy_ma(tmp_path):
-    """A recovered store serving ``cov`` ticks, retrains included, and
-    then a supervised ``logistic_regression`` fit never load
-    ``numpy.ma``: counting distinct values with ``np.unique`` and no
-    ``return_*`` flag would import it (NumPy 2.4 asks
-    ``np.ma.is_masked``), and every fresh server would pay for its
+    """A recovered store serving ``cov`` ticks, retrains included, then
+    a supervised ``logistic_regression`` fit and a raw Wasserstein
+    similarity never load ``numpy.ma``: counting distinct values with
+    ``np.unique`` and no ``return_*`` flag would import it (NumPy 2.4
+    asks ``np.ma.is_masked``), and every fresh server would pay for its
     import in time and memory."""
     root = Path(__file__).resolve().parents[1]
     from tests.conftest import make_regime_problems
