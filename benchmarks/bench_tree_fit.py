@@ -31,7 +31,10 @@ Their data are two-class similarity vectors whose classes barely
 overlap, as in the benchmark's regimes. Asserts identical trees, votes
 and probabilities, and a kernel faster than the per-tree loops by at
 least 2× for the committee and 1.5× for the forest (on 2 shared vCPUs
-they measured 3.7–5.8× and 2.2–3.3×).
+they measured 3.7–5.8× and 2.2–3.3×). Beside each arm's time it prints
+the kernel's traced peak over one fit plus query (tracemalloc, outside
+the timed runs); ``tests/test_tree_kernel.py`` gates ``grow_trees``'
+own peak.
 """
 
 import time
@@ -43,6 +46,7 @@ from repro.ml import (
     DecisionTreeClassifier,
     RandomForestClassifier,
 )
+from tests.matrix_reference import traced_peak
 from tests.tree_reference import (
     FITTED,
     ReferenceBagging,
@@ -171,9 +175,12 @@ def test_ensemble_fit_and_query_speedup(benchmark, smoke):
                 reference_cls, params, X, y, queries, method, repeats)
             kernel_s, kernel, answer = _best_ensemble(
                 kernel_cls, params, X, y, queries, method, repeats)
+            _, peak = traced_peak(_best_ensemble, kernel_cls, params, X, y,
+                                  queries, method, 1)
             results[shape] = {
                 "reference_s": reference_s,
                 "kernel_s": kernel_s,
+                "kernel_peak_mb": peak / 1e6,
                 "speedup": reference_s / kernel_s,
                 "nodes": sum(tree.n_nodes_ for tree in kernel.estimators_),
                 "identical": np.array_equal(answer, expected) and all(
@@ -188,10 +195,11 @@ def test_ensemble_fit_and_query_speedup(benchmark, smoke):
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
     print(f"{'Ensemble':>10} {'Nodes':>6} {'Per-tree (ms)':>14} "
-          f"{'Kernel (ms)':>12} {'Speedup':>8}")
+          f"{'Kernel (ms)':>12} {'Kernel peak (MB)':>17} {'Speedup':>8}")
     for shape, r in results.items():
         print(f"{shape:>10} {r['nodes']:>6} {r['reference_s'] * 1e3:>14.1f} "
-              f"{r['kernel_s'] * 1e3:>12.1f} {r['speedup']:>7.1f}x")
+              f"{r['kernel_s'] * 1e3:>12.1f} {r['kernel_peak_mb']:>17.2f} "
+              f"{r['speedup']:>7.1f}x")
 
     for shape, r in results.items():
         assert r["identical"], shape

@@ -22,12 +22,15 @@ Per scenario it prints one digest per part: ``decisions`` (every
 probe's predictions, cluster id, retrain and new-model flags, labels
 spent and coverage, and the clusters after every tick), ``state`` (the
 counters and the RNG state), and, of a save after the last tick,
-``graph.npz``, the repository files and ``morer.json``'s ``partition``
-block. The store is then loaded and the live and the loaded instance
-solve three more ticks; ``twin`` digests the loaded one's decisions,
-which must equal the live one's. Exit code 0 when every digest of the
-head equals the base's and every loaded twin decided like its live
-instance.
+``graph.npz``, the repository files, ``morer.json``'s ``partition``
+block and all of ``morer.json`` but its ``format`` (the file holds no
+timings, so a decision-identical change writes the same bytes). The
+store is then loaded and the live and the loaded instance solve three
+more ticks; ``twin`` digests the loaded one's decisions, which must
+equal the live one's. Exit code 0 when every digest of the head equals
+the base's and every loaded twin decided like its live instance. A
+store-format change shows as a different ``morer.json`` with every
+other part the same.
 """
 
 from __future__ import annotations
@@ -99,6 +102,8 @@ repository = {
     str(path.relative_to(store)): hashlib.sha256(path.read_bytes()).hexdigest()
     for path in sorted((store / "repository").rglob("*")) if path.is_file()
 }
+saved = json.loads((store / "morer.json").read_text())
+del saved["format"]
 twin = MoRER.load(store)
 live = [tick(morer, batch) for batch in batches[n_ticks:]]
 loaded = [tick(twin, batch) for batch in batches[n_ticks:]]
@@ -107,9 +112,8 @@ print(json.dumps({
     "state": digest(state),
     "graph.npz": hashlib.sha256((store / "graph.npz").read_bytes()).hexdigest(),
     "repository": digest(repository),
-    "partition": digest(
-        json.loads((store / "morer.json").read_text())["partition"]
-    ),
+    "partition": digest(saved["partition"]),
+    "morer.json": digest(saved),
     "twin": digest(loaded),
     "twin_matches_live": digest(loaded) == digest(live),
 }))

@@ -399,7 +399,9 @@ class ERProblemGraph:
         each fact stored once.
 
         ``meta`` is JSON-safe (problem identities, pair ids,
-        settings). ``arrays`` holds:
+        settings). It lists each distinct ``feature_names`` list once,
+        in first-use order, and each problem names its list by index.
+        ``arrays`` holds:
 
         * ``features`` — every problem's rows, concatenated in vertex
           order, with ``offsets`` (problem ``i`` owns rows
@@ -425,14 +427,18 @@ class ERProblemGraph:
         """
         rows = self._rows
         problems = list(self._problems.values())
+        names = {}   # each distinct feature_names list -> its index
+        for problem in problems:
+            names.setdefault(tuple(problem.feature_names), len(names))
         meta = {
             "min_similarity": self.min_similarity,
             "index_threshold": self.index_threshold,
+            "feature_names": [list(listed) for listed in names],
             "problems": [
                 {
                     "source_a": problem.source_a,
                     "source_b": problem.source_b,
-                    "feature_names": problem.feature_names,
+                    "feature_names": names[tuple(problem.feature_names)],
                     "pair_ids": (
                         None if problem.pair_ids is None
                         else [list(pair) for pair in problem.pair_ids]
@@ -513,6 +519,7 @@ class ERProblemGraph:
         offsets = arrays["offsets"].tolist()
         labels = arrays["labels"]
         labelled = arrays["labelled"].tolist()
+        names = meta["feature_names"]
         labels_at = 0
         keys = instance._keys
         for i, spec in enumerate(meta["problems"]):
@@ -526,7 +533,7 @@ class ERProblemGraph:
                 spec["source_a"], spec["source_b"], features[start:stop],
                 problem_labels,
                 None if pair_ids is None else [tuple(p) for p in pair_ids],
-                spec["feature_names"],
+                names[spec["feature_names"]],
             )
             key = problem.key
             instance._rows[key] = len(keys)

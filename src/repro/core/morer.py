@@ -99,9 +99,12 @@ __all__ = [
 #: graph only grows, so its rows are the log); format 5 writes each
 #: random forest as one ensemble (its trees' node arrays concatenated),
 #: ``graph.npz``'s edges as per-row counts plus each edge's earlier row
-#: (no per-edge ``edge_rows``) and a compact repository manifest. A
+#: (no per-edge ``edge_rows``) and a compact repository manifest;
+#: format 6 drops the process-local ``timings`` from ``morer.json`` and
+#: lists each distinct ``feature_names`` list once in the graph meta,
+#: so saving the same fitted state twice writes the same bytes. A
 #: store written in an older format must be refitted.
-PERSISTENCE_FORMAT = 5
+PERSISTENCE_FORMAT = 6
 
 
 class UnsupportedFormatError(ValueError):
@@ -647,7 +650,10 @@ class MoRER:
           (:meth:`ERProblemGraph.export_state`);
         * ``morer.json`` — config, graph metadata, the
           :class:`PartitionState` (with its row cursor), trained keys,
-          clusters, timings and the RNG stream state.
+          clusters and the RNG stream state. :attr:`timings`, like
+          :attr:`counters`, is process-local instrumentation and is not
+          stored: a loaded instance counts from zero. Saving the same
+          fitted state twice writes the same bytes.
 
         The write is **atomic and crash-safe**: everything lands in a
         temp sibling that is fsynced and renamed into place
@@ -692,7 +698,6 @@ class MoRER:
                     None if self._partition is None
                     else self._partition.to_dict()
                 ),
-                "timings": self.timings,
                 "rng_state": self._rng.bit_generator.state,
             }
             (tmp / "morer.json").write_text(json.dumps(state))
@@ -733,7 +738,6 @@ class MoRER:
             morer._partition = PartitionState.from_dict(
                 state["partition"]
             )
-        morer.timings = dict(state["timings"])
         morer._rng.bit_generator.state = state["rng_state"]
         return morer
 

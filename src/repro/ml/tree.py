@@ -27,6 +27,20 @@ as a per-node, last-axis reduction, so gains (and therefore trees)
 match a per-tree, per-feature search bit for bit;
 ``tests/tree_reference.py`` keeps that search as the oracle.
 
+Memory. Every group reads one feature-major copy of the training
+matrix and one label array. A group holds, per (tree, training row,
+feature) cell, the int32 key of each drawn row in that feature's sorted
+list (4 bytes per drawn cell, about 2.5 per cell under bootstrap draws)
+and a one-byte flag per (tree, row). A step's temporaries come to about
+72 bytes per element it scores (a node's row under one candidate
+feature), two classes: 8 for the element's value and 64 for each
+candidate boundary's position, node, left and right class counts, left
+total and impurity. Each is dropped after its last reader, and the
+impurities overwrite the counts they are given. On perfbench's
+similarity data (NumPy 2.4), ``grow_trees`` peaks at 1.23 MB of traced
+allocation for a 30-tree forest on 420 rows of 6 features (two groups)
+and at 1.00 MB for a 10-tree committee on 335 rows (one group).
+
 Prediction (:class:`TreeEnsemble`). The trees' node arrays are
 concatenated once per fitted model, and every (tree, row) pair descends
 one level per numpy pass; votes and probabilities come from per-node
@@ -45,10 +59,12 @@ __all__ = ["DecisionTreeClassifier", "TreeEnsemble", "grow_trees"]
 _LEAF = -1
 #: Trees grow in groups of at most this many (training row, feature)
 #: cells in all (one tree at least), which bounds the lock step's
-#: working set: a group's sorted lists and a step's temporaries scale
-#: with its rows times features. At 2**16 a 10-tree committee on 335
-#: rows of 6 features grows as one group, and a 30-tree forest on 550
-#: rows in two, at half the peak memory of one group and the same speed.
+#: working set: a group holds at most 4 bytes per cell plus a byte per
+#: (tree, row), and a step's temporaries, about 72 bytes per scored
+#: element, scale with its rows times the features drawn. At 2**16 a
+#: 10-tree committee on 335 rows of 6 features grows as one group
+#: (traced peak 1.00 MB) and a 30-tree forest on 420 rows in two
+#: (1.23 MB); see the module docstring.
 _GROUP_CELLS = 1 << 16
 #: Prediction routes at most this many (tree, row) pairs per pass.
 _ROUTE_PAIRS = 1 << 16
@@ -57,22 +73,28 @@ _GROWTH_PARAMS = ("criterion", "max_depth", "min_samples_split",
                   "min_samples_leaf", "max_features")
 
 
-def _gini(counts):
-    """Gini impurity of class ``counts`` along axis 0 (class-first).
+def _gini(counts, totals):
+    """Gini impurity of class ``counts`` along axis 0 (class-first),
+    whose sums along that axis are ``totals``. Overwrites ``counts``.
 
     Every caller's totals are positive: a node, and each child of a
     candidate split, holds at least one row.
     """
-    proportions = counts / counts.sum(axis=0)
-    return 1.0 - np.sum(proportions**2, axis=0)
+    proportions = np.divide(counts, totals, out=counts)
+    np.square(proportions, out=proportions)
+    impurity = np.sum(proportions, axis=0)
+    return np.subtract(1.0, impurity, out=impurity)
 
 
-def _entropy(counts):
-    """Shannon entropy of class ``counts`` along axis 0 (class-first)."""
-    proportions = counts / counts.sum(axis=0)
-    with np.errstate(divide="ignore"):
-        logs = np.where(proportions > 0, np.log2(proportions), 0.0)
-    return -np.sum(proportions * logs, axis=0)
+def _entropy(counts, totals):
+    """Shannon entropy of class ``counts`` along axis 0 (class-first),
+    whose sums along that axis are ``totals``. Overwrites ``counts``."""
+    proportions = np.divide(counts, totals, out=counts)
+    logs = np.log2(proportions, out=np.zeros_like(proportions),
+                   where=proportions > 0)
+    proportions *= logs
+    impurity = np.sum(proportions, axis=0)
+    return np.negative(impurity, out=impurity)
 
 
 _CRITERIA = {"gini": _gini, "entropy": _entropy}
@@ -92,9 +114,12 @@ def _n_split_features(max_features, n_features):
 
 
 def _ranges(starts, lengths):
-    """``concatenate([arange(a, a + n) for a, n in zip(starts, lengths)])``."""
+    """``concatenate([arange(a, a + n) for a, n in zip(starts, lengths)])``
+    as int32 positions."""
     ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+    positions = np.repeat((starts - ends + lengths).astype(np.int32), lengths)
+    positions += np.arange(len(positions), dtype=np.int32)
+    return positions
 
 
 def grow_trees(X, y_enc, classes, weights, trees):
@@ -120,14 +145,16 @@ def grow_trees(X, y_enc, classes, weights, trees):
     params = {name: getattr(trees[0], name) for name in _GROWTH_PARAMS}
     if params["criterion"] not in _CRITERIA:
         raise ValueError(f"unknown criterion {params['criterion']!r}")
-    n, n_features = X.shape
+    n_features = X.shape[1]
     order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    columns = np.ascontiguousarray(X.T)
     group = max(1, _GROUP_CELLS // X.size)
     for start in range(0, len(trees), group):
         members = trees[start:start + group]
-        grower = _LockStep(X, order, y_enc, len(classes),
-                           weights[start:start + group], members, params)
-        for tree, arrays in zip(members, grower.grow()):
+        grown = _LockStep(columns, order, y_enc, len(classes),
+                          weights[start:start + group], members,
+                          params).grow()
+        for tree, arrays in zip(members, grown):
             tree._set_fitted(classes, n_features, arrays)
     return trees
 
@@ -135,13 +162,16 @@ def grow_trees(X, y_enc, classes, weights, trees):
 class _LockStep:
     """One group of trees growing together.
 
-    Sample key ``t * n + r`` names tree ``t``'s copy of training row
-    ``r``. ``perm`` holds one row per feature, each with the keys of
-    every tree's distinct rows sorted by that feature; a node owns the
-    same column range ``[lo, hi)`` in every row, and splitting it
-    partitions that range in place: rows at or below the threshold
-    first, each side keeping its order. A node is pushed on its tree's
-    stack only if it may split; leaves are settled when created.
+    Sample key ``t * n + r`` (int32) names tree ``t``'s copy of
+    training row ``r``: its row is ``key % n``, its multiplicity
+    ``weights.flat[key]``. The group reads the one feature-major copy
+    of the training matrix and the one label array every group shares.
+    ``perm`` holds one row per feature, each with the keys of every
+    tree's distinct rows sorted by that feature; a node owns the same
+    column range ``[lo, hi)`` in every row, and splitting it partitions
+    that range in place: rows at or below the threshold first, each
+    side keeping its order. A node is pushed on its tree's stack only
+    if it may split; leaves are settled when created.
 
     A tree that draws features pops one node per step, so its draws
     follow its depth-first order. A tree that examines every feature
@@ -150,37 +180,36 @@ class _LockStep:
     order at the end.
     """
 
-    def __init__(self, X, order, y_enc, n_classes, weights, trees, params):
-        n, n_features = X.shape
+    def __init__(self, columns, order, labels, n_classes, weights, trees,
+                 params):
+        n_features, n = columns.shape
         n_trees = len(weights)
-        self.n_features, self.n_classes = n_features, n_classes
+        self.n, self.n_features, self.n_classes = n, n_features, n_classes
         self.params = params
         self.impurity = _CRITERIA[params["criterion"]]
         self.n_drawn = _n_split_features(params["max_features"], n_features)
         self.random_states = [tree.random_state for tree in trees]
         self.rngs = [None] * n_trees
-        self.n_keys = n_trees * n
+        self.columns = columns.ravel()   # feature f of row r at f * n + r
+        self.labels = labels
         self.key_weight = weights.ravel()
-        self.key_class = np.tile(y_enc, n_trees)
-        # Feature f of key k sits at f * n_keys + k.
-        self.key_values = np.tile(X.T, n_trees).ravel()
-        present = np.ascontiguousarray(
-            (weights > 0)[:, order].transpose(1, 0, 2))
-        keys = order[:, None, :] + (np.arange(n_trees) * n)[:, None]
-        self.perm = keys.ravel()[present.ravel()]
-        self.width = len(self.perm) // n_features
-        self.rows = (np.arange(n_features) * self.width)[:, None]
-        self.goes_left = np.zeros(self.n_keys, dtype=bool)
-        counts = np.bincount(
-            np.repeat(np.arange(n_trees) * n_classes, n) + self.key_class,
-            weights=self.key_weight, minlength=n_trees * n_classes,
-        ).reshape(n_trees, n_classes)
+        present = weights > 0
+        sizes = present.sum(axis=1)
+        self.width = int(sizes.sum())
+        keys = np.arange(n_trees * n, dtype=np.int32).reshape(n_trees, n)
+        self.perm = np.empty((n_features, self.width), dtype=np.int32)
+        for f, rows in enumerate(order):
+            self.perm[f] = keys[:, rows][present[:, rows]]
+        del keys, present
+        self.goes_left = np.zeros(n_trees * n, dtype=bool)
+        counts = (weights @ (labels[:, None] == np.arange(n_classes))).astype(
+            np.float64)
         self.n_nodes = [1] * n_trees
         self.visits = [(np.arange(n_trees), np.zeros(n_trees, np.int64),
                         counts)]   # (tree, node, class counts) per step
         self.splits = []   # (tree, node, feature, threshold, left) per step
         self.reorder = set()   # trees that split two nodes in one step
-        sizes = present[0].sum(axis=1).tolist()
+        sizes = sizes.tolist()
         lows = np.cumsum([0] + sizes[:-1]).tolist()
         leaf = self._is_leaf(counts, 0).tolist()
         # Stack entries: (node, lo, hi, depth, class counts).
@@ -259,6 +288,12 @@ class _LockStep:
             draws.append(rng.choice(n_features, size=n_drawn, replace=False))
         return np.concatenate(draws)
 
+    def _rows(self, keys):
+        """The training row of each of ``keys``, as an index array."""
+        rows = keys.astype(np.intp)
+        rows -= keys // self.n * self.n
+        return rows
+
     def _best_splits(self, tree, lo, size, counts):
         """Score every candidate split of the popped nodes in one pass.
 
@@ -269,7 +304,9 @@ class _LockStep:
         rows (by weight). Each node takes the largest gain above
         ``1e-12``, ties going to the earlier feature in draw order, then
         the earlier boundary: the split a per-feature scan with a strict
-        ``>`` keeps.
+        ``>`` keeps. Each per-element or per-boundary temporary is
+        dropped after its last reader, and the impurities overwrite the
+        counts they are given.
 
         Returns ``(nodes, features, thresholds)`` for the nodes that
         split (``nodes`` index the popped ones), or ``None``.
@@ -278,14 +315,17 @@ class _LockStep:
         feature = self._draw(tree)
         seg_size = np.repeat(size, n_drawn)
         seg_end = np.cumsum(seg_size)
-        seg_start = seg_end - seg_size
-        keys = self.perm[_ranges(feature * self.width + np.repeat(lo, n_drawn),
-                                 seg_size)]
-        values = self.key_values[
-            np.repeat(feature * self.n_keys, seg_size) + keys]
+        keys = np.take(self.perm, _ranges(
+            feature * self.width + np.repeat(lo, n_drawn), seg_size))
+        at = self._rows(keys)
+        label = self.labels[at]
+        at += np.repeat(feature * self.n, seg_size)
+        values = self.columns[at]
+        del at
         differs = values[1:] != values[:-1]
         differs[seg_end[:-1] - 1] = False
         boundary = np.flatnonzero(differs)
+        del differs
         if not boundary.size:
             return None
         # Class-first weighted counts, summed up to each element of its
@@ -293,15 +333,22 @@ class _LockStep:
         # previous segment's total (that node's class counts). The sums
         # are integers, so floating point holds them exactly.
         parent = counts.T
-        n_keys = len(keys)
-        running = np.zeros((self.n_classes, n_keys))
-        running.ravel()[self.key_class[keys] * n_keys + np.arange(n_keys)] = (
-            self.key_weight[keys])
-        running[:, seg_start[1:]] -= np.repeat(parent, n_drawn, axis=1)[:, :-1]
+        running = np.empty((self.n_classes, len(keys)))
+        weight = np.take(self.key_weight, keys)
+        del keys
+        for c in range(self.n_classes):
+            np.multiply(label == c, weight, out=running[c])
+        del weight, label
+        running[:, seg_end[:-1]] -= np.repeat(parent, n_drawn, axis=1)[:, :-1]
         np.cumsum(running, axis=1, out=running)
         left = np.take(running, boundary, axis=1)
+        del running
         n_left = left.sum(axis=0)
-        b_node = np.repeat(np.arange(len(tree)), size * n_drawn)[boundary]
+        # Boundaries are sorted, so each node's run of them ends where
+        # its last segment does.
+        runs = np.searchsorted(boundary, seg_end[n_drawn - 1::n_drawn])
+        runs[1:] -= runs[:-1].copy()
+        b_node = np.repeat(np.arange(len(tree)), runs)
         n_node = counts.sum(axis=1)
         leaf_min = self.params["min_samples_leaf"]
         if leaf_min > 1:
@@ -310,13 +357,24 @@ class _LockStep:
             if not boundary.size:
                 return None
             left, n_left = left[:, keep], n_left[keep]
-        right = np.take(parent, b_node, axis=1) - left
+        # gains = impurity(parent) - (n_left * impurity(left)
+        #                             + n_right * impurity(right)) / n_node,
+        # a child's totals being its class counts' sum, exactly.
+        right = np.take(parent, b_node, axis=1)
+        right -= left
         impurity = self.impurity
-        n_node = n_node[b_node]
-        n_right = n_node - n_left
-        gains = impurity(parent)[b_node] - (
-            n_left * impurity(left) + n_right * impurity(right)
-        ) / n_node
+        gains = impurity(left, n_left)
+        del left
+        gains *= n_left
+        n_right = np.subtract(n_node[b_node], n_left, out=n_left)
+        right_terms = impurity(right, n_right)
+        del right
+        right_terms *= n_right
+        gains += right_terms
+        del right_terms, n_right
+        gains /= n_node[b_node]
+        np.subtract(impurity(parent.copy(order="K"), n_node)[b_node], gains,
+                    out=gains)
         # Boundaries run node by node, then in draw and sorted order:
         # each node's first maximum is the scan's pick.
         change = np.empty(len(gains), dtype=bool)
@@ -340,26 +398,32 @@ class _LockStep:
         """Split each node's range in every feature row. Returns the
         left sizes (distinct rows) and the children's class counts, left
         and right child of each node in turn."""
-        block = self.perm[self.rows + _ranges(lo, size)]
+        n_features, n_classes = self.n_features, self.n_classes
+        block = np.take(self.perm, _ranges(lo, size), axis=1)
         members = block[0]
-        goes_left = (self.key_values[np.repeat(feature * self.n_keys, size)
-                                     + members]
-                     <= np.repeat(threshold, size))
+        at = self._rows(members)
+        label = self.labels[at]
+        at += np.repeat(feature * self.n, size)
+        goes_left = self.columns[at] <= np.repeat(threshold, size)
+        del at
         self.goes_left[members] = goes_left
         n_left = np.add.reduceat(goes_left, np.cumsum(size) - size,
                                  dtype=np.int64)
-        n_classes = self.n_classes
         child = 2 * np.repeat(np.arange(len(lo)), size) + ~goes_left
         child_counts = np.bincount(
-            child * n_classes + self.key_class[members],
-            weights=self.key_weight[members],
+            child * n_classes + label,
+            weights=np.take(self.key_weight, members),
             minlength=2 * len(lo) * n_classes,
         ).reshape(-1, n_classes)
-        block = block.ravel()
-        is_left = self.goes_left[block]
-        self.perm[(self.rows + _ranges(lo, n_left)).ravel()] = block[is_left]
-        self.perm[(self.rows + _ranges(lo + n_left, size - n_left)).ravel()] = (
-            block[~is_left])
+        del child, label
+        # Each feature row holds every node's keys, so each row sends the
+        # same number of them left.
+        is_left = np.take(self.goes_left, block).ravel()
+        self.perm[:, _ranges(lo, n_left)] = np.compress(
+            is_left, block).reshape(n_features, -1)
+        np.logical_not(is_left, out=is_left)
+        self.perm[:, _ranges(lo + n_left, size - n_left)] = np.compress(
+            is_left, block).reshape(n_features, -1)
         return n_left, child_counts
 
     def _assemble(self):

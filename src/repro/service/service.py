@@ -396,37 +396,60 @@ class MoRERService:
         embeds ``durability.json`` recording the WAL ``seq`` it absorbs
         (written inside the atomic swap, so snapshot and seq can never
         disagree), and once the snapshot is durable the WAL rotates to
-        a fresh segment and deletes the old ones.
+        a fresh segment and deletes the old ones. A degraded service
+        still writes the snapshot but keeps its WAL, so that save is no
+        checkpoint.
+
+        Every checkpoint records its outcome here, whether the
+        scheduler (:meth:`_maybe_checkpoint`) or ``POST /save`` asked
+        for it: one ``morer_checkpoints_total{outcome}``, and
+        ``last_checkpoint_error`` set on failure and cleared on
+        success. A failed snapshot write raises. A failed WAL
+        truncation leaves the snapshot safe, degrades the service and
+        returns ``False``; otherwise the save returns ``True``.
         """
-        self._check_fitted()
         started = time.perf_counter()
         with self._lock.write_lock():
+            self._check_fitted()
+            wal = self._wal
+            checkpoint = wal is not None and self._degraded_reason is None
             extras = None
-            if self._wal is not None:
+            if wal is not None:
                 extras = {
-                    DURABILITY_MANIFEST: json.dumps(
-                        {"wal_seq": self._wal.seq}
-                    ),
+                    DURABILITY_MANIFEST: json.dumps({"wal_seq": wal.seq}),
                 }
             try:
                 self._morer.save(path, extras=extras)
-            except NotFittedError as exc:
-                raise NotFitted(str(exc)) from exc
-            if self._wal is not None and self._degraded_reason is None:
-                try:
-                    self._wal.checkpoint(self._wal.seq)
-                except (WALError, OSError) as exc:
-                    # The snapshot is safe; the WAL may not be. Refuse
-                    # further mutations rather than risk un-replayable
-                    # acks.
-                    self._enter_degraded(f"checkpoint failed: {exc}")
-                    self.metrics.checkpoints_total.inc(outcome="failed")
-                else:
-                    self._last_checkpoint_seq = self._wal.seq
-                    self.metrics.checkpoints_total.inc(outcome="ok")
-                    self.metrics.checkpoint_seconds.observe(
-                        time.perf_counter() - started
-                    )
+            except Exception as exc:  # noqa: BLE001 - recorded, then re-raised
+                if checkpoint:
+                    self._record_checkpoint(exc)
+                raise
+            if not checkpoint:
+                return True
+            try:
+                wal.checkpoint(wal.seq)
+            except (WALError, OSError) as exc:
+                # The snapshot is safe; the WAL may not be. Refuse
+                # further mutations rather than risk un-replayable acks.
+                self._enter_degraded(f"checkpoint failed: {exc}")
+                self._record_checkpoint(exc)
+                return False
+            self._last_checkpoint_seq = wal.seq
+            self._record_checkpoint(None)
+            self.metrics.checkpoint_seconds.observe(
+                time.perf_counter() - started
+            )
+            return True
+
+    def _record_checkpoint(self, error):
+        """Count one checkpoint outcome and keep ``error`` (``None`` on
+        success) as ``last_checkpoint_error``."""
+        self.metrics.checkpoints_total.inc(
+            outcome="ok" if error is None else "failed"
+        )
+        self._last_checkpoint_error = (
+            None if error is None else f"{type(error).__name__}: {error}"
+        )
 
     def stats(self):
         """Operational snapshot (:class:`RepositoryStats`)."""
@@ -743,9 +766,10 @@ class MoRERService:
 
     def _maybe_checkpoint(self):
         """Scheduler-driven checkpoint every ``checkpoint_every``
-        appended records; failures are logged, counted and — after
-        :data:`CHECKPOINT_FAILURE_LIMIT` in a row — degrade the
-        service, but never kill the scheduler thread."""
+        appended records. :meth:`save` records each outcome; a failure
+        is logged here and — after :data:`CHECKPOINT_FAILURE_LIMIT` in
+        a row — degrades the service, but never kills the scheduler
+        thread."""
         if (
             self._wal is None
             or self.checkpoint_every <= 0
@@ -756,27 +780,26 @@ class MoRERService:
         if self._wal.seq - self._last_checkpoint_seq < self.checkpoint_every:
             return
         try:
-            self.save(self._checkpoint_store)
-        except Exception as exc:  # noqa: BLE001 - scheduler must survive
-            self.metrics.checkpoints_total.inc(outcome="failed")
-            self._checkpoint_fail_streak += 1
-            self._last_checkpoint_error = f"{type(exc).__name__}: {exc}"
-            print(
-                f"checkpoint to {self._checkpoint_store} failed "
-                f"({self._checkpoint_fail_streak} consecutive): "
-                f"{self._last_checkpoint_error}",
-                file=sys.stderr, flush=True,
-            )
-            if self._checkpoint_fail_streak >= self.CHECKPOINT_FAILURE_LIMIT:
-                self._enter_degraded(
-                    f"{self._checkpoint_fail_streak} consecutive "
-                    f"checkpoint failures (last: "
-                    f"{self._last_checkpoint_error}); the WAL cannot be "
-                    "truncated"
-                )
-        else:
+            saved = self.save(self._checkpoint_store)
+        except Exception:  # noqa: BLE001 - scheduler must survive; save recorded it
+            saved = False
+        if saved:
             self._checkpoint_fail_streak = 0
-            self._last_checkpoint_error = None
+            return
+        self._checkpoint_fail_streak += 1
+        print(
+            f"checkpoint to {self._checkpoint_store} failed "
+            f"({self._checkpoint_fail_streak} consecutive): "
+            f"{self._last_checkpoint_error}",
+            file=sys.stderr, flush=True,
+        )
+        if self._checkpoint_fail_streak >= self.CHECKPOINT_FAILURE_LIMIT:
+            self._enter_degraded(
+                f"{self._checkpoint_fail_streak} consecutive "
+                f"checkpoint failures (last: "
+                f"{self._last_checkpoint_error}); the WAL cannot be "
+                "truncated"
+            )
 
     def _record_tick(self, n_solves, seconds=0.0, results=None):
         """Account one dispatched tick; returns its id (the batch id

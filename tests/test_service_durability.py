@@ -343,6 +343,53 @@ def test_repeated_checkpoint_failures_surface_and_degrade(
     assert "disk full" in capsys.readouterr().err
 
 
+def test_scheduler_checkpoint_with_a_failed_wal_truncation_fails(
+    tmp_path, monkeypatch, capsys
+):
+    """A scheduler checkpoint whose snapshot lands but whose WAL
+    truncation fails is a failed checkpoint: ``/stats`` counts it, keeps
+    its error beside ``degraded``, and the scheduler logs it."""
+    store, wal_dir = tmp_path / "store", tmp_path / "wal"
+    service = MoRERService(
+        demo_morer(10), wal_dir=wal_dir, checkpoint_store=store,
+        checkpoint_every=1, max_wait_ms=0,
+    )
+
+    def full_disk(seq):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(service._wal, "checkpoint", full_disk)
+    service.solve(demo_probes(1, seed=32)[0])
+    service.close()          # drains the scheduler: the attempt is done
+    stats = service.stats().service
+    assert (stats["checkpoints"], stats["checkpoint_failures"]) == (0, 1)
+    assert stats["degraded"] is True
+    assert stats["last_checkpoint_error"] == "OSError: disk full"
+    assert (store / "durability.json").is_file()   # the snapshot landed
+    assert "disk full" in capsys.readouterr().err
+
+
+def test_failed_explicit_save_counts_as_a_failed_checkpoint(tmp_path):
+    """An explicit save (``POST /save``) whose snapshot write fails
+    raises and is recorded like a scheduler checkpoint: one failure and
+    its error, cleared by the next good save. Neither degrades the
+    service."""
+    (tmp_path / "file").write_text("")
+    service = MoRERService(demo_morer(10), wal_dir=tmp_path / "wal")
+    with pytest.raises(OSError) as raised:
+        service.save(tmp_path / "file" / "store")
+    stats = service.stats().service
+    assert (stats["checkpoints"], stats["checkpoint_failures"]) == (0, 1)
+    error = raised.value
+    assert stats["last_checkpoint_error"] == f"{type(error).__name__}: {error}"
+    service.save(tmp_path / "store")
+    stats = service.stats().service
+    assert (stats["checkpoints"], stats["checkpoint_failures"]) == (1, 1)
+    assert stats["last_checkpoint_error"] is None
+    assert stats["degraded"] is False
+    service.close()
+
+
 # -- CLI recovery ------------------------------------------------------------------
 
 
@@ -450,10 +497,10 @@ def test_cli_force_bootstrap_discards_deliberately(tmp_path, monkeypatch):
     assert report.n_records == 0      # the stranded records are gone
 
 
-#: Store formats this build refuses: an unknown one, and format 4 (the
+#: Store formats this build refuses: an unknown one, format 4 (the
 #: last one with per-edge rows in ``graph.npz`` and per-tree model
-#: dicts).
-_UNSUPPORTED_FORMATS = (999, 4)
+#: dicts) and format 5 (the last one with timings in ``morer.json``).
+_UNSUPPORTED_FORMATS = (999, 4, 5)
 
 
 def _unsupported_store(tmp_path):

@@ -4,9 +4,12 @@ Both run the same integer counts and float operations, so every
 comparison here is exact (``np.array_equal``): single trees and random
 ensembles over random, tie-heavy and constant-column inputs with every
 split constraint, and a whole ``MoRER.fit`` with its ``cov`` solves.
+A memory gate holds the kernel's traced peak in perfbench's two
+ensemble shapes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +20,7 @@ from repro.ml import (
     RandomForestClassifier,
 )
 from tests.conftest import make_problem
+from tests.matrix_reference import traced_peak
 from tests.tree_reference import (
     FITTED,
     ReferenceBagging,
@@ -184,6 +188,70 @@ def test_growth_groups_match_one_group(monkeypatch):
     monkeypatch.setattr(tree_module, "_GROUP_CELLS", 1250)
     grouped = RandomForestClassifier(n_estimators=9, random_state=2).fit(X, y)
     _same_trees(whole, grouped)
+
+
+def _similarities(n_rows, seed):
+    """Six-feature similarity vectors of a 30% match share whose classes
+    barely overlap, as in perfbench's regimes (and
+    ``benchmarks/bench_tree_fit.py``'s ensemble arm)."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n_rows) < 0.3).astype(int)
+    X = np.clip(0.25 + 0.5 * y[:, None]
+                + rng.normal(0.0, 0.12, (n_rows, 6)), 0.0, 1.0)
+    return X, y
+
+
+#: Traced-peak bounds of ``grow_trees`` in perfbench's two ensemble
+#: shapes: shape -> (model, training rows, lock-step groups, bound in
+#: bytes). Each bound is this kernel's measured peak plus a 15% margin
+#: (NumPy 2.4; data seeds 0-3 agree within 0.5%): the forest (a cluster
+#: model, 30 trees on 420 rows) measured 1.234 MB, the committee (the
+#: bootstrap AL committee, 10 trees on 335 rows) 1.004 MB. At 2**16
+#: cells (:data:`repro.ml.tree._GROUP_CELLS`) the forest grows in two
+#: groups and the committee in one, so the bounds hold without
+#: shrinking the groups.
+MEMORY_SHAPES = {
+    "forest": (
+        lambda: RandomForestClassifier(n_estimators=30, max_depth=10,
+                                       random_state=0),
+        420, 2, int(1.15 * 1.234e6),
+    ),
+    "committee": (
+        lambda: BaggingClassifier(
+            base_estimator=DecisionTreeClassifier(max_depth=8),
+            n_estimators=10, random_state=0),
+        335, 1, int(1.15 * 1.004e6),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MEMORY_SHAPES))
+def test_grow_trees_stays_within_its_memory_bound(shape, monkeypatch):
+    """``grow_trees``' traced peak stays within its shape's bound, in as
+    many lock-step groups as the cell cap gives."""
+    from repro.ml import forest as forest_module
+    from repro.ml import tree as tree_module
+
+    make, n_rows, n_groups, bound = MEMORY_SHAPES[shape]
+    X, y = _similarities(n_rows, seed=0)
+    make().fit(X, y)   # warm: first-call allocations are not the kernel's
+    peaks, groups = [], []
+    grow_trees, lock_step = tree_module.grow_trees, tree_module._LockStep
+
+    def traced(*args):
+        trees, peak = traced_peak(grow_trees, *args)
+        peaks.append(peak)
+        return trees
+
+    def counted(*args):
+        groups.append(args[5])   # the group's trees
+        return lock_step(*args)
+
+    monkeypatch.setattr(forest_module, "grow_trees", traced)
+    monkeypatch.setattr(tree_module, "_LockStep", counted)
+    make().fit(X, y)
+    assert len(groups) == n_groups
+    assert len(peaks) == 1 and peaks[0] <= bound, peaks
 
 
 def _problem_family():
