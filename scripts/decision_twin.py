@@ -22,15 +22,18 @@ Per scenario it prints one digest per part: ``decisions`` (every
 probe's predictions, cluster id, retrain and new-model flags, labels
 spent and coverage, and the clusters after every tick), ``state`` (the
 counters and the RNG state), and, of a save after the last tick,
-``graph.npz``, the repository files, ``morer.json``'s ``partition``
-block and all of ``morer.json`` but its ``format`` (the file holds no
-timings, so a decision-identical change writes the same bytes). The
-store is then loaded and the live and the loaded instance solve three
-more ticks; ``twin`` digests the loaded one's decisions, which must
-equal the live one's. Exit code 0 when every digest of the head equals
-the base's and every loaded twin decided like its live instance. A
-store-format change shows as a different ``morer.json`` with every
-other part the same.
+``graph.npz``, each repository file on its own (``manifest.json``,
+``vectors.npz``, every ``model_*.json``), ``morer.json``'s
+``partition`` block and all of ``morer.json`` but its ``format`` (the
+file holds no timings, so a decision-identical change writes the same
+bytes). The store is then loaded and the live and the loaded instance
+solve three more ticks; ``twin`` digests the loaded one's decisions,
+which must equal the live one's. Exit code 0 when every digest of the
+head equals the base's and every loaded twin decided like its live
+instance. A store-format change shows as exactly the files it touches
+(a config change: ``morer.json`` and ``repository/manifest.json``)
+with every other part the same; ``--workdir DIR`` keeps both sides'
+stores for a closer diff.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ print(json.dumps({
     "decisions": digest(decisions),
     "state": digest(state),
     "graph.npz": hashlib.sha256((store / "graph.npz").read_bytes()).hexdigest(),
-    "repository": digest(repository),
+    **repository,
     "partition": digest(saved["partition"]),
     "morer.json": digest(saved),
     "twin": digest(loaded),
@@ -169,13 +172,15 @@ def main(argv=None):
                     )
                     for side, checkout in checkouts.items()
                 }
-                for part, base in digests["base"].items():
-                    head = digests["head"][part]
+                parts = dict.fromkeys([*digests["base"], *digests["head"]])
+                for part in parts:
+                    base = digests["base"].get(part)
+                    head = digests["head"].get(part)
                     ok = base == head
                     if part == "twin_matches_live":
                         ok = base is True and head is True
                     same = same and ok
-                    print(f"seed {seed} {name:>6} {part:>17}: "
+                    print(f"seed {seed} {name:>6} {part:>26}: "
                           f"{'same' if ok else 'DIFFERENT'}  {head}")
     finally:
         if owns_workdir:

@@ -85,15 +85,24 @@ def build_parser():
     )
     gateway.add_argument(
         "--max-batch-size", type=int, default=None, metavar="N",
-        help="override MoRERConfig.service_max_batch_size",
+        help=(
+            "most cov solves the scheduler coalesces into one tick "
+            "(default 16)"
+        ),
     )
     gateway.add_argument(
         "--max-wait-ms", type=float, default=None, metavar="MS",
-        help="override MoRERConfig.service_max_wait_ms",
+        help=(
+            "how long a non-full tick waits for more cov solves "
+            "(default 2.0)"
+        ),
     )
     gateway.add_argument(
         "--max-queue-depth", type=int, default=None, metavar="N",
-        help="override MoRERConfig.service_max_queue_depth",
+        help=(
+            "queued cov solves past which submissions fail fast with "
+            "429 overloaded (default 256)"
+        ),
     )
     gateway.add_argument(
         "--log-requests", action="store_true",
@@ -111,19 +120,18 @@ def build_parser():
     )
     gateway.add_argument(
         "--rate-limit", type=float, default=None, metavar="RPS",
+        dest="rate_limit_rps",
         help=(
             "per-client token-bucket admission control: each client "
             "(X-Client-Id header or remote address) may submit RPS "
             "mutations per second; over-quota requests get 429 + "
-            "Retry-After (overrides "
-            "MoRERConfig.service_rate_limit_rps; 0 disables)"
+            "Retry-After (default 0: no limit)"
         ),
     )
     gateway.add_argument(
         "--rate-burst", type=float, default=None, metavar="N",
         help=(
-            "token-bucket capacity per client (overrides "
-            "MoRERConfig.service_rate_burst; default max(RPS, 1))"
+            "token-bucket capacity per client (default max(RPS, 1))"
         ),
     )
     gateway.add_argument(
@@ -163,6 +171,14 @@ def build_parser():
     return parser
 
 
+def _set_flags(args, *names):
+    """``{name: value}`` of the named flags the command line set."""
+    return {
+        name: getattr(args, name) for name in names
+        if getattr(args, name) is not None
+    }
+
+
 def _serve(args):
     """The ``repro serve`` command: load/fit (or recover), wrap, serve
     forever. With ``--wal-dir`` the startup path is crash recovery:
@@ -170,7 +186,7 @@ def _serve(args):
     immediate checkpoint when anything was replayed."""
     from .core import MoRER
     from .core.morer import UnsupportedFormatError
-    from .service import MoRERService, ServiceHTTPServer
+    from .service import InvalidRequest, MoRERService, ServiceHTTPServer
     from .service.fixtures import demo_morer
 
     replayed = False
@@ -184,7 +200,9 @@ def _serve(args):
 
         try:
             morer, report = recover(args.wal_dir, store=args.store)
-        except UnsupportedFormatError as exc:
+        except ValueError as exc:
+            # A store or WAL in another format, or a WAL header config
+            # naming fields this build does not have.
             raise SystemExit(f"cannot recover: {exc}") from None
         wal_records = (
             0 if report.wal_report is None else report.wal_report.n_records
@@ -253,29 +271,27 @@ def _serve(args):
         origin = f"demo fixture ({args.demo} problems)"
     else:
         raise SystemExit("serve needs --store DIR or --demo [N]")
-    service = MoRERService(
-        morer,
-        max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
-        max_queue_depth=args.max_queue_depth,
-        wal_dir=args.wal_dir,
-        fsync_policy=args.fsync,
-        fsync_interval_ms=args.fsync_interval_ms,
-        checkpoint_store=args.store if args.wal_dir is not None else None,
-        checkpoint_every=(
-            args.checkpoint_every if args.wal_dir is not None else 0
-        ),
-    )
-    if args.wal_dir is not None and replayed:
-        # Checkpoint immediately so the next restart starts from a
-        # snapshot instead of repeating the replay (and so a demo
-        # bootstrap becomes a loadable store at all).
-        service.save(args.store)
-        print(f"checkpointed recovered state to {args.store}", flush=True)
-    # Only pass the observability/admission kwargs when the operator
-    # set them, so the config-default path stays on the plain
-    # constructor signature.
-    gateway_kwargs = {}
+    # A serving flag left unset keeps the default of the constructor it
+    # feeds (MoRERService for the scheduler, ServiceHTTPServer for the
+    # rate limit), so each default is written in one place.
+    try:
+        service = MoRERService(
+            morer,
+            **_set_flags(args, "max_batch_size", "max_wait_ms",
+                         "max_queue_depth"),
+            wal_dir=args.wal_dir,
+            fsync_policy=args.fsync,
+            fsync_interval_ms=args.fsync_interval_ms,
+            checkpoint_store=(
+                args.store if args.wal_dir is not None else None
+            ),
+            checkpoint_every=(
+                args.checkpoint_every if args.wal_dir is not None else 0
+            ),
+        )
+    except InvalidRequest as exc:
+        raise SystemExit(f"cannot serve: {exc}") from None
+    gateway_kwargs = _set_flags(args, "rate_limit_rps", "rate_burst")
     if args.access_log is not None:
         from .service import AccessLog
 
@@ -283,14 +299,21 @@ def _serve(args):
             path=args.access_log,
             level="debug" if args.log_requests else "info",
         )
-    if args.rate_limit is not None:
-        gateway_kwargs["rate_limit_rps"] = args.rate_limit
-    if args.rate_burst is not None:
-        gateway_kwargs["rate_burst"] = args.rate_burst
-    server = ServiceHTTPServer(
-        service, (args.host, args.port), log_requests=args.log_requests,
-        **gateway_kwargs,
-    )
+    try:
+        server = ServiceHTTPServer(
+            service, (args.host, args.port),
+            log_requests=args.log_requests, **gateway_kwargs,
+        )
+    except InvalidRequest as exc:
+        service.close()
+        raise SystemExit(f"cannot serve: {exc}") from None
+    if args.wal_dir is not None and replayed:
+        # Checkpoint immediately so the next restart starts from a
+        # snapshot instead of repeating the replay (and so a demo
+        # bootstrap becomes a loadable store at all). Every serving
+        # flag is validated by now, so a refused one writes no store.
+        service.save(args.store)
+        print(f"checkpointed recovered state to {args.store}", flush=True)
     print(
         f"serving {origin}: {len(morer.repository)} entries at "
         f"{server.url} (max_batch_size={service.max_batch_size}, "

@@ -106,43 +106,6 @@ class MoRERConfig:
         graph rows past the cursor of the warm
         :class:`~repro.core.partition_state.PartitionState` instead of
         a full run.
-    recluster_tolerance : float
-        Modularity head-room for warm reclustering: when a replayed
-        partition's delta-tracked modularity falls more than this
-        below the last full run, a full Leiden run is redone.
-    full_recluster_every : int
-        Force a full recluster after this many warm insertions (drift
-        bound that modularity alone cannot provide).
-    service_max_batch_size : int
-        Micro-batching ceiling of
-        :class:`~repro.service.MoRERService`: how many concurrently
-        submitted ``sel_cov`` requests the background scheduler may
-        coalesce into one :meth:`MoRER.solve_batch` call per tick.
-        ``1`` disables coalescing (every request becomes its own
-        lock-serialised solve).
-    service_max_wait_ms : float
-        How long (milliseconds) the service scheduler holds a
-        non-full tick open for more ``sel_cov`` requests to coalesce
-        before dispatching. Latency floor vs throughput knob: ``0``
-        dispatches whatever is queued immediately.
-    service_max_queue_depth : int
-        Bounded admission queue of the service scheduler: when this
-        many ``sel_cov`` requests are already queued (not yet
-        dispatched), further submissions fail fast with
-        :class:`~repro.service.Overloaded` instead of growing the
-        backlog without bound.
-    service_rate_limit_rps : float
-        Per-client token-bucket admission control in the HTTP gateway:
-        each client (``X-Client-Id`` header or remote address) may
-        submit this many mutations (``sel_cov`` solves, ``fit``) per
-        second sustained; over-quota requests are rejected with
-        :class:`~repro.service.RateLimited` (HTTP 429 +
-        ``Retry-After``) *before* they reach the scheduler queue.
-        ``0`` (the default) disables rate limiting.
-    service_rate_burst : float
-        Token-bucket capacity — the instantaneous mutation allowance
-        per client. ``0`` (the default) means
-        ``max(service_rate_limit_rps, 1)``.
     random_state : int
         Master seed.
     """
@@ -164,13 +127,6 @@ class MoRERConfig:
     batch_size: int = 25
     use_record_score: bool = True
     index_threshold: int = DEFAULT_INDEX_THRESHOLD
-    recluster_tolerance: float = 0.05
-    full_recluster_every: int = 50
-    service_max_batch_size: int = 16
-    service_max_wait_ms: float = 2.0
-    service_max_queue_depth: int = 256
-    service_rate_limit_rps: float = 0.0
-    service_rate_burst: float = 0.0
     random_state: int = 0
 
     def __post_init__(self):
@@ -189,20 +145,6 @@ class MoRERConfig:
                 "budget_policy must be 'proportional' or 'uniform'"
             )
         check_index_threshold(self.index_threshold)
-        if self.recluster_tolerance < 0:
-            raise ValueError("recluster_tolerance must be >= 0")
-        if self.full_recluster_every < 1:
-            raise ValueError("full_recluster_every must be >= 1")
-        if self.service_max_batch_size < 1:
-            raise ValueError("service_max_batch_size must be >= 1")
-        if self.service_max_wait_ms < 0:
-            raise ValueError("service_max_wait_ms must be >= 0")
-        if self.service_max_queue_depth < 1:
-            raise ValueError("service_max_queue_depth must be >= 1")
-        if self.service_rate_limit_rps < 0:
-            raise ValueError("service_rate_limit_rps must be >= 0")
-        if self.service_rate_burst < 0:
-            raise ValueError("service_rate_burst must be >= 0")
 
     def to_dict(self):
         """Plain-dict form (JSON-safe) for repository manifests."""

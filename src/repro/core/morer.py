@@ -35,8 +35,8 @@ or a whole :meth:`MoRER.solve_batch` batch landed since. The
 degradation check reads the aggregates (O(moved region)); no full
 :func:`~repro.graphcluster.modularity` pass appears on the warm path.
 A full Leiden run happens only on a modularity drop beyond
-``recluster_tolerance``, every ``full_recluster_every`` insertions, or
-after Eq. 14 retraining.
+:data:`RECLUSTER_TOLERANCE`, every :data:`FULL_RECLUSTER_EVERY`
+insertions, or after Eq. 14 retraining.
 
 Batching and persistence
 ------------------------
@@ -102,18 +102,36 @@ __all__ = [
 #: (no per-edge ``edge_rows``) and a compact repository manifest;
 #: format 6 drops the process-local ``timings`` from ``morer.json`` and
 #: lists each distinct ``feature_names`` list once in the graph meta,
-#: so saving the same fitted state twice writes the same bytes. A
-#: store written in an older format must be refitted.
-PERSISTENCE_FORMAT = 6
+#: so saving the same fitted state twice writes the same bytes; format
+#: 7 drops the five serving settings and the two warm-recluster knobs
+#: from the config in ``morer.json`` and the repository manifest (they
+#: are :class:`~repro.service.MoRERService` /
+#: :class:`~repro.service.ServiceHTTPServer` arguments and this
+#: module's constants now). A store written in an older format must be
+#: refitted.
+PERSISTENCE_FORMAT = 7
+
+#: Modularity head-room of a warm recluster: a replayed partition whose
+#: delta-tracked modularity falls more than this below the last full
+#: run's is dropped for a full Leiden run.
+RECLUSTER_TOLERANCE = 0.05
+
+#: Warm insertions after which a full recluster is forced: the drift
+#: bound that modularity alone cannot provide.
+FULL_RECLUSTER_EVERY = 50
 
 
 class UnsupportedFormatError(ValueError):
-    """A :meth:`MoRER.save` directory in a format this build cannot read.
+    """A :meth:`MoRER.save` directory, or a WAL segment, in a format
+    this build cannot read.
 
     Unlike a damaged snapshot (a torn file raises :class:`ValueError`
     or :class:`OSError`), the directory is intact, so crash recovery
     stops on it instead of falling back to an older generation or
     bootstrapping over it (:func:`repro.durability.load_snapshot`).
+    Unlike a torn WAL tail, a segment of another format holds acked
+    records, so recovery stops on it instead of replaying past it and
+    :class:`~repro.durability.WriteAheadLog` refuses to append to it.
     """
 
 
@@ -226,14 +244,17 @@ class MoRER:
 
         clusters = self._timed_cluster()
 
-        problems_by_key = self.problem_graph.problems()
+        graph = self.problem_graph
+        problems_by_key = graph.problems()
         if self.config.model_generation == "al":
+            # Singleton merging (Eq. 4) compares vertices of G_P, whose
+            # pair similarities the graph build already memoized.
             clusters, budgets = distribute_budget(
                 clusters,
                 problems_by_key,
                 self.config.b_total,
                 self.config.b_min,
-                similarity=self._problem_pair_similarity,
+                similarity=lambda a, b: graph.pair_similarity(a.key, b.key),
                 policy=self.config.budget_policy,
             )
         else:
@@ -291,24 +312,6 @@ class MoRER:
             batch_size=self.config.batch_size,
             use_record_score=self.config.use_record_score,
             random_state=seed,
-        )
-
-    def _problem_pair_similarity(self, problem_a, problem_b):
-        """``sim_p`` via the graph's memoized pair cache when possible.
-
-        Budget distribution (singleton merging, Eq. 4) compares problems
-        that are already vertices of :math:`G_P`, so their pairwise
-        similarities were computed during graph construction.
-        """
-        graph = self.problem_graph
-        if (
-            graph is not None
-            and problem_a.key in graph
-            and problem_b.key in graph
-        ):
-            return graph.pair_similarity(problem_a.key, problem_b.key)
-        return self.test.problem_similarity(
-            problem_a.features, problem_b.features
         )
 
     def _record_cluster_counts(self, clusters):
@@ -496,9 +499,7 @@ class MoRER:
             return False
         if self._partition is None:
             return False
-        if self._partition.inserts_since_full >= (
-            self.config.full_recluster_every
-        ):
+        if self._partition.inserts_since_full >= FULL_RECLUSTER_EVERY:
             return False
         return len(self.problem_graph) >= self.config.index_threshold
 
@@ -513,8 +514,7 @@ class MoRER:
                 graph, config.resolution, seed
             )
             if outcome.quality >= (
-                self._partition.reference_modularity
-                - config.recluster_tolerance
+                self._partition.reference_modularity - RECLUSTER_TOLERANCE
             ):
                 # Repeat solves of already-integrated problems replay
                 # no row: nothing changed, so the warm streak does not

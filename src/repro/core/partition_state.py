@@ -6,8 +6,8 @@ does the cluster structure look like *now*" without re-running Leiden:
 * ``partition`` — the last accepted ``node -> label`` map;
 * ``aggregates`` — delta-tracked per-community :math:`(L_c, K_c)` sums
   (:class:`~repro.graphcluster.ModularityAggregates`), so the
-  ``recluster_tolerance`` degradation check never pays an O(edges)
-  :func:`~repro.graphcluster.modularity` pass;
+  :data:`~repro.core.morer.RECLUSTER_TOLERANCE` degradation check
+  never pays an O(edges) :func:`~repro.graphcluster.modularity` pass;
 * ``cursor`` — how many graph rows the partition covers (the graph's
   :attr:`~repro.core.graph.ERProblemGraph.version` when it was synced);
 * ``reference_modularity`` / ``inserts_since_full`` — the degradation

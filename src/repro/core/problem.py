@@ -101,10 +101,6 @@ class ERProblem:
             feature = self.feature_names.index(feature)
         return self.features[:, feature]
 
-    def feature_std(self):
-        """Per-feature standard deviations (the §4.2 weighting signal)."""
-        return self.features.std(axis=0)
-
     def subset(self, indices):
         """New :class:`ERProblem` restricted to ``indices``."""
         indices = np.asarray(indices)

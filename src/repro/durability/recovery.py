@@ -128,9 +128,9 @@ def recover(wal_dir, store=None, config=None):
     Raises :class:`~repro.durability.wal.WALError` when WAL records
     exist but neither a snapshot nor a config is available to replay
     them onto — silently dropping acked mutations is never an option —
-    and :class:`~repro.core.morer.UnsupportedFormatError` when a
-    snapshot under ``store`` was written in another format (nothing is
-    written then).
+    and :class:`~repro.core.morer.UnsupportedFormatError` when a WAL
+    segment or a snapshot under ``store`` was written in another format
+    (nothing is written then).
     """
     report = RecoveryReport()
     records, wal_report = read_wal(wal_dir)

@@ -19,17 +19,22 @@ stream of frames::
 
 The first frame of every segment is a ``header`` record carrying the
 format version, the sequence number the segment starts after
-(``base_seq``) and the serving config (so recovery can rebuild an
-unfitted MoRER when no snapshot exists yet). Every data record carries
-its own monotonically increasing ``seq``; a snapshot remembers the seq
-it absorbed (``durability.json``), which is what makes replay exact —
-no marker scanning, no double-apply.
+(``base_seq``) and the served MoRER's config (so recovery can rebuild
+an unfitted MoRER when no snapshot exists yet). Every data record
+carries its own monotonically increasing ``seq``; a snapshot remembers
+the seq it absorbed (``durability.json``), which is what makes replay
+exact — no marker scanning, no double-apply.
 
 Torn tails are expected, not exceptional: a crash mid-``write`` leaves
 a short or checksum-failing final frame. :func:`read_wal` stops at the
 first invalid frame and reports what it dropped;
 :class:`WriteAheadLog` truncates the torn tail when it reopens the
-last segment for append, so the log stays parseable forever.
+last segment for append, so the log stays parseable forever. A
+segment header of another :data:`WAL_FORMAT` is not a tear: the records
+behind it were acked, so :func:`read_wal` raises
+:class:`~repro.core.morer.UnsupportedFormatError` instead of dropping
+them, which stops recovery and keeps :class:`WriteAheadLog` from
+appending to the directory.
 
 fsync policy
 ------------
@@ -55,6 +60,7 @@ import time
 import zlib
 from pathlib import Path
 
+from ..core.morer import UnsupportedFormatError
 from .faults import kill_point, write_all, write_hook
 
 __all__ = [
@@ -190,7 +196,9 @@ def read_wal(wal_dir):
     torn/corrupt frame, ignores everything after it (a later segment
     cannot be trusted once an earlier one is damaged mid-file) and
     accounts for what it dropped in the report — recovery logs that
-    loudly instead of deserialising garbage.
+    loudly instead of deserialising garbage. A segment header of
+    another :data:`WAL_FORMAT` raises
+    :class:`~repro.core.morer.UnsupportedFormatError` instead.
     """
     report = WALReport()
     records = []
@@ -201,13 +209,11 @@ def read_wal(wal_dir):
         for record in segment_records:
             if record.get("kind") == "header":
                 if record.get("format") != WAL_FORMAT:
-                    report.torn = True
-                    report.reason = (
-                        f"unsupported WAL format "
-                        f"{record.get('format')!r} in {path.name}"
+                    raise UnsupportedFormatError(
+                        f"unsupported WAL format {record.get('format')!r} "
+                        f"in {path}; this build reads WAL format "
+                        f"{WAL_FORMAT}"
                     )
-                    report.dropped_segments = len(segments) - position
-                    return records, report
                 if report.config is None:
                     report.config = record.get("config")
                 report.base_seq = max(
@@ -243,8 +249,9 @@ class WriteAheadLog:
     fsync_interval_ms : float
         Max staleness under the ``"interval"`` policy.
     config : dict, optional
-        Serving config embedded in segment headers so recovery can
-        rebuild an unfitted MoRER with no snapshot on disk.
+        The served MoRER's config, embedded in segment headers so
+        recovery can rebuild an unfitted MoRER with no snapshot on
+        disk.
     """
 
     def __init__(self, wal_dir, fsync_policy="always",
@@ -422,7 +429,10 @@ def _main(argv=None):
         help="print one line per record (seq, kind, payload summary)",
     )
     args = parser.parse_args(argv)
-    records, report = read_wal(args.wal_dir)
+    try:
+        records, report = read_wal(args.wal_dir)
+    except UnsupportedFormatError as exc:
+        raise SystemExit(str(exc)) from None
     print(json.dumps(report.to_dict(), indent=2))
     if args.records:
         for record in records:

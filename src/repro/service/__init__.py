@@ -35,7 +35,7 @@ from .errors import (
     TransportError,
     Unavailable,
 )
-from .http import ServiceHTTPServer, serve
+from .http import ServiceHTTPServer
 from .limiter import RateLimiter, TokenBucket
 from .observability import (
     AccessLog,
@@ -50,20 +50,17 @@ from .types import (
     SolveRequest,
     SolveResponse,
     problem_from_dict,
-    problem_to_dict,
 )
 
 __all__ = [
     "MoRERService",
     "ServiceClient",
     "ServiceHTTPServer",
-    "serve",
     "ReadWriteLock",
     "SolveRequest",
     "SolveResponse",
     "FitRequest",
     "RepositoryStats",
-    "problem_to_dict",
     "problem_from_dict",
     "ServiceError",
     "NotFitted",

@@ -77,7 +77,7 @@ class ServiceClient:
     timeout : float
         Per-request socket timeout in seconds. ``sel_cov`` solves block
         server-side until their micro-batch tick completes, so keep
-        this comfortably above ``service_max_wait_ms``.
+        this comfortably above the service's ``max_wait_ms``.
     retries : int
         Extra attempts for retryable failures of idempotent calls
         (see the module docstring). ``0`` disables retrying.

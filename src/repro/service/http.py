@@ -48,11 +48,10 @@ the remote address). One structured JSON line per request goes to the
 id, method, endpoint, status, latency, the scheduler batch id that
 served a ``cov`` solve); the stdlib handler's printf-style messages
 are routed through the same log at ``debug`` level instead of being
-discarded. With ``service_rate_limit_rps`` (or an explicit
-``rate_limit_rps``) set, a per-client token bucket rejects over-quota
-**mutations** (``cov`` solves, ``fit``) with 429 + ``Retry-After``
-*before* they reach the scheduler queue; read-only traffic is never
-limited.
+discarded. With ``rate_limit_rps`` set, a per-client token bucket
+rejects over-quota **mutations** (``cov`` solves, ``fit``) with 429 +
+``Retry-After`` *before* they reach the scheduler queue; read-only
+traffic is never limited.
 
 The gateway binds loopback by default and has no authentication —
 ``/save`` writes server-side paths, and the client id is caller-
@@ -78,9 +77,8 @@ from .errors import (
 )
 from .limiter import RateLimiter
 from .observability import AccessLog
-from .service import MoRERService
 
-__all__ = ["ServiceHTTPServer", "serve"]
+__all__ = ["ServiceHTTPServer"]
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -99,10 +97,16 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         Structured request log; defaults to JSON lines on stderr at
         ``info`` level (``debug`` when ``log_requests``). Pass
         ``AccessLog(level="off")`` to silence it.
-    rate_limit_rps, rate_burst : float, optional
-        Per-client token-bucket admission control; default to the
-        service config's ``service_rate_limit_rps`` /
-        ``service_rate_burst``. ``0`` disables limiting.
+    rate_limit_rps : float
+        Per-client token-bucket admission control: each client
+        (``X-Client-Id`` header or remote address) may submit this many
+        mutations (``cov`` solves, ``fit``) per second sustained;
+        over-quota requests get :class:`~repro.service.RateLimited`
+        (HTTP 429 + ``Retry-After``) before they reach the scheduler
+        queue. ``0`` (the default) disables limiting.
+    rate_burst : float
+        Bucket capacity, the instantaneous mutation allowance per
+        client. ``0`` (the default) means ``max(rate_limit_rps, 1)``.
     """
 
     daemon_threads = True
@@ -110,7 +114,11 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
     def __init__(self, service, address=("127.0.0.1", 8640),
                  log_requests=False, access_log=None,
-                 rate_limit_rps=None, rate_burst=None):
+                 rate_limit_rps=0.0, rate_burst=0.0):
+        if rate_limit_rps < 0:
+            raise InvalidRequest("rate_limit_rps must be >= 0")
+        if rate_burst < 0:
+            raise InvalidRequest("rate_burst must be >= 0")
         self.service = service
         self.log_requests = log_requests
         if access_log is None:
@@ -118,14 +126,9 @@ class ServiceHTTPServer(ThreadingHTTPServer):
                 level="debug" if log_requests else "info"
             )
         self.access_log = access_log
-        config = service.morer.config
-        if rate_limit_rps is None:
-            rate_limit_rps = config.service_rate_limit_rps
-        if rate_burst is None:
-            rate_burst = config.service_rate_burst
         self.limiter = (
             RateLimiter(rate_limit_rps, rate_burst or None)
-            if rate_limit_rps and rate_limit_rps > 0 else None
+            if rate_limit_rps > 0 else None
         )
         super().__init__(tuple(address), _GatewayHandler)
 
@@ -517,23 +520,3 @@ def _drain(sock, seconds):
                 break
     except OSError:  # the peer reset, or the deadline passed mid-read
         pass
-
-
-def serve(morer_or_service, host="127.0.0.1", port=8640, **service_kwargs):
-    """Build a gateway: ``serve(morer).serve_forever()``.
-
-    Accepts either a ready :class:`MoRERService` or a bare
-    :class:`~repro.core.MoRER` (wrapped with ``service_kwargs``).
-    Returns the :class:`ServiceHTTPServer`; the caller owns
-    ``serve_forever()`` / ``shutdown()`` — and should ``close()`` the
-    service afterwards when the gateway built it.
-    """
-    if isinstance(morer_or_service, MoRERService):
-        service = morer_or_service
-        if service_kwargs:
-            raise InvalidRequest(
-                "service_kwargs only apply when passing a bare MoRER"
-            )
-    else:
-        service = MoRERService(morer_or_service, **service_kwargs)
-    return ServiceHTTPServer(service, (host, port))

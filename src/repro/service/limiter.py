@@ -1,16 +1,17 @@
 """Per-client token-bucket admission control for the gateway.
 
 The micro-batching scheduler already bounds the ``cov`` queue
-(:class:`~repro.service.Overloaded` past ``service_max_queue_depth``),
-but that bound is global: one greedy client can keep it full and starve
-everyone. The :class:`RateLimiter` sits *in front* of the queue, in the
-HTTP gateway: each client (``X-Client-Id`` header, or the remote
-address) gets its own :class:`TokenBucket` refilled at
-``service_rate_limit_rps`` tokens per second up to ``service_rate_burst``
-capacity, and a mutation costing more tokens than the bucket holds is
-rejected with :class:`~repro.service.RateLimited` (HTTP 429 +
-``Retry-After``) before it touches the scheduler — ``Overloaded``
-becomes a genuine backpressure signal instead of the only defense.
+(:class:`~repro.service.Overloaded` past the service's
+``max_queue_depth``), but that bound is global: one greedy client can
+keep it full and starve everyone. The :class:`RateLimiter` sits *in
+front* of the queue, in the HTTP gateway: each client (``X-Client-Id``
+header, or the remote address) gets its own :class:`TokenBucket`
+refilled at the gateway's ``rate_limit_rps`` tokens per second up to
+its ``rate_burst`` capacity, and a mutation costing more tokens than
+the bucket holds is rejected with :class:`~repro.service.RateLimited`
+(HTTP 429 + ``Retry-After``) before it touches the scheduler —
+``Overloaded`` becomes a genuine backpressure signal instead of the
+only defense.
 
 Only mutations are charged (``cov`` solves one token each, ``fit`` one
 per call); read-only traffic (``base`` solves, health, stats, metrics)

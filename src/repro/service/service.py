@@ -16,10 +16,10 @@ Micro-batching
 --------------
 ``sel_cov`` requests are not executed by the calling thread. They are
 appended to a bounded queue (:class:`~repro.service.Overloaded` beyond
-``service_max_queue_depth``) and a single background scheduler thread
-coalesces whatever is queued — up to ``service_max_batch_size``
-requests, holding a non-full tick open ``service_max_wait_ms`` for
-stragglers — into **one** :meth:`MoRER.solve_batch` call per tick.
+``max_queue_depth``) and a single background scheduler thread
+coalesces whatever is queued — up to ``max_batch_size`` requests,
+holding a non-full tick open ``max_wait_ms`` for stragglers — into
+**one** :meth:`MoRER.solve_batch` call per tick.
 That is exactly the amortisation :meth:`solve_batch` already provides
 (one sketch-prefiltered integration pass + one row replay per
 batch), now triggered by concurrent client pressure instead of an
@@ -75,9 +75,18 @@ class MoRERService:
     morer : MoRER
         The instance to serve — already fitted, or fitted later through
         :meth:`fit`.
-    max_batch_size, max_wait_ms, max_queue_depth : optional
-        Per-service overrides of the ``service_*`` knobs in
-        :class:`~repro.core.MoRERConfig`.
+    max_batch_size : int
+        Micro-batching ceiling: how many queued ``sel_cov`` requests
+        the scheduler may coalesce into one :meth:`MoRER.solve_batch`
+        call per tick. ``1`` disables coalescing.
+    max_wait_ms : float
+        How long (milliseconds) the scheduler holds a non-full tick
+        open for more requests: a latency floor traded for throughput.
+        ``0`` dispatches whatever is queued immediately.
+    max_queue_depth : int
+        Bounded admission queue: with this many requests queued and
+        not yet dispatched, further submissions fail fast with
+        :class:`~repro.service.Overloaded`.
     wal_dir : path, optional
         Attach a :class:`~repro.durability.WriteAheadLog` under this
         directory: every mutating operation (``cov`` solve tick,
@@ -104,27 +113,17 @@ class MoRERService:
     renders them and :meth:`stats` reads them.
     """
 
-    def __init__(self, morer, max_batch_size=None, max_wait_ms=None,
-                 max_queue_depth=None, wal_dir=None, fsync_policy=None,
+    def __init__(self, morer, max_batch_size=16, max_wait_ms=2.0,
+                 max_queue_depth=256, wal_dir=None, fsync_policy=None,
                  fsync_interval_ms=None, checkpoint_store=None,
                  checkpoint_every=0):
         if not isinstance(morer, MoRER):
             raise InvalidRequest(
                 f"MoRERService serves a MoRER, got {type(morer).__name__}"
             )
-        config = morer.config
-        self.max_batch_size = int(
-            config.service_max_batch_size if max_batch_size is None
-            else max_batch_size
-        )
-        self.max_wait_ms = float(
-            config.service_max_wait_ms if max_wait_ms is None
-            else max_wait_ms
-        )
-        self.max_queue_depth = int(
-            config.service_max_queue_depth if max_queue_depth is None
-            else max_queue_depth
-        )
+        self.max_batch_size = int(max_batch_size)
+        self.max_wait_ms = float(max_wait_ms)
+        self.max_queue_depth = int(max_queue_depth)
         if self.max_batch_size < 1:
             raise InvalidRequest("max_batch_size must be >= 1")
         if self.max_wait_ms < 0:

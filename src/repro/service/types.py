@@ -28,7 +28,6 @@ __all__ = [
     "SolveResponse",
     "FitRequest",
     "RepositoryStats",
-    "problem_to_dict",
     "problem_from_dict",
 ]
 
@@ -50,12 +49,6 @@ def _require(data, key, kind, what):
             f"{type(value).__name__}"
         )
     return value
-
-
-def problem_to_dict(problem):
-    """JSON-safe form of an :class:`~repro.core.ERProblem` — the same
-    encoding the durability WAL logs for replay."""
-    return problem.to_dict()
 
 
 def problem_from_dict(data):
@@ -102,7 +95,7 @@ class SolveRequest:
 
     def to_dict(self):
         return {
-            "problem": problem_to_dict(self.problem),
+            "problem": self.problem.to_dict(),
             "strategy": self.strategy,
         }
 
@@ -225,7 +218,7 @@ class FitRequest:
                 )
 
     def to_dict(self):
-        return {"problems": [problem_to_dict(p) for p in self.problems]}
+        return {"problems": [p.to_dict() for p in self.problems]}
 
     @classmethod
     def from_dict(cls, data):

@@ -163,9 +163,10 @@ def test_sel_cov_retraining_invalidates_partition_cache():
     assert retrained  # the scenario must actually exercise Eq. 14
 
 
-def test_sel_cov_full_recluster_every_bounds_warm_streak():
+def test_sel_cov_full_recluster_every_bounds_warm_streak(monkeypatch):
+    monkeypatch.setattr("repro.core.morer.FULL_RECLUSTER_EVERY", 2)
     family = make_problem_family(8)
-    morer = _fit(SERVING, family, full_recluster_every=2)
+    morer = _fit(SERVING, family)
     streaks = []
     for probe in _probes(5, seed=400):
         morer.solve(probe)
@@ -190,13 +191,14 @@ def test_sel_cov_modularity_degradation_falls_back():
 
 
 def test_config_validates_incremental_knobs():
-    with pytest.raises(ValueError, match="recluster_tolerance"):
-        MoRERConfig(recluster_tolerance=-0.1)
-    with pytest.raises(ValueError, match="full_recluster_every"):
-        MoRERConfig(full_recluster_every=0)
-    config = MoRERConfig(
-        index_threshold=64, recluster_tolerance=0.1, full_recluster_every=10,
-    )
+    """``index_threshold`` is the config's one incremental setting; the
+    warm-recluster knobs are constants of ``repro.core.morer``."""
+    with pytest.raises(ValueError, match="index_threshold"):
+        MoRERConfig(index_threshold=0)
+    for knob in ("recluster_tolerance", "full_recluster_every"):
+        with pytest.raises(ValueError, match="unknown MoRERConfig field"):
+            MoRERConfig(**{knob: 1})
+    config = MoRERConfig(index_threshold=64)
     assert MoRERConfig.from_dict(config.to_dict()) == config
 
 

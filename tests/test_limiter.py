@@ -10,6 +10,7 @@ import urllib.request
 import pytest
 
 from repro.service import (
+    InvalidRequest,
     MoRERService,
     RateLimited,
     RateLimiter,
@@ -165,6 +166,21 @@ def test_limiter_default_burst_admits_single_requests():
     limiter = RateLimiter(rate=0.1, clock=FakeClock())
     assert limiter.burst == 1.0
     assert limiter.try_acquire("a") == 0.0
+
+
+def test_gateway_validates_its_rate_limit():
+    """The rate limit is a gateway argument: off by default, and a
+    negative rate or burst is refused before a socket is bound."""
+    service = MoRERService(demo_morer(8))
+    try:
+        for knob in ("rate_limit_rps", "rate_burst"):
+            with pytest.raises(InvalidRequest, match=knob):
+                ServiceHTTPServer(service, ("127.0.0.1", 0), **{knob: -1})
+        server = ServiceHTTPServer(service, ("127.0.0.1", 0))
+        server.server_close()
+        assert server.limiter is None
+    finally:
+        service.close()
 
 
 # -- live HTTP --------------------------------------------------------------

@@ -175,6 +175,55 @@ def test_cli_parser_serve_options():
     assert args.max_queue_depth == 32
 
 
+def test_cli_serve_flags_reach_the_service_and_gateway(monkeypatch):
+    """An unset serving flag keeps its constructor's default; a set one
+    reaches the MoRERService or the ServiceHTTPServer it feeds."""
+    from repro.cli import _serve
+
+    built = []
+
+    class _FakeServer:
+        def __init__(self, service, address, log_requests=False, **kwargs):
+            built.append((service, kwargs))
+            self.url = "fake"
+
+        def serve_forever(self):
+            raise KeyboardInterrupt
+
+        def shutdown(self):
+            pass
+
+        def server_close(self):
+            pass
+
+    monkeypatch.setattr("repro.service.ServiceHTTPServer", _FakeServer)
+    _serve(build_parser().parse_args(["serve", "--demo", "4"]))
+    _serve(build_parser().parse_args([
+        "serve", "--demo", "4", "--max-batch-size", "4",
+        "--rate-limit", "50",
+    ]))
+    (default, default_kwargs), (flagged, flagged_kwargs) = built
+    assert (default.max_batch_size, default.max_wait_ms,
+            default.max_queue_depth) == (16, 2.0, 256)
+    assert default_kwargs == {}
+    assert flagged.max_batch_size == 4
+    assert flagged_kwargs == {"rate_limit_rps": 50.0}
+
+
+def test_cli_serve_refuses_an_out_of_range_flag(tmp_path):
+    """An out-of-range serving flag exits by name before a durable
+    ``--demo`` bootstrap writes its store."""
+    store, wal_dir = tmp_path / "store", tmp_path / "wal"
+    for flags, named in ((["--max-batch-size", "0"], "max_batch_size"),
+                         (["--rate-limit", "-1"], "rate_limit_rps"),
+                         (["--rate-burst", "-1"], "rate_burst")):
+        with pytest.raises(SystemExit, match=f"cannot serve: {named}"):
+            cli_main(["serve", "--demo", "4", "--port", "0",
+                      "--store", str(store), "--wal-dir", str(wal_dir),
+                      *flags])
+        assert not store.exists()
+
+
 def test_cli_serve_requires_a_source():
     with pytest.raises(SystemExit, match="--store DIR or --demo"):
         cli_main(["serve"])

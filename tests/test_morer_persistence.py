@@ -135,6 +135,16 @@ _FORMAT_2_KEYS = {
 #: What a format-3 store holds that format 4 dropped: the graph's
 #: mutation journal and its version.
 _FORMAT_3_KEYS = {"graph": {"version": 11, "journal": []}}
+#: What a format-6 store holds that format 7 dropped: the serving
+#: settings and the warm-recluster knobs in the config.
+_FORMAT_6_KEYS = {
+    "config": {
+        "recluster_tolerance": 0.05, "full_recluster_every": 50,
+        "service_max_batch_size": 16, "service_max_wait_ms": 2.0,
+        "service_max_queue_depth": 256, "service_rate_limit_rps": 0.0,
+        "service_rate_burst": 0.0,
+    },
+}
 
 
 def _as_format_5_state(state):
@@ -163,16 +173,17 @@ def _as_format_4_graph(path):
 def test_load_rejects_unknown_format(tmp_path):
     """An unknown format, format 2 (the last one before the index knobs
     went), format 3 (the last one with a mutation journal), format 4
-    (the last one with per-edge rows and per-tree model dicts) and
-    format 5 (the last one with timings and per-problem feature names)
-    are all refused by name."""
+    (the last one with per-edge rows and per-tree model dicts), format
+    5 (the last one with timings and per-problem feature names) and
+    format 6 (the last one with serving settings in the config) are
+    all refused by name."""
     morer = _fit_warm(n_solves=1)
     morer.save(tmp_path / "store")
     state_path = tmp_path / "store" / "morer.json"
     saved = json.dumps(_as_format_5_state(json.loads(state_path.read_text())))
     _as_format_4_graph(tmp_path / "store" / "graph.npz")
     for fmt, extra in ((999, {}), (2, _FORMAT_2_KEYS), (3, _FORMAT_3_KEYS),
-                       (4, {}), (5, {})):
+                       (4, {}), (5, {}), (6, _FORMAT_6_KEYS)):
         state = json.loads(saved)
         state["format"] = fmt
         for part, keys in extra.items():

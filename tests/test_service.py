@@ -19,7 +19,6 @@ from repro.service import (
     SolveRequest,
     SolveResponse,
     problem_from_dict,
-    problem_to_dict,
 )
 from repro.service.fixtures import demo_morer, demo_probes, demo_problems
 from tests.conftest import make_problem
@@ -30,7 +29,7 @@ from tests.conftest import make_problem
 
 def test_problem_dict_round_trip():
     problem = make_problem(n=20)
-    twin = problem_from_dict(problem_to_dict(problem))
+    twin = problem_from_dict(problem.to_dict())
     assert twin.key == problem.key
     assert np.array_equal(twin.features, problem.features)
     assert np.array_equal(twin.labels, problem.labels)
@@ -39,7 +38,7 @@ def test_problem_dict_round_trip():
 
 
 def test_problem_from_dict_validates_loudly():
-    good = problem_to_dict(make_problem(n=5))
+    good = make_problem(n=5).to_dict()
     with pytest.raises(InvalidRequest, match="missing required field"):
         problem_from_dict({k: v for k, v in good.items()
                            if k != "features"})
@@ -125,14 +124,19 @@ def test_morer_rejects_unknown_override_keys():
 
 
 def test_service_knob_validation():
-    with pytest.raises(ValueError, match="service_max_batch_size"):
-        MoRERConfig(service_max_batch_size=0)
-    with pytest.raises(ValueError, match="service_max_wait_ms"):
-        MoRERConfig(service_max_wait_ms=-1)
-    with pytest.raises(ValueError, match="service_max_queue_depth"):
-        MoRERConfig(service_max_queue_depth=0)
-    config = MoRERConfig(service_max_batch_size=4, service_max_wait_ms=1.5)
-    assert MoRERConfig.from_dict(config.to_dict()) == config
+    """The scheduler's settings are :class:`MoRERService` arguments,
+    validated there; the config (and so a saved store) holds none."""
+    morer = demo_morer(8)
+    for knob, value in (("max_batch_size", 0), ("max_wait_ms", -1),
+                        ("max_queue_depth", 0)):
+        with pytest.raises(InvalidRequest, match=knob):
+            MoRERService(morer, **{knob: value})
+    service = MoRERService(morer)
+    service.close()
+    assert (service.max_batch_size, service.max_wait_ms,
+            service.max_queue_depth) == (16, 2.0, 256)
+    with pytest.raises(ValueError, match="unknown MoRERConfig field"):
+        MoRERConfig(service_max_batch_size=4)
 
 
 # -- service façade ----------------------------------------------------------------

@@ -436,6 +436,38 @@ def _stranded_wal(tmp_path, n_records=2):
     return store, wal_dir
 
 
+def test_wal_header_with_removed_config_fields_names_them(tmp_path):
+    """A WAL header written while the config still held the serving
+    settings and the warm-recluster knobs fails, with no snapshot to
+    load, by naming them; ``repro serve`` neither bootstraps over it
+    nor changes it."""
+    from repro.cli import _serve
+    from repro.core import MoRERConfig
+    from repro.durability import WriteAheadLog
+
+    store, wal_dir = tmp_path / "store", tmp_path / "wal"
+    config = dict(MoRERConfig().to_dict(), full_recluster_every=50,
+                  service_max_batch_size=16)
+    with WriteAheadLog(wal_dir, config=config) as wal:
+        wal.append({"kind": "solve_batch",
+                    "problems": [demo_probes(1, seed=23)[0].to_dict()]})
+    named = (
+        "unknown MoRERConfig field.*'full_recluster_every', "
+        "'service_max_batch_size'"
+    )
+    with pytest.raises(ValueError, match=named):
+        recover(wal_dir, store=store)
+    args = build_parser().parse_args([
+        "serve", "--store", str(store), "--wal-dir", str(wal_dir),
+        "--demo", "4",
+    ])
+    with pytest.raises(SystemExit, match="cannot recover: " + named):
+        _serve(args)
+    assert not store.exists()
+    _, report = read_wal(wal_dir)
+    assert report.n_records == 1
+
+
 def test_cli_refuses_demo_bootstrap_over_unreplayable_wal(tmp_path):
     from repro.cli import _serve
 
@@ -499,8 +531,9 @@ def test_cli_force_bootstrap_discards_deliberately(tmp_path, monkeypatch):
 
 #: Store formats this build refuses: an unknown one, format 4 (the
 #: last one with per-edge rows in ``graph.npz`` and per-tree model
-#: dicts) and format 5 (the last one with timings in ``morer.json``).
-_UNSUPPORTED_FORMATS = (999, 4, 5)
+#: dicts), format 5 (the last one with timings in ``morer.json``) and
+#: format 6 (the last one with serving settings in the config).
+_UNSUPPORTED_FORMATS = (999, 4, 5, 6)
 
 
 def _unsupported_store(tmp_path):
@@ -570,6 +603,47 @@ def test_cli_demo_never_bootstraps_over_an_unsupported_store(
         ):
             _serve(args)
         assert _store_digest(tmp_path) == before
+
+
+def test_wal_of_another_format_stops_recovery_untouched(
+        tmp_path, monkeypatch):
+    """A WAL written under another ``WAL_FORMAT`` holds acked records,
+    not a torn tail: recovery, a reopen for append, the WAL inspector
+    and ``repro serve`` each stop on it by name, and every WAL file
+    stays as it was."""
+    from repro.cli import _serve
+    from repro.durability import WriteAheadLog
+    from repro.durability.wal import _main as wal_main
+
+    store, wal_dir = tmp_path / "store", tmp_path / "wal"
+    service = MoRERService(demo_morer(8), wal_dir=wal_dir)
+    service.save(store)
+    for probe in demo_probes(3, seed=29):
+        service.solve(probe)
+    service.close()
+
+    def wal_bytes():
+        return {path.name: path.read_bytes()
+                for path in sorted(wal_dir.iterdir())}
+
+    before = wal_bytes()
+    monkeypatch.setattr("repro.durability.wal.WAL_FORMAT", 2)
+    named = "unsupported WAL format 1 .*reads WAL format 2"
+    with pytest.raises(UnsupportedFormatError, match=named):
+        recover(wal_dir, store=store)
+    with pytest.raises(UnsupportedFormatError, match=named):
+        WriteAheadLog(wal_dir)
+    with pytest.raises(SystemExit, match=named):
+        wal_main([str(wal_dir)])
+    args = build_parser().parse_args([
+        "serve", "--store", str(store), "--wal-dir", str(wal_dir),
+    ])
+    with pytest.raises(SystemExit, match="cannot recover: " + named):
+        _serve(args)
+    assert wal_bytes() == before
+    monkeypatch.undo()
+    _, report = recover(wal_dir, store=store)
+    assert report.n_replayed == 3
 
 
 def test_cli_recovery_replays_and_checkpoints(tmp_path, monkeypatch):
