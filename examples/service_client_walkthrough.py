@@ -5,7 +5,7 @@ Run with::
     python examples/service_client_walkthrough.py
 
 Walks the whole serving lifecycle in one process: fit a MoRER on
-solved ER problems, expose it through the stdlib HTTP gateway
+solved ER problems, expose it through the HTTP gateway
 (`repro serve` does the same from the terminal), solve new problems
 through :class:`repro.service.ServiceClient` — including 8 concurrent
 ``sel_cov`` clients whose requests the scheduler coalesces into shared

@@ -17,20 +17,11 @@ Public API highlights
   Unicorn, Sudowoodo, AnyMatch, ZeroER.
 """
 
-from .core import (
-    CountingOracle,
-    ERProblem,
-    ERProblemGraph,
-    ModelRepository,
-    MoRER,
-    MoRERConfig,
-    NotFittedError,
-    SolveResult,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
+_CORE = [
     "MoRER",
     "MoRERConfig",
     "ERProblem",
@@ -39,5 +30,10 @@ __all__ = [
     "SolveResult",
     "CountingOracle",
     "NotFittedError",
-    "__version__",
 ]
+
+__all__ = [*_CORE, "__version__"]
+
+# repro.core (and numpy with it) loads on the first access of one of
+# its names, so the stdlib-only `python -m repro lint` never imports it.
+__getattr__ = lazy_exports(globals(), {".core": _CORE})

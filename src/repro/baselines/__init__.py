@@ -8,36 +8,32 @@ Language-model simulators (built on :mod:`repro.nn`; see DESIGN.md §2):
 Unsupervised extension: :class:`ZeroER`.
 """
 
-import importlib
-
-from .almser import AlmserActiveLearner
+from .._lazy import lazy_exports
 from .bootstrap import BootstrapActiveLearner, record_uniqueness_scores
 
-# The heavier baselines load on first attribute access (PEP 562), so
-# importing repro.core — which needs only the two AL learners — does
-# not pull the neural substrate in.
-_LAZY = {
-    "TransER": ".transfer",
-    "ZeroER": ".zeroer",
-    "MultiEM": ".multiem",
-    "DittoClassifier": ".ditto",
-    "UnicornClassifier": ".unicorn",
-    "SudowoodoClassifier": ".sudowoodo",
-    "AnyMatchClassifier": ".anymatch",
-}
+# Every baseline but Bootstrap AL (MoRER's default learner) loads on
+# first attribute access (PEP 562), so importing repro.core does not
+# pull in Almser or the neural substrate.
+__getattr__ = lazy_exports(globals(), {
+    ".almser": ["AlmserActiveLearner"],
+    ".transfer": ["TransER"],
+    ".zeroer": ["ZeroER"],
+    ".multiem": ["MultiEM"],
+    ".ditto": ["DittoClassifier"],
+    ".unicorn": ["UnicornClassifier"],
+    ".sudowoodo": ["SudowoodoClassifier"],
+    ".anymatch": ["AnyMatchClassifier"],
+})
 
 __all__ = [
     "AlmserActiveLearner",
     "BootstrapActiveLearner",
     "record_uniqueness_scores",
-    *_LAZY,
+    "TransER",
+    "ZeroER",
+    "MultiEM",
+    "DittoClassifier",
+    "UnicornClassifier",
+    "SudowoodoClassifier",
+    "AnyMatchClassifier",
 ]
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module, __name__), name)
-    globals()[name] = value
-    return value

@@ -105,13 +105,6 @@ def build_parser():
         ),
     )
     gateway.add_argument(
-        "--log-requests", action="store_true",
-        help=(
-            "raise the structured access log to debug level (also "
-            "forwards the stdlib handler's per-request lines)"
-        ),
-    )
-    gateway.add_argument(
         "--access-log", metavar="PATH", default=None,
         help=(
             "append the structured JSON-lines access log to PATH "
@@ -143,15 +136,16 @@ def build_parser():
         ),
     )
     gateway.add_argument(
-        "--fsync", choices=("always", "interval", "off"), default="always",
+        "--fsync", choices=("always", "interval", "off"), default=None,
         help=(
-            "WAL fsync policy: per-record (safest), bounded-interval, "
-            "or none (survives kill -9 but not power loss)"
+            "WAL fsync policy: per-record (safest, the default), "
+            "bounded-interval, or none (survives kill -9 but not power "
+            "loss)"
         ),
     )
     gateway.add_argument(
-        "--fsync-interval-ms", type=float, default=50.0, metavar="MS",
-        help="max fsync staleness under --fsync interval",
+        "--fsync-interval-ms", type=float, default=None, metavar="MS",
+        help="max fsync staleness under --fsync interval (default 50)",
     )
     gateway.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="N",
@@ -187,7 +181,6 @@ def _serve(args):
     from .core import MoRER
     from .core.morer import UnsupportedFormatError
     from .service import InvalidRequest, MoRERService, ServiceHTTPServer
-    from .service.fixtures import demo_morer
 
     replayed = False
     if args.wal_dir is not None:
@@ -239,6 +232,8 @@ def _serve(args):
                 )
             # Nothing recoverable: bootstrap the store from the demo
             # fixture (first boot of a durable server).
+            from .service.fixtures import demo_morer
+
             morer = demo_morer(args.demo)
             origin = f"demo bootstrap ({args.demo} problems)"
             replayed = True  # force the initial checkpoint below
@@ -267,21 +262,24 @@ def _serve(args):
             raise SystemExit(f"cannot load: {exc}") from None
         origin = f"store {args.store}"
     elif args.demo is not None:
+        from .service.fixtures import demo_morer
+
         morer = demo_morer(args.demo)
         origin = f"demo fixture ({args.demo} problems)"
     else:
         raise SystemExit("serve needs --store DIR or --demo [N]")
     # A serving flag left unset keeps the default of the constructor it
-    # feeds (MoRERService for the scheduler, ServiceHTTPServer for the
-    # rate limit), so each default is written in one place.
+    # feeds (MoRERService for the scheduler, WriteAheadLog for the fsync
+    # policy, ServiceHTTPServer for the rate limit), so each default is
+    # written in one place.
+    settings = _set_flags(args, "max_batch_size", "max_wait_ms",
+                          "max_queue_depth", "fsync_interval_ms")
+    if args.fsync is not None:
+        settings["fsync_policy"] = args.fsync
     try:
         service = MoRERService(
-            morer,
-            **_set_flags(args, "max_batch_size", "max_wait_ms",
-                         "max_queue_depth"),
+            morer, **settings,
             wal_dir=args.wal_dir,
-            fsync_policy=args.fsync,
-            fsync_interval_ms=args.fsync_interval_ms,
             checkpoint_store=(
                 args.store if args.wal_dir is not None else None
             ),
@@ -295,14 +293,10 @@ def _serve(args):
     if args.access_log is not None:
         from .service import AccessLog
 
-        gateway_kwargs["access_log"] = AccessLog(
-            path=args.access_log,
-            level="debug" if args.log_requests else "info",
-        )
+        gateway_kwargs["access_log"] = AccessLog(path=args.access_log)
     try:
         server = ServiceHTTPServer(
-            service, (args.host, args.port),
-            log_requests=args.log_requests, **gateway_kwargs,
+            service, (args.host, args.port), **gateway_kwargs,
         )
     except InvalidRequest as exc:
         service.close()

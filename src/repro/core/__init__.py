@@ -1,5 +1,6 @@
 """MoRER core: problems, distribution analysis, graph, budget, repository."""
 
+from .._lazy import lazy_exports
 from .budget import BudgetError, distribute_budget, merge_singletons
 from .config import (
     CLASSIFIERS,
@@ -18,13 +19,6 @@ from .distribution import (
     problem_similarity,
 )
 from .graph import ERProblemGraph
-from .maintenance import (
-    adjusted_rand_index,
-    cluster_conductance,
-    perturbation_stability,
-    repository_health,
-    silhouette_scores,
-)
 from .morer import CountingOracle, MoRER, NotFittedError, PERSISTENCE_FORMAT
 from .partition_state import PartitionState
 from .problem import ERProblem
@@ -44,6 +38,14 @@ from .signatures import (
     search_similarities,
 )
 from .sketch_index import SketchIndex, sketch_vector
+
+_MAINTENANCE = [
+    "silhouette_scores",
+    "cluster_conductance",
+    "adjusted_rand_index",
+    "perturbation_stability",
+    "repository_health",
+]
 
 __all__ = [
     "ERProblem",
@@ -82,9 +84,9 @@ __all__ = [
     "check_config_overrides",
     "make_classifier",
     "NotFittedError",
-    "silhouette_scores",
-    "cluster_conductance",
-    "adjusted_rand_index",
-    "perturbation_stability",
-    "repository_health",
+    *_MAINTENANCE,
 ]
+
+# The cluster-stability toolkit is offline analysis; a server never
+# runs it, so it loads on first access.
+__getattr__ = lazy_exports(globals(), {".maintenance": _MAINTENANCE})

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 
 from ..ml.forest import RandomForestClassifier
-from ..ml.linear import LogisticRegression
 from ..ml.tree import DecisionTreeClassifier
 
 __all__ = [
@@ -29,6 +28,13 @@ def check_index_threshold(index_threshold):
         raise ValueError("index_threshold must be >= 1")
 
 
+def _logistic_regression(random_state):
+    # Imported on use: a repository of forests never loads it.
+    from ..ml.linear import LogisticRegression
+
+    return LogisticRegression(class_weight="balanced")
+
+
 #: Classifier registry for cluster models.
 CLASSIFIERS = {
     "random_forest": lambda random_state: RandomForestClassifier(
@@ -37,9 +43,7 @@ CLASSIFIERS = {
     "decision_tree": lambda random_state: DecisionTreeClassifier(
         max_depth=10, random_state=random_state
     ),
-    "logistic_regression": lambda random_state: LogisticRegression(
-        class_weight="balanced"
-    ),
+    "logistic_regression": _logistic_regression,
 }
 
 

@@ -32,9 +32,6 @@ import math
 
 import numpy as np
 
-from ..ml.linear import LogisticRegression
-from ..ml.metrics import f1_score
-from ..ml.model_selection import cross_val_predict
 from ..ml.utils import check_random_state, unique_classes
 
 __all__ = [
@@ -685,12 +682,19 @@ class ClassifierTwoSampleTest:
         self.cv = cv
         self.max_samples = max_samples
         self.random_state = random_state
+        # Imported here: KS, WD and PSI, the tests a server runs, need
+        # none of the classifier machinery.
+        from ..ml.linear import LogisticRegression
+
         # Built once: cross_val_predict clones per fold, so one default
         # discriminator instance can serve every pairwise call.
         self._default_estimator = LogisticRegression(max_iter=40, lr=0.5)
 
     def problem_similarity(self, features_a, features_b):
         """Inverse F1 of the discriminator between the two problems."""
+        from ..ml.metrics import f1_score
+        from ..ml.model_selection import cross_val_predict
+
         features_a = np.asarray(features_a, dtype=float)
         features_b = np.asarray(features_b, dtype=float)
         if features_a.shape[1] != features_b.shape[1]:

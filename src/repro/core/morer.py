@@ -65,7 +65,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..baselines.almser import AlmserActiveLearner
 from ..baselines.bootstrap import BootstrapActiveLearner
 from ..graphcluster import communities_from_partition, partition_from_communities
 from ..ml.utils import check_random_state
@@ -304,6 +303,8 @@ class MoRER:
     def _make_learner(self):
         seed = int(self._rng.integers(0, 2**31 - 1))
         if self.config.al_method == "almser":
+            from ..baselines.almser import AlmserActiveLearner
+
             return AlmserActiveLearner(
                 batch_size=self.config.batch_size, random_state=seed
             )

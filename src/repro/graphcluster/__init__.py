@@ -12,23 +12,16 @@ adjacency order), which the ER problem graph hands them without
 conversion; a dict :class:`Graph` passed in is copied to CSR form.
 Their results are bit-identical to the dict implementation kept in
 ``tests/leiden_reference.py``. Label propagation, Girvan–Newman and the
-components / min-cut helpers run on the dict :class:`Graph`.
+components / min-cut helpers run on the dict :class:`Graph`, and load
+on first access (PEP 562): a server clustering with Leiden never
+imports them.
 """
 
-from .components import (
-    UnionFind,
-    bridges,
-    component_of,
-    connected_components,
-    transitive_closure_pairs,
-)
+from .._lazy import LazyRegistry, lazy_exports
 from .csr import CSRGraph
-from .girvan_newman import edge_betweenness, girvan_newman
 from .graph import Graph
-from .label_propagation import label_propagation
 from .leiden import leiden
 from .louvain import local_move, louvain
-from .mincut import min_cut_edges, stoer_wagner
 from .quality import (
     ModularityAggregates,
     communities_from_partition,
@@ -37,13 +30,26 @@ from .quality import (
     partition_from_communities,
 )
 
+__getattr__ = lazy_exports(globals(), {
+    ".components": [
+        "connected_components",
+        "component_of",
+        "transitive_closure_pairs",
+        "bridges",
+        "UnionFind",
+    ],
+    ".girvan_newman": ["girvan_newman", "edge_betweenness"],
+    ".label_propagation": ["label_propagation"],
+    ".mincut": ["stoer_wagner", "min_cut_edges"],
+})
+
 #: Algorithm name -> callable registry; MoRER's config selects by name.
-CLUSTERING_ALGORITHMS = {
-    "leiden": leiden,
-    "louvain": louvain,
-    "label_propagation": label_propagation,
-    "girvan_newman": girvan_newman,
-}
+CLUSTERING_ALGORITHMS = LazyRegistry(__name__, (
+    "leiden",
+    "louvain",
+    "label_propagation",
+    "girvan_newman",
+))
 
 __all__ = [
     "Graph",

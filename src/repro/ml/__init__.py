@@ -5,49 +5,54 @@ available offline, so this package provides the estimators the paper's
 pipeline needs with the same ``fit`` / ``predict`` / ``predict_proba``
 API, plus JSON-safe ``to_dict`` / ``from_dict`` serialisation used by the
 model repository backend.
+
+The trees and forests a served repository runs load with the package;
+every other estimator and helper loads on first access (PEP 562).
 """
 
+from .._lazy import LazyRegistry, lazy_exports
 from .base import BaseEstimator, ClassifierMixin, clone
 from .forest import BaggingClassifier, RandomForestClassifier
-from .gmm import GaussianMixture
-from .linear import LogisticRegression
-from .metrics import (
-    accuracy_score,
-    confusion_counts,
-    f1_score,
-    precision_recall_f1,
-    precision_score,
-    recall_score,
-)
-from .model_selection import (
-    StratifiedKFold,
-    cross_val_predict,
-    cross_val_score,
-    train_test_split,
-)
-from .naive_bayes import GaussianNB
-from .neighbors import KNeighborsClassifier, NearestNeighbors
-from .preprocessing import LabelEncoder, MinMaxScaler, StandardScaler
 from .tree import DecisionTreeClassifier
 from .utils import check_array, check_random_state, check_X_y
 
+__getattr__ = lazy_exports(globals(), {
+    ".gmm": ["GaussianMixture"],
+    ".linear": ["LogisticRegression"],
+    ".metrics": [
+        "accuracy_score",
+        "precision_score",
+        "recall_score",
+        "f1_score",
+        "precision_recall_f1",
+        "confusion_counts",
+    ],
+    ".model_selection": [
+        "StratifiedKFold",
+        "train_test_split",
+        "cross_val_predict",
+        "cross_val_score",
+    ],
+    ".naive_bayes": ["GaussianNB"],
+    ".neighbors": ["KNeighborsClassifier", "NearestNeighbors"],
+    ".preprocessing": ["StandardScaler", "MinMaxScaler", "LabelEncoder"],
+})
+
 #: Name -> class registry used by ``BaseEstimator.from_dict`` to rebuild
-#: nested estimators from their serialised state.
-ESTIMATOR_REGISTRY = {
-    cls.__name__: cls
-    for cls in (
-        DecisionTreeClassifier,
-        RandomForestClassifier,
-        BaggingClassifier,
-        LogisticRegression,
-        GaussianNB,
-        KNeighborsClassifier,
-        GaussianMixture,
-        StandardScaler,
-        MinMaxScaler,
-        LabelEncoder,
-    )
-}
+#: nested estimators from their serialised state; a name's module loads
+#: when it is looked up.
+ESTIMATOR_REGISTRY = LazyRegistry(__name__, (
+    "DecisionTreeClassifier",
+    "RandomForestClassifier",
+    "BaggingClassifier",
+    "LogisticRegression",
+    "GaussianNB",
+    "KNeighborsClassifier",
+    "GaussianMixture",
+    "StandardScaler",
+    "MinMaxScaler",
+    "LabelEncoder",
+))
 
 __all__ = [
     "BaseEstimator",

@@ -17,13 +17,15 @@ into something that serves concurrent traffic:
   logging;
 - :mod:`~repro.service.limiter` — per-client token-bucket admission
   control in front of the scheduler queue;
-- :mod:`~repro.service.http` — a stdlib HTTP/JSON gateway
-  (``repro serve`` from the CLI);
+- :mod:`~repro.service.http` — an HTTP/1.1 JSON gateway on
+  ``socketserver`` (``repro serve`` from the CLI);
 - :mod:`~repro.service.client` — :class:`ServiceClient`, the same
-  typed API over the wire.
+  typed API over the wire. It loads on first access (PEP 562): its
+  ``urllib.request`` import pulls in ``http.client``, ``email`` and
+  ``ssl``, which a server never needs.
 """
 
-from .client import ServiceClient
+from .._lazy import lazy_exports
 from .errors import (
     InvalidRequest,
     NotFitted,
@@ -51,6 +53,8 @@ from .types import (
     SolveResponse,
     problem_from_dict,
 )
+
+__getattr__ = lazy_exports(globals(), {".client": ["ServiceClient"]})
 
 __all__ = [
     "MoRERService",

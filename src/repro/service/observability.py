@@ -11,9 +11,7 @@ Two building blocks, both pure stdlib:
   :meth:`MetricsRegistry.register_collect`.
 - :class:`AccessLog` — JSON-lines structured request logging for the
   HTTP gateway (one object per line: timestamp, level, request id,
-  client id, endpoint, status, latency), replacing the stdlib's
-  printf-style access lines. Stdlib handler messages are routed
-  through it at ``debug`` level instead of being discarded.
+  client id, endpoint, status, latency).
 
 :data:`SERVICE_METRIC_SPECS` is the single source of truth for every
 series the serving stack exports — :class:`ServiceMetrics` builds its
@@ -432,10 +430,9 @@ class AccessLog:
 
     One JSON object per line: ``ts`` (epoch seconds), ``level``, and
     whatever fields the caller passes (request id, client id, endpoint,
-    status, latency). Levels: ``off`` < ``info`` < ``debug`` — normal
-    request lines log at ``info``; the stdlib handler's printf-style
-    messages are forwarded at ``debug`` so they are inspectable without
-    polluting the structured stream by default.
+    status, latency). Levels: ``off`` < ``info`` < ``debug`` — the
+    gateway logs one line per request at ``info``; a ``debug`` record
+    is written only by a log at ``debug`` level.
 
     Writes are serialised under a lock and failures are swallowed:
     logging must never fail a request.

@@ -97,10 +97,12 @@ class MoRERService:
         :class:`~repro.service.Unavailable` (HTTP 503) while read-only
         solves and stats continue; only a restart clears it.
     fsync_policy : {"always", "interval", "off"}, optional
-        WAL fsync policy (default ``"always"``); see
-        :mod:`repro.durability.wal` for the power-loss trade-offs.
+        WAL fsync policy; see :mod:`repro.durability.wal` for the
+        power-loss trade-offs. Unset keeps the
+        :class:`~repro.durability.WriteAheadLog` default.
     fsync_interval_ms : float, optional
-        Max fsync staleness under the ``"interval"`` policy.
+        Max fsync staleness under the ``"interval"`` policy; unset
+        keeps the :class:`~repro.durability.WriteAheadLog` default.
     checkpoint_store : path, optional
         Snapshot directory for automatic checkpoints.
     checkpoint_every : int
@@ -152,16 +154,12 @@ class MoRERService:
         self._wal = None
         self._last_checkpoint_seq = 0
         if wal_dir is not None:
+            given = {"fsync_policy": fsync_policy,
+                     "fsync_interval_ms": fsync_interval_ms}
             self._wal = WriteAheadLog(
-                wal_dir,
-                fsync_policy=(
-                    "always" if fsync_policy is None else fsync_policy
-                ),
-                fsync_interval_ms=(
-                    50.0 if fsync_interval_ms is None
-                    else float(fsync_interval_ms)
-                ),
-                config=morer.config.to_dict(),
+                wal_dir, config=morer.config.to_dict(),
+                **{name: value for name, value in given.items()
+                   if value is not None},
             )
             self._last_checkpoint_seq = self._wal.seq
         self._n_features = None

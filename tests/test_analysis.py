@@ -368,3 +368,27 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "REP001" in proc.stdout
+
+
+def test_repro_lint_imports_no_numpy():
+    """``python -m repro lint`` is stdlib-only: the analyzer runs
+    without numpy or ``repro.core`` loaded, so CI's invariants job needs
+    no runtime dependencies."""
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['repro', 'lint', '--strict']\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code, exit.code\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name.split('.')[0] == 'numpy'\n"
+        "             or name.startswith('repro.core')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        cwd=str(REPO_ROOT), env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]", proc.stdout

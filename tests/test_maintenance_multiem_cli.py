@@ -175,15 +175,17 @@ def test_cli_parser_serve_options():
     assert args.max_queue_depth == 32
 
 
-def test_cli_serve_flags_reach_the_service_and_gateway(monkeypatch):
+def test_cli_serve_flags_reach_the_service_and_gateway(monkeypatch,
+                                                      tmp_path):
     """An unset serving flag keeps its constructor's default; a set one
-    reaches the MoRERService or the ServiceHTTPServer it feeds."""
+    reaches the MoRERService, its WriteAheadLog or the ServiceHTTPServer
+    it feeds."""
     from repro.cli import _serve
 
     built = []
 
     class _FakeServer:
-        def __init__(self, service, address, log_requests=False, **kwargs):
+        def __init__(self, service, address, **kwargs):
             built.append((service, kwargs))
             self.url = "fake"
 
@@ -197,16 +199,27 @@ def test_cli_serve_flags_reach_the_service_and_gateway(monkeypatch):
             pass
 
     monkeypatch.setattr("repro.service.ServiceHTTPServer", _FakeServer)
-    _serve(build_parser().parse_args(["serve", "--demo", "4"]))
+
+    def durable(name):
+        return ["--store", str(tmp_path / name / "store"),
+                "--wal-dir", str(tmp_path / name / "wal")]
+
+    _serve(build_parser().parse_args(["serve", "--demo", "4",
+                                      *durable("default")]))
     _serve(build_parser().parse_args([
         "serve", "--demo", "4", "--max-batch-size", "4",
-        "--rate-limit", "50",
+        "--rate-limit", "50", "--fsync", "interval",
+        "--fsync-interval-ms", "20", *durable("flagged"),
     ]))
     (default, default_kwargs), (flagged, flagged_kwargs) = built
     assert (default.max_batch_size, default.max_wait_ms,
             default.max_queue_depth) == (16, 2.0, 256)
+    assert (default._wal.fsync_policy, default._wal.fsync_interval) == (
+        "always", 0.05)
     assert default_kwargs == {}
     assert flagged.max_batch_size == 4
+    assert (flagged._wal.fsync_policy, flagged._wal.fsync_interval) == (
+        "interval", 0.02)
     assert flagged_kwargs == {"rate_limit_rps": 50.0}
 
 

@@ -364,29 +364,29 @@ def test_access_log_carries_ids_and_batch_ids(gateway):
     assert traced, records
 
 
-def test_stdlib_lines_route_to_debug_level():
-    service = MoRERService(demo_morer(6))
-    buffer = io.StringIO()
-    server = ServiceHTTPServer(
-        service, ("127.0.0.1", 0),
-        access_log=AccessLog(stream=buffer, level="debug"),
-    )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        client = ServiceClient(server.url)
-        client.wait_ready(timeout=5)
-        stdlib, records = _log_records(
-            buffer, lambda r: r.get("source") == "stdlib"
-        )
-        # BaseHTTPRequestHandler logged its "GET /healthz" line — it
-        # landed in the structured stream instead of being dropped.
-        assert stdlib and stdlib[0]["level"] == "debug", records
-        assert "GET /healthz" in stdlib[0]["message"]
-    finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
+def test_refused_requests_are_logged_and_counted(gateway):
+    """A request the gateway refuses before routing it (one it cannot
+    frame, or of a method other than GET and POST) gets its access-log
+    line and its ``method="other"`` count, like any routed request."""
+    import socket
+
+    host, port = gateway.server_address[:2]
+    for request in (b"GET /livez\r\n\r\n",
+                    b"PUT /solve HTTP/1.1\r\nX-Request-Id: put-1\r\n\r\n"):
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(request)
+            while sock.recv(4096):
+                pass
+    # The line is written before the connection closes, so it is
+    # already there once the socket reads empty.
+    records = [json.loads(line)
+               for line in gateway.log_buffer.getvalue().splitlines()]
+    refused = [r for r in records if r.get("error") == "invalid_request"]
+    assert [r["status"] for r in refused] == [400, 400], records
+    assert refused[1]["method"] == "PUT"
+    assert refused[1]["request_id"] == "put-1"
+    assert gateway.service.metrics.http_requests_total.value(
+        endpoint="other", method="other", status="400") == 2
 
 
 def test_stdlib_lines_suppressed_at_info_level(gateway):

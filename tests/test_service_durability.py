@@ -504,7 +504,7 @@ def test_cli_force_bootstrap_discards_deliberately(tmp_path, monkeypatch):
     served = {}
 
     class _FakeServer:
-        def __init__(self, svc, address, log_requests=False):
+        def __init__(self, svc, address):
             served["service"] = svc
             self.url = "fake"
 
@@ -658,7 +658,7 @@ def test_cli_recovery_replays_and_checkpoints(tmp_path, monkeypatch):
     served = {}
 
     class _FakeServer:
-        def __init__(self, svc, address, log_requests=False):
+        def __init__(self, svc, address):
             served["service"] = svc
             self.url = "fake"
 

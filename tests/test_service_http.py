@@ -301,6 +301,33 @@ def test_short_body_is_408_and_frees_the_handler(gateway, monkeypatch):
         assert json.loads(reply.read().decode("utf-8")) == {"live": True}
 
 
+def test_reset_mid_body_is_a_client_error(gateway):
+    """A client that resets its connection mid-body is counted as a 400,
+    not as a server error, and the gateway keeps serving."""
+    import struct
+    import time
+
+    host, port = gateway.server_address[:2]
+    sock = socket.create_connection((host, port), timeout=5)
+    sock.sendall(b"POST /solve HTTP/1.1\r\nContent-Length: 1000\r\n\r\n"
+                 b'{"problem": ')
+    time.sleep(0.1)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+    sock.close()  # linger 0: the close sends a reset
+    requests = gateway.service.metrics.http_requests_total
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline and not requests.value(
+            endpoint="/solve", method="POST", status="400"):
+        time.sleep(0.02)
+    assert requests.value(endpoint="/solve", method="POST",
+                          status="400") == 1
+    assert requests.value(endpoint="/solve", method="POST",
+                          status="500") == 0
+    with urllib.request.urlopen(gateway.url + "/livez", timeout=5) as reply:
+        assert json.loads(reply.read().decode("utf-8")) == {"live": True}
+
+
 def test_concurrent_http_clients_coalesce():
     service = MoRERService(demo_morer(12), max_batch_size=8,
                            max_wait_ms=150)
@@ -339,3 +366,189 @@ def test_concurrent_http_clients_coalesce():
         server.shutdown()
         server.server_close()
         service.close()
+
+
+# -- seeded framing fuzz ------------------------------------------------------
+
+
+def _exchange(address, data, half_close=True, timeout=5.0):
+    """Send raw bytes, then read until the server closes; returns the
+    ``(status, headers, body)`` of each response (interim ``100`` ones
+    skipped).
+    ``half_close`` ends the client's side at once, as a client with
+    nothing more to send does; without it the server must time out."""
+    with socket.create_connection(address, timeout=timeout) as sock:
+        try:
+            sock.sendall(data)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass  # refused mid-send: the answer is still to be read
+        raw = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            raw += chunk
+    replies = []
+    while raw:
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        lines = head.decode("ascii").split("\r\n")
+        status = int(lines[0].split(" ")[1])
+        if status == 100:
+            raw = rest
+            continue
+        fields = dict(line.split(": ", 1) for line in lines[1:])
+        length = int(fields["Content-Length"])
+        replies.append((status, fields, rest[:length]))
+        raw = rest[length:]
+    return replies
+
+
+def _request(method, path, body=b"", headers=(), version="HTTP/1.1"):
+    lines = [f"{method} {path} {version}", "Host: fuzz"]
+    lines += [f"{name}: {value}" for name, value in headers]
+    if body and not any(n.lower() in ("content-length", "transfer-encoding")
+                        for n, _ in headers):
+        lines.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
+
+
+def _solve_body(rng, rows=None, cols=4, strategy=None, value=None):
+    rows = rows or rng.randint(1, 40)
+    features = [[value if value is not None else round(rng.random(), 3)
+                 for _ in range(cols)] for _ in range(rows)]
+    problem = {"source_a": f"Z{rng.randint(0, 999)}",
+               "source_b": f"W{rng.randint(0, 999)}", "features": features}
+    payload = {"problem": problem,
+               "strategy": strategy or rng.choice(["base", "cov"])}
+    return json.dumps(payload).encode("ascii")
+
+
+#: Each draws one raw request (``bytes``, half-close?) from the rng.
+_FUZZ_CASES = (
+    # Request lines: truncated, overlong, versionless, malformed.
+    lambda rng: (b"GET /liv", True),
+    lambda rng: (b"POST /solve HTTP/1.1\r\nContent-Le", False),
+    lambda rng: (b"GET /" + b"a" * rng.randint(65540, 70000)
+                 + b" HTTP/1.1\r\n\r\n", True),
+    lambda rng: (rng.choice([b"GET /livez\r\n\r\n", b"GET\r\n\r\n",
+                             b"\r\n\r\n", b"GET  /livez HTTP/1.1\r\n\r\n",
+                             b"GET /livez HTTP/2.0\r\n\r\n",
+                             b"GET /livez HTTX/1.1 extra\r\n\r\n"]), True),
+    # Header floods and bad header lines.
+    lambda rng: (_request("GET", "/livez", headers=[
+        (f"X-Flood-{i}", "x") for i in range(rng.randint(101, 300))]), True),
+    lambda rng: (_request("GET", "/livez", headers=[
+        ("X-Long", "y" * rng.randint(65540, 70000))]), True),
+    lambda rng: (rng.choice([
+        b"GET /livez HTTP/1.1\r\nNo colon here\r\n\r\n",
+        b"GET /livez HTTP/1.1\r\nX-Nul: a\x00b\r\n\r\n",
+        b"GET /livez HTTP/1.1\r\nX-Name: caf\xc3\xa9\r\n\r\n",
+        b"GET /livez HTTP/1.1\r\nX-Fold: a\r\n  folded\r\n\r\n",
+        b"GET /livez HTTP/1.1\r\nBad Name: x\r\n\r\n",
+        b"GET /livez HTTP/1.1\r\nX-Cr: a\rb\r\n\r\n",
+    ]), True),
+    # Content-Length: negative, conflicting, not a number.
+    lambda rng: (_request("POST", "/solve", b"{}", headers=[
+        ("Content-Length", rng.choice(["-1", "abc", "+2", "2, 3", "0x2"]))]),
+        True),
+    lambda rng: (_request("POST", rng.choice(["/solve", "/nope"]), b"{}",
+                          headers=[("Content-Length", "2"),
+                                   ("Content-Length", "3")]), True),
+    # Chunked and short bodies.
+    lambda rng: (_request("POST", "/solve", b"2\r\n{}\r\n0\r\n\r\n",
+                          headers=[("Transfer-Encoding", "chunked")]), True),
+    lambda rng: (_request("POST", "/solve", b'{"problem": ',
+                          headers=[("Content-Length", "100")]),
+                 rng.random() < 0.5),
+    # Bodies that are not JSON, or JSON of the wrong shape.
+    lambda rng: (_request("POST", rng.choice(["/solve", "/solve_batch",
+                                              "/fit", "/save"]),
+                          rng.choice([b"{not json", b"\xff\xfe\x00",
+                                      b"[" * 100000, b"null", b"[]",
+                                      b'"text"', b"{}", b"   "])), True),
+    lambda rng: (_request("POST", "/solve", rng.choice([
+        b'{"problem": 5}',
+        b'{"problem": {"source_a": 1, "source_b": "b", "features": []}}',
+        b'{"problem": {"source_a": "a", "source_b": "b", "features": []}}',
+        b'{"problem": {"source_a": "a", "source_b": "b", '
+        b'"features": [0.5, 0.5]}}',
+        b'{"problem": {"source_a": "a", "source_b": "b", '
+        b'"features": [[0.5, "x", 0.5, 0.5]]}}',
+        b'{"problem": {"source_a": "a", "source_b": "b", '
+        b'"features": [[0.5, 0.5, 0.5, 0.5]], "labels": [7]}}',
+        b'{"problem": {"source_a": "a", "source_b": "b", '
+        b'"features": [[0.5, 0.5, 0.5, 0.5]], "pair_ids": [1]}}',
+        b'{"problem": {"source_a": "a", "source_b": "b", '
+        b'"features": [[0.5, 0.5, 0.5, 0.5]]}, "strategy": "best"}',
+    ])), True),
+    lambda rng: (_request("POST", "/solve", _solve_body(
+        rng, value=rng.choice([float("nan"), float("inf"), -3.0, 7.0]))),
+        True),
+    lambda rng: (_request("POST", "/solve", _solve_body(
+        rng, cols=rng.choice([1, 3, 5, 9]))), True),
+    lambda rng: (_request("POST", "/solve", _solve_body(
+        rng, rows=rng.randint(20000, 40000), cols=3)), True),
+    lambda rng: (_request("POST", "/solve_batch", rng.choice([
+        b'{"requests": "x"}', b'{"requests": [5, {}, null]}',
+        b'{"requests": [{"problem": {"source_a": "a", "source_b": "b", '
+        b'"features": [[2.0, 0.5, 0.5, 0.5]]}}]}',
+    ])), True),
+    # Methods other than GET and POST, and unknown paths.
+    lambda rng: (_request(rng.choice(["PUT", "HEAD", "DELETE", "OPTIONS",
+                                      "PATCH", "get"]),
+                          rng.choice(["/solve", "/livez", "/nope"]),
+                          rng.choice([b"", b"{}"])), True),
+    lambda rng: (_request(rng.choice(["GET", "POST"]),
+                          rng.choice(["/nope", "/solve/x", "*", "livez",
+                                      "/livez/../stats"]),
+                          rng.choice([b"", b"{}"])), True),
+    # Well-formed requests among them: they must still succeed.
+    lambda rng: (_request("GET", rng.choice(["/livez", "/healthz", "/stats",
+                                             "/readyz"]),
+                          version=rng.choice(["HTTP/1.1", "HTTP/1.0"])),
+                 True),
+    lambda rng: (_request("POST", "/solve", _solve_body(rng, strategy="base"),
+                          headers=[("Expect", "100-continue")]), True),
+)
+
+
+def test_seeded_gateway_fuzz(gateway, monkeypatch):
+    """~50 raw-socket requests drawn from a fixed seed: truncated,
+    overlong or versionless request lines, header floods and bad header
+    lines, negative or conflicting Content-Lengths, chunked and short
+    bodies, bodies that are not JSON or have the wrong shape, other
+    methods and unknown paths. Each gets a 2xx or 4xx JSON envelope
+    within the (shortened) handler timeout, never a 5xx or a hang; the
+    handler threads all end and ``/livez`` still answers."""
+    import random
+    import time
+
+    from repro.service.http import _GatewayHandler
+
+    monkeypatch.setattr(_GatewayHandler, "timeout", 0.5)
+    address = gateway.server_address[:2]
+    baseline = threading.active_count()
+    rng = random.Random(27)
+    draws = [case(rng) for case in _FUZZ_CASES]
+    draws += [rng.choice(_FUZZ_CASES)(rng) for _ in range(50 - len(draws))]
+    statuses = Counter()
+    for data, half_close in draws:
+        replies = _exchange(address, data, half_close)
+        assert len(replies) == 1, (data[:120], replies)
+        status, fields, body = replies[0]
+        assert 200 <= status < 500, (data[:120], status, body[:300])
+        assert fields["Content-Type"] == "application/json"
+        payload = json.loads(body.decode("utf-8"))
+        if status >= 400:
+            assert isinstance(payload["error"]["code"], str), payload
+            assert payload["request_id"] == fields["X-Request-Id"]
+        statuses[status] += 1
+    assert {200, 400, 404, 408} <= set(statuses), statuses
+    deadline = time.monotonic() + 5
+    while threading.active_count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert threading.active_count() <= baseline
+    with urllib.request.urlopen(gateway.url + "/livez", timeout=5) as reply:
+        assert json.loads(reply.read().decode("utf-8")) == {"live": True}
