@@ -2,8 +2,8 @@
 code they replaced.
 
 ``ERProblemGraph.build`` compares every pair of initial problems through
-``pairwise_similarities``, and every coalesced ``cov`` tick runs the
-same all-pairs kernel over its batch. The kernels fold similarity rows
+the test's ``signature_similarity_matrix``, and every coalesced ``cov``
+tick runs the same all-pairs kernel over its batch. The kernels fold similarity rows
 into ``sim_p`` in constant-size blocks as they produce them; the code
 they replaced built full (P, P, F) tensors first and is kept under
 ``tests/`` (``ks_reference.full_tensor_similarity_matrix``,

@@ -7,7 +7,7 @@ Exports two git revisions the way ``scripts/bench_pairs.py`` does (with
 its ``_export``; the default head is this working tree's tracked files,
 staged or not, so a new file must be ``git add``-ed to take part) and,
 in each, runs three ``sel_cov`` scenarios per seed, each in its own
-subprocess under ``PYTHONHASHSEED=0``. perfbench's
+subprocess under ``PYTHONHASHSEED`` 0 and again under 1. perfbench's
 ``Generator(seed, 6, 2)`` draws the fit set, ``MoRERConfig(selection=
 "cov", random_state=seed)`` fits it, and ``solve_batch`` ticks of 1-16
 probes drawn from ``stream("S", 16, 1)`` follow:
@@ -28,12 +28,18 @@ counters and the RNG state), and, of a save after the last tick,
 file holds no timings, so a decision-identical change writes the same
 bytes). The store is then loaded and the live and the loaded instance
 solve three more ticks; ``twin`` digests the loaded one's decisions,
-which must equal the live one's. Exit code 0 when every digest of the
-head equals the base's and every loaded twin decided like its live
-instance. A store-format change shows as exactly the files it touches
-(a config change: ``morer.json`` and ``repository/manifest.json``)
-with every other part the same; ``--workdir DIR`` keeps both sides'
-stores for a closer diff.
+which must equal the live one's.
+
+Base and head are compared per hash seed, and the head's two hash seeds
+with each other: a part that follows the hash seed (iteration order of
+a set of string keys) reads DIFFERENT there. Exit code 0 when, under
+each hash seed, every digest of the head equals the base's and every
+loaded twin decided like its live instance, and the head wrote every
+part identically under both hash seeds. A store-format change shows as
+exactly the files it touches (a config change: ``morer.json`` and
+``repository/manifest.json``) with every other part the same;
+``--workdir DIR`` keeps both sides' stores (``SIDE-SCENARIO-SEED-hH``)
+for a closer diff.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ import tempfile
 from bench_pairs import _export
 
 SCENARIOS = {"fit160": (160, 25), "fit48": (48, 25), "fit120": (120, 12)}
+HASH_SEEDS = ("0", "1")
 
 _CHILD = r"""
 import hashlib
@@ -137,11 +144,12 @@ def _parse(argv):
     return parser.parse_args(argv)
 
 
-def _scenario(checkout, seed, name, store):
-    """One scenario's digests in ``checkout``, from a fresh process."""
+def _scenario(checkout, seed, name, store, hash_seed):
+    """One scenario's digests in ``checkout``, from a fresh process
+    under ``PYTHONHASHSEED=hash_seed``."""
     n_fit, n_ticks = SCENARIOS[name]
     env = dict(
-        os.environ, PYTHONHASHSEED="0",
+        os.environ, PYTHONHASHSEED=hash_seed,
         PYTHONPATH=os.pathsep.join([os.path.join(checkout, "src"), checkout]),
     )
     done = subprocess.run(
@@ -151,8 +159,25 @@ def _scenario(checkout, seed, name, store):
     )
     if done.returncode:
         sys.stderr.write(done.stderr)
-        raise SystemExit(f"{name} (seed {seed}) failed in {checkout}")
+        raise SystemExit(
+            f"{name} (seed {seed}, hash seed {hash_seed}) failed in "
+            f"{checkout}"
+        )
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def _compare(label, left, right, twin_rule):
+    """Print one line per part of two digest dicts; whether all agree.
+    ``twin_rule``: ``twin_matches_live`` must also be true on both."""
+    same = True
+    for part in dict.fromkeys([*left, *right]):
+        ok = left.get(part) == right.get(part)
+        if twin_rule and part == "twin_matches_live":
+            ok = left.get(part) is True and right.get(part) is True
+        same = same and ok
+        print(f"{label} {part:>26}: {'same' if ok else 'DIFFERENT'}  "
+              f"{right.get(part)}")
+    return same
 
 
 def main(argv=None):
@@ -166,22 +191,28 @@ def main(argv=None):
         for seed in args.seeds:
             for name in SCENARIOS:
                 digests = {
-                    side: _scenario(
+                    (side, hash_seed): _scenario(
                         checkout, seed, name,
-                        os.path.join(workdir, f"{side}-{name}-{seed}"),
+                        os.path.join(
+                            workdir, f"{side}-{name}-{seed}-h{hash_seed}"
+                        ),
+                        hash_seed,
                     )
                     for side, checkout in checkouts.items()
+                    for hash_seed in HASH_SEEDS
                 }
-                parts = dict.fromkeys([*digests["base"], *digests["head"]])
-                for part in parts:
-                    base = digests["base"].get(part)
-                    head = digests["head"].get(part)
-                    ok = base == head
-                    if part == "twin_matches_live":
-                        ok = base is True and head is True
-                    same = same and ok
-                    print(f"seed {seed} {name:>6} {part:>26}: "
-                          f"{'same' if ok else 'DIFFERENT'}  {head}")
+                for hash_seed in HASH_SEEDS:
+                    same = _compare(
+                        f"seed {seed} {name:>6} hash {hash_seed} base/head",
+                        digests["base", hash_seed],
+                        digests["head", hash_seed], twin_rule=True,
+                    ) and same
+                same = _compare(
+                    f"seed {seed} {name:>6} head hash "
+                    f"{'/'.join(HASH_SEEDS)}",
+                    *(digests["head", hash_seed] for hash_seed in HASH_SEEDS),
+                    twin_rule=False,
+                ) and same
     finally:
         if owns_workdir:
             shutil.rmtree(workdir, ignore_errors=True)

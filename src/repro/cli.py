@@ -308,19 +308,23 @@ def _serve(args):
         # flag is validated by now, so a refused one writes no store.
         service.save(args.store)
         print(f"checkpointed recovered state to {args.store}", flush=True)
-    print(
-        f"serving {origin}: {len(morer.repository)} entries at "
-        f"{server.url} (max_batch_size={service.max_batch_size}, "
-        f"max_wait_ms={service.max_wait_ms:g}, "
-        f"max_queue_depth={service.max_queue_depth})",
-        flush=True,
-    )
+    # The serving line is inside the try, so a SIGINT sent as soon as a
+    # supervisor reads it still closes the server and the service
+    # (scheduler drain, the WAL's final fsync). No shutdown() in the
+    # finally: serve_forever has returned or never started by then, and
+    # shutdown() would wait forever for one that never started.
     try:
+        print(
+            f"serving {origin}: {len(morer.repository)} entries at "
+            f"{server.url} (max_batch_size={service.max_batch_size}, "
+            f"max_wait_ms={service.max_wait_ms:g}, "
+            f"max_queue_depth={service.max_queue_depth})",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
         server.server_close()
         service.close()
     return server

@@ -23,20 +23,8 @@ from .morer import CountingOracle, MoRER, NotFittedError, PERSISTENCE_FORMAT
 from .partition_state import PartitionState
 from .problem import ERProblem
 from .repository import ClusterEntry, ModelRepository
-from .selection import (
-    SolveResult,
-    decide_cov,
-    pool_problems,
-    select_base,
-    select_cov,
-)
-from .signatures import (
-    ProblemSignature,
-    SignatureStore,
-    pairwise_similarities,
-    problem_signature,
-    search_similarities,
-)
+from .selection import SolveResult, decide_cov, pool_problems, select_base
+from .signatures import ProblemSignature, SignatureStore
 from .sketch_index import SketchIndex, sketch_vector
 
 _MAINTENANCE = [
@@ -59,7 +47,6 @@ __all__ = [
     "PERSISTENCE_FORMAT",
     "SolveResult",
     "select_base",
-    "select_cov",
     "decide_cov",
     "pool_problems",
     "KolmogorovSmirnovTest",
@@ -72,9 +59,6 @@ __all__ = [
     "ProblemSignature",
     "SignatureStore",
     "SketchIndex",
-    "problem_signature",
-    "pairwise_similarities",
-    "search_similarities",
     "sketch_vector",
     "distribute_budget",
     "merge_singletons",

@@ -24,6 +24,12 @@ Every test offers two equivalent entry points:
   precomputed :class:`~repro.core.signatures.ProblemSignature` objects,
   evaluating all features at once with vectorized numpy kernels. The
   two agree to well below 1e-9 on any input.
+
+On signatures, ``signature_similarity_many(probe, signatures)`` scores
+one probe against many candidates — the kernel behind the graph's
+insertions and the repository's indexed search (C2ST runs it as a loop
+over the candidates) — and the order-symmetric tests add the all-pairs
+``signature_similarity_matrix(signatures)`` behind a batch insertion.
 """
 
 from __future__ import annotations
@@ -728,6 +734,18 @@ class ClassifierTwoSampleTest:
         return self.problem_similarity(
             signature_a.features, signature_b.features
         )
+
+    def signature_similarity_many(self, probe, signatures):
+        """``sim_p(probe, candidate)`` for each candidate signature.
+
+        One :meth:`signature_similarity` call per candidate, in the
+        ``(probe, candidate)`` orientation: C2ST has no batched
+        kernel, because each pair trains its own discriminator.
+        """
+        return np.array([
+            self.signature_similarity(probe, signature)
+            for signature in signatures
+        ])
 
 
 def _subsample(matrix, max_samples, rng):

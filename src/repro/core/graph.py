@@ -10,11 +10,12 @@ stays.
 
 Pairwise analysis is the O(P²·F) hot loop of construction, so the
 graph keeps one :class:`~repro.core.signatures.ProblemSignature` per
-problem (sorted columns, self-CDFs, histograms, stds computed once) and
-evaluates edges with the tests' vectorized signature kernels. No pair
-similarity is computed twice: every edge carries its pair's value, and
-the pair cache keeps the evaluated pairs no edge carries (pairs at or
-below ``min_similarity``, and pairs :meth:`pair_similarity` computed on
+row (sorted columns, self-CDFs, histograms, stds computed once), built
+when the row is inserted or restored, and evaluates edges with the
+tests' vectorized signature kernels. No pair similarity is computed
+twice: every edge carries its pair's value, and the pair cache keeps
+the evaluated pairs no edge carries (pairs at or below
+``min_similarity``, and pairs :meth:`pair_similarity` computed on
 demand), so repeated reclustering and budgeting never repeat a
 comparison.
 
@@ -76,12 +77,7 @@ from ..graphcluster import CLUSTERING_ALGORITHMS, CSRGraph
 from .config import DEFAULT_INDEX_THRESHOLD, check_index_threshold
 from .distribution import make_distribution_test
 from .problem import ERProblem
-from .signatures import (
-    ProblemSignature,
-    SignatureStore,
-    pairwise_similarities,
-    search_similarities,
-)
+from .signatures import ProblemSignature
 from .sketch_index import SketchIndex
 
 __all__ = ["ERProblemGraph"]
@@ -109,15 +105,14 @@ class ERProblemGraph:
     ----------
     test : distribution test or str
         A distribution test with the signature kernels
-        (``signature_similarity``; see
+        (``signature_similarity`` and ``signature_similarity_many``, plus
+        ``signature_similarity_matrix`` when it is order-symmetric; see
         :mod:`repro.core.distribution`) or a Table 3 short name
         (``"ks"``, ``"wd"``, ``"psi"``, ``"c2st"``).
     min_similarity : float
         Edges below this weight are omitted; 0.0 keeps every positive
         similarity (the default — Leiden handles dense graphs fine at
         this scale).
-    signature_cache_size : int
-        Capacity of the LRU signature store.
     index_threshold : int
         Vertex count from which an insertion is compared only with its
         ``max(64, 4 * sqrt(vertices))`` sketch-nearest vertices; below
@@ -125,7 +120,6 @@ class ERProblemGraph:
     """
 
     def __init__(self, test="ks", min_similarity=0.0,
-                 signature_cache_size=4096,
                  index_threshold=DEFAULT_INDEX_THRESHOLD):
         if isinstance(test, str):
             test = make_distribution_test(test)
@@ -137,13 +131,15 @@ class ERProblemGraph:
         # so it is only sound for order-symmetric tests (KS/WD/PSI, not
         # C2ST, whose subsampling depends on argument order).
         self._cache_pairs = getattr(test, "symmetric", False)
-        # The store: vertex rows in insertion order, edges in creation
-        # order as (row, earlier row, weight) arrays (newly
-        # inserted edges wait in _pending_edges until read), and the
-        # strengths and total weight accumulated edge by edge.
+        # The store: vertex rows in insertion order, each with its
+        # signature, edges in creation order as (row, earlier row,
+        # weight) arrays (newly inserted edges wait in _pending_edges
+        # until read), and the strengths and total weight accumulated
+        # edge by edge.
         self._problems = {}
         self._keys = []
         self._rows = {}
+        self._signatures = []
         self._edge_store = _NO_EDGES
         self._pending_edges = []
         self._strength = np.zeros(0)
@@ -154,7 +150,6 @@ class ERProblemGraph:
         #: from signatures — the persistence suite asserts a restored
         #: graph's first solve recomputes nothing it saved.
         self.stats = {"pair_evals": 0, "sketch_rows_built": 0}
-        self._signatures = SignatureStore(signature_cache_size)
         # Memoized pairs no edge carries: pair -> value, in the order
         # of first evaluation, which a snapshot lists them in.
         self._pair_cache = {}
@@ -203,28 +198,26 @@ class ERProblemGraph:
         the existing vertices (all of them, or the sketch-nearest ones
         once the prefilter is active), then the earlier batch members.
         Its edges follow that order. The pairs inside the batch come
-        from the :func:`pairwise_similarities` matrix when
+        from the test's ``signature_similarity_matrix`` when
         :meth:`_batch_matrix` provides one; every other pair goes
-        through the one-vs-many
-        :func:`~repro.core.signatures.search_similarities` kernel in
-        ``sim_p(new, other)`` orientation. A new key was never in the
+        through the one-vs-many ``signature_similarity_many`` kernel in
+        ``sim_p(new, other)`` orientation, reading each candidate's
+        signature from its row. A new key was never in the
         graph, so none of its pairs is cached yet. Every member is
         checked before the first mutation, so a rejected batch leaves
         the graph untouched.
         """
         problems = list(problems)
-        rows = self._check_members(problems)
-        keys = list(rows)
+        keys = self._check_members(problems)
         prefilter = self._prefilter_active()
         if prefilter:
             self._sync_sketch_index()
         n_candidates = self._candidate_width() if prefilter else 0
         existing = list(self._keys)
         signatures = [
-            self._signatures.signature(key, problem.features)
-            for problem, key in zip(problems, keys)
+            ProblemSignature(problem.features) for problem in problems
         ]
-        matrix = self._batch_matrix(keys, signatures)
+        matrix = self._batch_matrix(signatures)
         for i, (problem, key) in enumerate(zip(problems, keys)):
             signature = signatures[i]
             row = len(self._keys)
@@ -246,13 +239,10 @@ class ERProblemGraph:
                 values[len(outer):] = matrix[i, :i]
                 rest = len(outer)
             if rest:
-                values[:rest] = search_similarities(
-                    self.test, signature, [
-                        signatures[rows[other]] if other in rows
-                        else self._signatures.signature(
-                            other, self._problems[other].features
-                        )
-                        for other in candidates[:rest]
+                values[:rest] = self.test.signature_similarity_many(
+                    signature, [
+                        self._signatures[other]
+                        for other in candidate_rows[:rest].tolist()
                     ],
                 )
                 self.stats["pair_evals"] += rest
@@ -277,22 +267,23 @@ class ERProblemGraph:
             self._keys.append(key)
             self._rows[key] = row
             self._problems[key] = problem
+            self._signatures.append(signature)
             self._index_pending[key] = None
 
     def _check_members(self, problems):
-        """``{key: row}`` of a batch about to be inserted; raises
-        ``ValueError`` on a key already in the graph or repeated in the
-        batch, and on a feature count that differs from the graph's or
-        from another member's."""
-        rows = {}
+        """The keys of a batch about to be inserted, in batch order;
+        raises ``ValueError`` on a key already in the graph or repeated
+        in the batch, and on a feature count that differs from the
+        graph's or from another member's."""
+        keys = {}
         n_features = next(
             (problem.n_features for problem in self._problems.values()), None
         )
         for problem in problems:
             key = problem.key
-            if key in self._problems or key in rows:
+            if key in self._problems or key in keys:
                 raise ValueError(f"ER problem {key} already in the graph")
-            rows[key] = len(rows)
+            keys[key] = None
             if n_features is None:
                 n_features = problem.n_features
             elif problem.n_features != n_features:
@@ -300,17 +291,19 @@ class ERProblemGraph:
                     "ER problems must share the feature space "
                     f"({problem.n_features} vs {n_features} features)"
                 )
-        return rows
+        return list(keys)
 
-    def _batch_matrix(self, keys, signatures):
-        """The batch's ``sim_p`` matrix from the matrix kernel, or
-        ``None`` when its inner pairs go through the one-vs-many kernel
-        instead: for a single member, and for order-asymmetric tests
-        (the matrix would pay both orientations)."""
-        if len(keys) < 2 or not self._cache_pairs:
+    def _batch_matrix(self, signatures):
+        """The batch's ``sim_p`` matrix from the test's all-pairs
+        ``signature_similarity_matrix``, or ``None`` when its inner
+        pairs go through the one-vs-many kernel instead: for a single
+        member, and for order-asymmetric tests (C2ST has no matrix
+        kernel; one would pay both orientations)."""
+        n = len(signatures)
+        if n < 2 or not self._cache_pairs:
             return None
-        self.stats["pair_evals"] += len(keys) * (len(keys) - 1) // 2
-        return pairwise_similarities(signatures, self.test)
+        self.stats["pair_evals"] += n * (n - 1) // 2
+        return self.test.signature_similarity_matrix(signatures)
 
     def _edges(self):
         """``(rows, earlier rows, weights)`` of every edge, in creation
@@ -344,11 +337,7 @@ class ERProblemGraph:
         """Fold pending vertices into the sketch matrix, in insertion
         order."""
         for key in self._index_pending:
-            self._sketch_index.add(
-                key, self._signatures.signature(
-                    key, self._problems[key].features
-                ),
-            )
+            self._sketch_index.add(key, self._signatures[self._rows[key]])
             self.stats["sketch_rows_built"] += 1
         self._index_pending.clear()
 
@@ -369,11 +358,9 @@ class ERProblemGraph:
             weight = self._edge_weight(key_a, key_b)
             if weight is not None:
                 return weight
-        problem_a = self._problems[key_a]
-        problem_b = self._problems[key_b]
         similarity = self.test.signature_similarity(
-            self._signatures.signature(key_a, problem_a.features),
-            self._signatures.signature(key_b, problem_b.features),
+            self._signatures[self._rows[key_a]],
+            self._signatures[self._rows[key_b]],
         )
         if self._cache_pairs:
             self._pair_cache[_pair_key(key_a, key_b)] = similarity
@@ -423,7 +410,8 @@ class ERProblemGraph:
           sketch matrix, when the prefilter is in play.
 
         Signature statistics are not stored: :meth:`restore_state`
-        recomputes them lazily, bit for bit, from the features.
+        gives each row a fresh signature, whose statistics the same
+        code derives lazily, bit for bit, from the features.
         """
         rows = self._rows
         problems = list(self._problems.values())
@@ -489,32 +477,24 @@ class ERProblemGraph:
         return meta, arrays
 
     @classmethod
-    def restore_state(cls, meta, arrays, test, **kwargs):
+    def restore_state(cls, meta, arrays, test):
         """Rebuild a graph from an :meth:`export_state` snapshot.
 
         ``test`` must be (equivalent to) the distribution test the
-        snapshot was taken under. Each problem's signature is seeded
+        snapshot was taken under. Each row gets its signature back
         without statistics — the same code the live graph ran derives
-        them lazily from the restored features, bit for bit — so the
-        restored signature store reports zero
-        :attr:`SignatureStore.builds`. Each edge's new row comes back
-        from the per-row ``edge_counts``; strengths and the total
-        weight are summed edge by edge in creation order (an edge adds
-        to its new row, then to its earlier row), which gives back the
-        live graph's values bit for bit. For order-symmetric tests the
-        stored extra pairs refill the pair cache in their stored order.
-        The sketch matrix comes back preloaded, so the first
-        prefiltered insertion derives no sketch row.
+        them lazily from the restored features, bit for bit — so no
+        later insertion builds a stored row's signature again. Each
+        edge's new row comes back from the per-row ``edge_counts``;
+        strengths and the total weight are summed edge by edge in
+        creation order (an edge adds to its new row, then to its
+        earlier row), which gives back the live graph's values bit for
+        bit. For order-symmetric tests the stored extra pairs refill the
+        pair cache in their stored order. The sketch matrix comes back
+        preloaded, so the first prefiltered insertion derives no sketch
+        row.
         """
-        instance = cls(
-            test, meta["min_similarity"],
-            index_threshold=meta["index_threshold"], **kwargs,
-        )
-        # The zero-rebuild guarantee needs every seeded signature to
-        # actually fit: grow the LRU to the restored problem count.
-        instance._signatures.max_size = max(
-            instance._signatures.max_size, len(meta["problems"])
-        )
+        instance = cls(test, meta["min_similarity"], meta["index_threshold"])
         features = arrays["features"]
         offsets = arrays["offsets"].tolist()
         labels = arrays["labels"]
@@ -539,7 +519,7 @@ class ERProblemGraph:
             instance._rows[key] = len(keys)
             keys.append(key)
             instance._problems[key] = problem
-            instance._signatures.put(key, ProblemSignature(problem.features))
+            instance._signatures.append(ProblemSignature(problem.features))
         new = np.repeat(
             np.arange(len(keys), dtype=np.intp), arrays["edge_counts"]
         )

@@ -74,13 +74,7 @@ from .distribution import make_distribution_test
 from .graph import ERProblemGraph
 from .partition_state import PartitionState
 from .repository import ModelRepository
-from .selection import (
-    SolveResult,
-    decide_cov,
-    pool_problems,
-    select_base,
-    select_cov,
-)
+from .selection import SolveResult, decide_cov, pool_problems, select_base
 
 __all__ = [
     "MoRER", "CountingOracle", "NotFittedError", "PERSISTENCE_FORMAT",
@@ -373,19 +367,17 @@ class MoRER:
             result.overhead_seconds = elapsed
             return result
         if strategy == "cov":
-            before = self.overhead_seconds()
-            result = select_cov(self, problem, oracle)
-            result.overhead_seconds = self.overhead_seconds() - before
-            return result
+            return self._solve_cov([problem], oracle)[0]
         raise ValueError(f"unknown selection strategy {strategy!r}")
 
     def solve_batch(self, problems, oracle=None, strategy=None):
         """Solve a stream of problems with one integration + recluster.
 
-        The batched ``sel_cov`` entry point: all absent probes are
-        inserted in one call to the graph's insertion body
-        (:meth:`ERProblemGraph.add_problems`, the same body a single
-        :meth:`solve` runs with one probe), the partition is updated
+        The batched ``sel_cov`` entry point, running the ``sel_cov``
+        body a single :meth:`solve` runs with one probe
+        (:meth:`_solve_cov`): all absent probes are inserted in one
+        call to the graph's insertion body
+        (:meth:`ERProblemGraph.add_problems`), the partition is updated
         by one row replay (one bounded local move over every
         inserted vertex), and then each probe gets its reuse/retrain
         decision in order against the shared clustering — so the
@@ -425,6 +417,15 @@ class MoRER:
             return [self.solve(p, strategy="base") for p in problems]
         if strategy != "cov":
             raise ValueError(f"unknown selection strategy {strategy!r}")
+        results = self._solve_cov(problems, oracle)
+        self.counters["batch_solves"] += 1
+        return results
+
+    def _solve_cov(self, problems, oracle):
+        """The one :math:`sel_{cov}` body behind :meth:`solve` and
+        :meth:`solve_batch`: insert the absent probes, recluster once,
+        then :func:`~repro.core.selection.decide_cov` per probe in
+        order. ``problems`` is a non-empty list."""
         before = self.overhead_seconds()
         seen = set()
         fresh = []
@@ -457,7 +458,6 @@ class MoRER:
             result.overhead_seconds = shared + (now - last)
             last = now
             results.append(result)
-        self.counters["batch_solves"] += 1
         return results
 
     def predict(self, problem, **kwargs):
@@ -529,8 +529,12 @@ class MoRER:
             )
             self.counters["full_reclusters"] += 1
             if self._track_cluster_cache():
+                # In graph row order, not in the order of the community
+                # sets: the stored partition and the strengths summed
+                # in its order must not follow the hash seed.
+                labels = partition_from_communities(clusters)
                 self._partition = PartitionState.from_full_run(
-                    graph, partition_from_communities(clusters),
+                    graph, {key: labels[key] for key in graph.csr().nodes},
                     config.resolution,
                 )
                 self.counters["full_quality_passes"] += 1

@@ -39,14 +39,16 @@ from .config import (
 )
 from .distribution import make_distribution_test
 from .problem import ERProblem
-from .signatures import (
-    ProblemSignature,
-    SignatureStore,
-    search_similarities,
-)
+from .signatures import ProblemSignature, SignatureStore
 from .sketch_index import SketchIndex
 
 __all__ = ["ClusterEntry", "ModelRepository"]
+
+#: Capacity of the LRU store of probe signatures. Probes are usually
+#: searched once each, so it stays small: it only pays off when the
+#: same problem is searched repeatedly. Entry signatures are kept
+#: separately, one per entry.
+PROBE_SIGNATURE_CACHE = 16
 
 
 @dataclass
@@ -98,12 +100,6 @@ class ModelRepository:
         problem graph, per §4.5.
     config : MoRERConfig, optional
         Stored alongside for provenance; persisted in the manifest.
-    signature_cache_size : int
-        Capacity of the LRU store for probe-problem signatures. Probes
-        are usually searched once each, so the default stays small —
-        the cache only pays off when the same problem is solved
-        repeatedly; entry signatures are cached separately and are not
-        subject to this bound.
     index_threshold : int, optional
         Entry count from which search prefilters entries by sketch
         distance and reranks only the ``max(8 * top_k, 48)`` nearest
@@ -123,8 +119,7 @@ class ModelRepository:
     insertion order.
     """
 
-    def __init__(self, test="ks", config=None, signature_cache_size=16,
-                 index_threshold=None):
+    def __init__(self, test="ks", config=None, index_threshold=None):
         if isinstance(test, str):
             test = make_distribution_test(test)
         self.test = test
@@ -140,7 +135,7 @@ class ModelRepository:
         self.index_threshold = int(index_threshold)
         self._key_index = {}
         self._entry_signatures = {}
-        self._probe_signatures = SignatureStore(signature_cache_size)
+        self._probe_signatures = SignatureStore(PROBE_SIGNATURE_CACHE)
         self._sketch_index = SketchIndex()
         self._index_pending = set()
 
@@ -152,30 +147,28 @@ class ModelRepository:
 
     def add_entry(self, problem_keys, model, training_features,
                   training_labels, labels_spent=0, trained_keys=None):
-        """Register a new cluster entry; returns its id."""
+        """Register a new cluster entry; returns its id.
+
+        Raises ``ValueError`` when the training features do not lie in
+        ``[0, 1]``, the domain of the search kernels.
+        """
+        training_features = np.asarray(training_features, dtype=float)
+        signature = ProblemSignature(training_features)
         entry = ClusterEntry(
             cluster_id=self._next_id,
             problem_keys=set(problem_keys),
             model=model,
-            training_features=np.asarray(training_features, dtype=float),
+            training_features=training_features,
             training_labels=np.asarray(training_labels, dtype=int),
             labels_spent=int(labels_spent),
             trained_keys=set(trained_keys or ()),
         )
         self.entries[entry.cluster_id] = entry
+        self._entry_signatures[entry.cluster_id] = signature
         self._next_id += 1
         self._register_keys(entry)
         self._index_pending.add(entry.cluster_id)
         return entry.cluster_id
-
-    def remove_entry(self, cluster_id):
-        """Drop an entry (superseded after reclustering)."""
-        entry = self.entries.pop(cluster_id)
-        self._entry_signatures.pop(cluster_id, None)
-        self._sketch_index.discard(cluster_id)
-        self._index_pending.discard(cluster_id)
-        for key in entry.problem_keys:
-            self._unindex_key(key, cluster_id)
 
     def entry_for_problem(self, key):
         """Entry whose cluster contains problem ``key`` (or ``None``).
@@ -251,11 +244,9 @@ class ModelRepository:
         if not self._index_pending:
             return
         for cluster_id in list(self._index_pending):
-            entry = self.entries.get(cluster_id)
-            if entry is not None:
-                self._sketch_index.add(
-                    cluster_id, self._entry_signature(entry)
-                )
+            self._sketch_index.add(
+                cluster_id, self._entry_signature(self.entries[cluster_id])
+            )
             self._index_pending.discard(cluster_id)
 
     def prepare_search(self):
@@ -266,49 +257,12 @@ class ModelRepository:
         serving layer (:class:`repro.service.MoRERService`) under its
         write lock after any mutation (fit, retraining, load), so that
         concurrent ``sel_base`` searches on the shared read lock find
-        nothing pending and never race on cache construction. Entries
-        whose representatives fall outside the signature domain are
-        left for the naive per-search fallback, exactly as before.
+        nothing pending and never race on cache construction.
         """
-        all_ready = True
         for entry in self.entries.values():
-            try:
-                self._entry_signature(entry)
-            except ValueError:
-                # This entry stays on the naive fallback; keep flushing
-                # the rest rather than aborting the whole pass.
-                all_ready = False
-        if all_ready and self._indexed():
-            try:
-                self._sync_sketch_index()
-            except ValueError:
-                pass
-
-    def _score_signatures(self, problem, features, top_k):
-        """``(similarity, entry)`` pairs via the signature kernels, or
-        ``None`` when any matrix falls outside the kernels' ``[0, 1]``
-        domain — the naive path then handles the search exactly as it
-        did pre-cache (KS/WD accept any range, PSI clips)."""
-        try:
-            if isinstance(problem, ERProblem):
-                probe = self._probe_signatures.signature(
-                    problem.key, features
-                )
-            else:
-                probe = ProblemSignature(features)
-            if self._indexed():
-                return self._score_indexed(probe, top_k)
-            return [
-                (
-                    float(self.test.signature_similarity(
-                        probe, self._entry_signature(entry)
-                    )),
-                    entry,
-                )
-                for entry in self.entries.values()
-            ]
-        except ValueError:
-            return None
+            self._entry_signature(entry)
+        if self._indexed():
+            self._sync_sketch_index()
 
     def _score_indexed(self, probe, top_k):
         """Sketch prefilter + exact rerank over the
@@ -318,9 +272,8 @@ class ModelRepository:
             probe, max(8 * (top_k or 1), 48)
         )
         entries = [self.entries[cid] for cid in candidate_ids]
-        similarities = search_similarities(
-            self.test, probe,
-            [self._entry_signature(entry) for entry in entries],
+        similarities = self.test.signature_similarity_many(
+            probe, [self._entry_signature(entry) for entry in entries],
         )
         return [
             (float(similarity), entry)
@@ -334,17 +287,17 @@ class ModelRepository:
         representative :math:`P_{C_i}` with the repository's
         distribution test — the :math:`sel_{base}` primitive (§4.5). The
         probe is summarised once and each entry's representative
-        signature is cached (invalidated on retraining); a raw matrix
-        outside the signatures' ``[0, 1]`` domain is scored with the raw
-        test instead.
-        From ``index_threshold`` entries on, candidates are prefiltered
+        signature is cached (invalidated on retraining). From
+        ``index_threshold`` entries on, candidates are prefiltered
         through the sketch index (see the class docstring and
         :mod:`repro.core.sketch_index`) before the exact rerank.
 
         Parameters
         ----------
         problem : ERProblem or ndarray
-            The probe problem (or its raw feature matrix).
+            The probe problem, or its raw feature matrix. A matrix
+            outside ``[0, 1]`` — the feature domain :class:`ERProblem`
+            enforces — raises ``ValueError``.
         top_k : int, optional
             When given, return the ``top_k`` best entries as a list of
             ``(entry, similarity)`` pairs sorted by descending
@@ -359,15 +312,19 @@ class ModelRepository:
             ) or top_k < 1:
                 raise ValueError("top_k must be a positive integer")
             top_k = int(top_k)
-        features = (
-            problem.features if isinstance(problem, ERProblem) else problem
-        )
-        scored = self._score_signatures(problem, features, top_k)
-        if scored is None:
+        if isinstance(problem, ERProblem):
+            probe = self._probe_signatures.signature(
+                problem.key, problem.features
+            )
+        else:
+            probe = ProblemSignature(problem)
+        if self._indexed():
+            scored = self._score_indexed(probe, top_k)
+        else:
             scored = [
                 (
-                    float(self.test.problem_similarity(
-                        features, entry.training_features
+                    float(self.test.signature_similarity(
+                        probe, self._entry_signature(entry)
                     )),
                     entry,
                 )
@@ -435,17 +392,11 @@ class ModelRepository:
             # below the threshold never query the index, so their saves
             # skip the per-entry sketch cost and the load keeps
             # rebuilding lazily if the store later outgrows the
-            # threshold. Entries whose representatives fall outside the
-            # signature domain (searches fall back to the naive scan
-            # for those anyway) also skip persistence.
-            try:
-                self._sync_sketch_index()
-                ids, rows = self._sketch_index.export_rows()
-                if len(ids) == len(self.entries):
-                    arrays["sketch_ids"] = np.asarray(ids, dtype=np.int64)
-                    arrays["sketch_rows"] = rows
-            except ValueError:
-                pass
+            # threshold.
+            self._sync_sketch_index()
+            ids, rows = self._sketch_index.export_rows()
+            arrays["sketch_ids"] = np.asarray(ids, dtype=np.int64)
+            arrays["sketch_rows"] = rows
         (path / "manifest.json").write_text(json.dumps(manifest))
         np.savez_compressed(path / "vectors.npz", **arrays)
 

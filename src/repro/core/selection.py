@@ -3,9 +3,11 @@
 * :func:`select_base` — :math:`sel_{base}`: search the repository for
   the most similar cluster representative and apply its model, assuming
   minimal domain shift.
-* :func:`select_cov` — :math:`sel_{cov}`: integrate the new problem
-  into the ER problem graph, recluster, and retrain models whose
-  clusters are no longer covered by their training data (Eqs. 13–14).
+* :math:`sel_{cov}` — :meth:`MoRER.solve` and :meth:`MoRER.solve_batch`
+  (one body, :meth:`MoRER._solve_cov`): integrate the new problems into
+  the ER problem graph, recluster, and retrain models whose clusters
+  are no longer covered by their training data (Eqs. 13–14);
+  :func:`decide_cov` is its per-probe decision half.
 
 One size rule picks the path (``MoRERConfig.index_threshold``). Below
 it both ``sel_cov`` steps are the paper's exact ones: insertion (one
@@ -21,8 +23,6 @@ move over the perturbed region, delta-tracked modularity) — see
 :meth:`MoRER._timed_cluster` for the replay/fallback policy.
 :func:`select_base` follows the same rule on the repository's entry
 count (:meth:`~repro.core.repository.ModelRepository.search`).
-:func:`decide_cov` is the per-probe decision half, shared between the
-sequential path and :meth:`MoRER.solve_batch`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "SolveResult",
     "pool_problems",
     "select_base",
-    "select_cov",
     "decide_cov",
 ]
 
@@ -123,26 +122,13 @@ def select_base(morer, problem):
     )
 
 
-def select_cov(morer, problem, oracle=None):
-    """Apply :math:`sel_{cov}`: integrate, recluster, maybe retrain.
-
-    ``oracle`` labels vectors of *unsolved* problems during retraining;
-    when omitted, the problems' own labels act as the oracle (the usual
-    evaluation setup, with every query counted).
-    """
-    if problem.key not in morer.problem_graph:
-        morer._timed_add_problems([problem])
-    clusters = morer._timed_cluster()
-    return decide_cov(morer, problem, oracle, clusters)
-
-
 def decide_cov(morer, problem, oracle, clusters):
     """The per-probe half of :math:`sel_{cov}`: given the refreshed
     clustering, decide reuse vs retrain and classify.
 
-    Shared by :func:`select_cov` (integrate a batch of one, then
-    decide) and :meth:`MoRER.solve_batch` (integrate the whole batch
-    once, then decide per probe in order).
+    Called by :meth:`MoRER._solve_cov` for each probe in order, after
+    the whole batch (one probe for :meth:`MoRER.solve`) is integrated
+    and reclustered once.
     """
     key = problem.key
     new_cluster = next((c for c in clusters if key in c), {key})

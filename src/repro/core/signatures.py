@@ -8,7 +8,10 @@ re-sort both problems' feature columns, PSI re-bins them, and the
 per-feature loop runs in Python. A :class:`ProblemSignature` computes
 each problem's sufficient statistics exactly once so a pairwise test
 reduces to a handful of vectorized numpy kernels over *all* features at
-once.
+once. :class:`~repro.core.graph.ERProblemGraph` keeps one signature per
+vertex row and the repository one per entry representative; the one
+cache, :class:`SignatureStore`, is the repository's LRU of probe
+signatures.
 
 Cached statistic -> paper equation map
 --------------------------------------
@@ -60,9 +63,6 @@ __all__ = [
     "COLUMN_STRIDE",
     "ProblemSignature",
     "SignatureStore",
-    "problem_signature",
-    "pairwise_similarities",
-    "search_similarities",
 ]
 
 #: Per-column offset applied before flattening column-sorted matrices.
@@ -225,19 +225,16 @@ class ProblemSignature:
         )
 
 
-def problem_signature(problem_or_features):
-    """Convenience constructor mirroring :class:`ProblemSignature`."""
-    return ProblemSignature(problem_or_features)
-
-
 class SignatureStore:
-    """LRU cache of :class:`ProblemSignature` keyed by problem key.
+    """LRU cache of :class:`ProblemSignature` keyed by problem key: the
+    repository's probe cache (:meth:`ModelRepository.search`), which
+    pays off when the same problem is searched repeatedly. The graph
+    keeps one signature per row instead and needs no cache.
 
     A cached signature is reused only when the stored feature matrix is
-    the *same object* as the one requested — re-inserting a different
-    problem under an existing key transparently recomputes. Mutating a
-    cached matrix in place is not detected; replace the array instead
-    (as :meth:`MoRER._update_entry` does).
+    the *same object* as the one requested — a different problem under
+    an existing key transparently recomputes. Mutating a cached matrix
+    in place is not detected; replace the array instead.
     """
 
     def __init__(self, max_size=1024):
@@ -249,9 +246,8 @@ class SignatureStore:
         # mutation, so concurrent readers — repro.service shares
         # sel_base searches on a read lock — serialise on this lock.
         self._lock = threading.Lock()
-        #: How many signatures this store has *constructed* (cache
-        #: misses); seeded signatures (:meth:`put`) don't count, so the
-        #: persistence tests can assert a loaded store rebuilds nothing.
+        #: How many signatures this store has constructed (its cache
+        #: misses).
         self.builds = 0
 
     def signature(self, key, features):
@@ -278,93 +274,8 @@ class SignatureStore:
                 self._data.popitem(last=False)
             return signature
 
-    def put(self, key, signature):
-        """Seed the cache with a pre-built signature (persistence
-        restore); does not count towards :attr:`builds`."""
-        with self._lock:
-            self._data[key] = signature
-            self._data.move_to_end(key)
-            while len(self._data) > self.max_size:
-                self._data.popitem(last=False)
-
-    def get(self, key):
-        """Cached signature or ``None`` (counts as a use for LRU)."""
-        with self._lock:
-            cached = self._data.get(key)
-            if cached is not None:
-                self._data.move_to_end(key)
-            return cached
-
-    def invalidate(self, key):
-        """Drop ``key``; returns whether it was cached."""
-        with self._lock:
-            return self._data.pop(key, None) is not None
-
-    def clear(self):
-        with self._lock:
-            self._data.clear()
-
     def __len__(self):
         return len(self._data)
 
     def __contains__(self, key):
         return key in self._data
-
-
-def pairwise_similarities(signatures, test):
-    """Symmetric ``sim_p`` matrix over a list of signatures.
-
-    The matrix kernel behind the graph's batch insertions (the fit-time
-    :meth:`ERProblemGraph.build` foremost). Tests that implement
-    ``signature_similarity_matrix`` (KS, WD and PSI do) evaluate all
-    pairs in one batched pass from two signatures up; otherwise each
-    pair goes through the test's vectorized signature path. For
-    order-asymmetric tests (``test.symmetric`` false, e.g. C2ST) both
-    orientations are computed, so ``matrix[i, j]`` is always
-    ``sim_p(i, j)`` in that order. The diagonal is fixed at 1.0
-    (self-similarity — never consumed by the graph, which has no
-    self-loops).
-
-    Working memory, beyond the P×P result: the batched kernels fold
-    their rows into ``sim_p`` in constant-size blocks, so the largest
-    transient is KS's (P, P, F) gap array, 8·P²·F bytes, plus one
-    feature's O(Σ n_i) walk arrays (see each test's
-    ``signature_similarity_matrix``); the per-pair path holds one pair.
-    """
-    signatures = list(signatures)
-    n = len(signatures)
-    batched = getattr(test, "signature_similarity_matrix", None)
-    if callable(batched) and n >= 2:
-        return batched(signatures)
-    symmetric = getattr(test, "symmetric", False)
-    matrix = np.ones((n, n))
-    for i in range(n):
-        for j in range(i):
-            similarity = test.signature_similarity(
-                signatures[i], signatures[j]
-            )
-            matrix[i, j] = similarity
-            matrix[j, i] = similarity if symmetric else (
-                test.signature_similarity(signatures[j], signatures[i])
-            )
-    return matrix
-
-
-def search_similarities(test, probe, signatures):
-    """``sim_p`` of one probe against many candidate signatures.
-
-    The one-vs-many kernel behind the ANN rerank in
-    :meth:`ModelRepository.search`: tests that implement
-    ``signature_similarity_many`` (KS/WD/PSI do) evaluate every
-    candidate in batched numpy; others (C2ST) fall back to one
-    vectorized ``signature_similarity`` call per candidate. Always
-    computed in ``sim_p(probe, candidate)`` orientation.
-    """
-    signatures = list(signatures)
-    batched = getattr(test, "signature_similarity_many", None)
-    if callable(batched):
-        return np.asarray(batched(probe, signatures), dtype=float)
-    return np.array([
-        test.signature_similarity(probe, signature)
-        for signature in signatures
-    ])

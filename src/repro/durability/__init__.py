@@ -21,7 +21,7 @@ See the README's "Durability & recovery" section for the operational
 runbook (WAL layout, fsync trade-offs, inspection, trimming).
 """
 
-from .atomic import atomic_directory, atomic_write_text, snapshot_candidates
+from .atomic import atomic_directory, snapshot_candidates
 from .faults import InjectedFault, KILL_POINTS, kill_point
 from .recovery import DURABILITY_MANIFEST, RecoveryReport, load_snapshot, recover
 from .wal import FSYNC_POLICIES, WALError, WALReport, WriteAheadLog, read_wal
@@ -37,7 +37,6 @@ __all__ = [
     "RecoveryReport",
     "DURABILITY_MANIFEST",
     "atomic_directory",
-    "atomic_write_text",
     "snapshot_candidates",
     "InjectedFault",
     "KILL_POINTS",

@@ -34,7 +34,6 @@ from .faults import kill_point
 
 __all__ = [
     "atomic_directory",
-    "atomic_write_text",
     "fsync_tree",
     "snapshot_candidates",
 ]
@@ -64,18 +63,6 @@ def fsync_tree(root):
         _fsync_path(dirpath)
 
 
-def atomic_write_text(path, text, fsync=True):
-    """Write a small file atomically (tmp sibling + ``os.replace``)."""
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
-    tmp.write_text(text)
-    if fsync:
-        _fsync_path(tmp)
-    os.replace(tmp, path)
-    if fsync:
-        _fsync_path(path.parent)
-
-
 class atomic_directory:
     """Context manager: build a directory's content in a tmp sibling,
     swap it into place atomically on success (see module docstring).
@@ -84,15 +71,12 @@ class atomic_directory:
     ...     (tmp / "manifest.json").write_text("{}")
 
     On exception the tmp tree is removed and the target is untouched.
-    ``keep_previous`` (default True) retains the replaced generation as
-    ``NAME.prev``; recovery falls back to it when the live directory is
-    lost mid-swap.
+    The replaced generation stays as ``NAME.prev``; recovery falls back
+    to it when the live directory is lost mid-swap.
     """
 
-    def __init__(self, target, keep_previous=True, fsync=True):
+    def __init__(self, target):
         self.target = Path(target)
-        self.keep_previous = bool(keep_previous)
-        self.fsync = bool(fsync)
         self._tmp = None
 
     def __enter__(self):
@@ -111,8 +95,7 @@ class atomic_directory:
         if exc_type is not None:
             shutil.rmtree(self._tmp, ignore_errors=True)
             return False
-        if self.fsync:
-            fsync_tree(self._tmp)
+        fsync_tree(self._tmp)
         staged = self.target.parent / f"{self.target.name}.new"
         if staged.exists():
             shutil.rmtree(staged)
@@ -125,10 +108,7 @@ class atomic_directory:
             os.rename(self.target, previous)
             kill_point("snapshot.mid_rename")
         os.rename(staged, self.target)
-        if not self.keep_previous and previous.exists():
-            shutil.rmtree(previous, ignore_errors=True)
-        if self.fsync:
-            _fsync_path(self.target.parent)
+        _fsync_path(self.target.parent)
         return False
 
 

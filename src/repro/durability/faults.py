@@ -36,7 +36,6 @@ __all__ = [
     "KILL_POINTS",
     "install",
     "clear",
-    "active_plans",
     "kill_point",
     "write_hook",
     "write_all",
@@ -137,12 +136,6 @@ def clear():
     """Disarm every plan (tests call this in teardown)."""
     with _lock:
         del _plans[:]
-
-
-def active_plans():
-    """Snapshot of the currently armed plans."""
-    with _lock:
-        return list(_plans)
 
 
 def _trigger(plan):

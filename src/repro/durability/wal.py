@@ -345,11 +345,6 @@ class WriteAheadLog:
         self._seq = seq
         return seq
 
-    def sync(self):
-        """Force an fsync regardless of policy (checkpoint barrier)."""
-        if self._fh is not None:
-            self._do_fsync(force=True)
-
     def checkpoint(self, seq):
         """A snapshot through ``seq`` is durable: rotate to a fresh
         segment and delete the old ones — every record they hold is

@@ -97,9 +97,9 @@ def evaluate_morer(dataset_name, split, budget=None, al_method="bootstrap",
 
     ``budget=None`` with ``supervised_fraction`` set runs the supervised
     variant of Table 4 (all / 50% of the initial vectors as training).
-    ``solve_batch_size`` > 1 serves the unsolved ``sel_cov`` stream
-    through :meth:`MoRER.solve_batch` in chunks of that size (one
-    integration + recluster per chunk) instead of one solve at a time.
+    The unsolved problems are served through :meth:`MoRER.solve_batch`
+    in chunks of ``solve_batch_size`` (default 1: one solve at a time);
+    under ``sel_cov`` each chunk costs one integration + recluster.
     """
     initial = split.initial
     if supervised_fraction is not None:
@@ -139,20 +139,16 @@ def evaluate_morer(dataset_name, split, budget=None, al_method="bootstrap",
     morer.fit(initial)
     predictions = []
     extra_labels = 0
-    if selection == "cov" and solve_batch_size and solve_batch_size > 1:
-        unsolved = list(split.unsolved)
-        for start in range(0, len(unsolved), solve_batch_size):
-            chunk = unsolved[start:start + solve_batch_size]
-            for result in morer.solve_batch(chunk):
-                extra_labels += result.labels_spent
-                predictions.append(result.predictions)
-    else:
-        for problem in split.unsolved:
-            if selection == "cov":
-                result = morer.solve(problem)
-                extra_labels += result.labels_spent
-            else:
-                result = morer.solve(problem.without_labels())
+    # sel_base never reads labels (and must not see them); sel_cov
+    # uses them as the retraining oracle.
+    unsolved = [
+        problem if selection == "cov" else problem.without_labels()
+        for problem in split.unsolved
+    ]
+    size = solve_batch_size or 1
+    for start in range(0, len(unsolved), size):
+        for result in morer.solve_batch(unsolved[start:start + size]):
+            extra_labels += result.labels_spent
             predictions.append(result.predictions)
     runtime = time.perf_counter() - started
     precision, recall, f1 = concat_predictions(split.unsolved, predictions)

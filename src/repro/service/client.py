@@ -239,20 +239,14 @@ class ServiceClient:
         )
         outcomes = []
         for item in reply["results"]:
-            if "ok" in item:
-                if item["ok"]:
-                    outcomes.append(SolveResponse.from_dict(item["result"]))
-                else:
-                    error = item.get("error") or {}
-                    outcomes.append(error_for_code(
-                        error.get("code"), error.get("message", ""),
-                        retry_after=error.get("retry_after"),
-                    ))
+            if item["ok"]:
+                outcomes.append(SolveResponse.from_dict(item["result"]))
             else:
-                # Pre-envelope gateways answered with bare response
-                # dicts; keep reading them so a new client can talk to
-                # an old server.
-                outcomes.append(SolveResponse.from_dict(item))
+                error = item.get("error") or {}
+                outcomes.append(error_for_code(
+                    error.get("code"), error.get("message", ""),
+                    retry_after=error.get("retry_after"),
+                ))
         if return_errors:
             return outcomes
         for outcome in outcomes:

@@ -430,9 +430,8 @@ class AccessLog:
 
     One JSON object per line: ``ts`` (epoch seconds), ``level``, and
     whatever fields the caller passes (request id, client id, endpoint,
-    status, latency). Levels: ``off`` < ``info`` < ``debug`` — the
-    gateway logs one line per request at ``info``; a ``debug`` record
-    is written only by a log at ``debug`` level.
+    status, latency). Levels: ``off`` < ``info`` — the gateway logs one
+    line per request at ``info``, and a log at ``off`` writes nothing.
 
     Writes are serialised under a lock and failures are swallowed:
     logging must never fail a request.
@@ -441,7 +440,7 @@ class AccessLog:
     inject a fake for deterministic log fixtures and replay tests.
     """
 
-    LEVELS = {"off": 0, "info": 1, "debug": 2}
+    LEVELS = {"off": 0, "info": 1}
 
     def __init__(self, stream=None, path=None, level="info",
                  clock=time.time):
@@ -478,9 +477,6 @@ class AccessLog:
 
     def info(self, **fields):
         self.log("info", **fields)
-
-    def debug(self, **fields):
-        self.log("debug", **fields)
 
     def close(self):
         if self._owns_fh:

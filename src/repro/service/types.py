@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.problem import ERProblem
-from ..core.selection import SolveResult
 from .errors import InvalidRequest
 
 __all__ = [
@@ -147,19 +146,6 @@ class SolveResponse:
             labels_spent=int(result.labels_spent),
             coverage=float(result.coverage),
             overhead_seconds=float(result.overhead_seconds),
-        )
-
-    def to_result(self):
-        """Back-convert for callers written against the core API."""
-        return SolveResult(
-            predictions=np.asarray(self.predictions, dtype=int),
-            cluster_id=self.cluster_id,
-            similarity=self.similarity,
-            new_model=self.new_model,
-            retrained=self.retrained,
-            labels_spent=self.labels_spent,
-            coverage=self.coverage,
-            overhead_seconds=self.overhead_seconds,
         )
 
     def to_dict(self):

@@ -83,18 +83,21 @@ def test_first_post_restart_solve_rebuilds_nothing(tmp_path):
     assert twin.problem_graph.stats == {
         "pair_evals": 0, "sketch_rows_built": 0,
     }
-    assert twin.problem_graph._signatures.builds == 0
+    stored = list(twin.problem_graph._signatures)
+    assert len(stored) == len(twin.problem_graph)
     result = twin.solve(probe)
     assert np.array_equal(result.predictions, warm_result.predictions)
     # No partition rebuild: the solve replayed the new row.
     assert twin.counters["full_reclusters"] == 0
     assert twin.counters["full_quality_passes"] == 0
     assert twin.counters["warm_reclusters"] == 1
-    # No sketch rows derived from signatures (bulk-loaded matrix), no
-    # stored problem's signature rebuilt (only the probe's own), and
-    # exactly the warm instance's pairwise work.
+    # No sketch rows derived from signatures (bulk-loaded matrix), every
+    # stored row kept its signature object (only the probe's is new),
+    # and exactly the warm instance's pairwise work.
     assert twin.problem_graph.stats["sketch_rows_built"] == 0
-    assert twin.problem_graph._signatures.builds == 1
+    signatures = twin.problem_graph._signatures
+    assert len(signatures) == len(stored) + 1
+    assert all(now is then for now, then in zip(signatures, stored))
     assert twin.problem_graph.stats["pair_evals"] == warm_pairs
 
 
@@ -281,6 +284,7 @@ def _assert_restored_exactly(live, twin):
     pair cache, signature statistics and sketch rows; and every loaded
     model equals the saved one and predicts the same."""
     graph, restored = live.problem_graph, twin.problem_graph
+    stored = list(restored._signatures)
     for key, problem in graph.problems().items():
         assert np.array_equal(restored.problem(key).features, problem.features)
     for mine, theirs in zip(graph._edges(), restored._edges()):
@@ -318,16 +322,18 @@ def _assert_restored_exactly(live, twin):
         graph.stats["pair_evals"] - evals[0]
         == restored.stats["pair_evals"] - evals[1]
     )
-    for key in nodes:
-        live_signature = graph._signatures.signature(
-            key, graph.problem(key).features
-        )
-        signature = restored._signatures.get(key)
+    # Each row kept the signature it was restored with, over the
+    # problem's own features, with the live row's statistics.
+    assert len(restored._signatures) == len(stored) == len(nodes)
+    for row, key in enumerate(nodes):
+        signature = restored._signatures[row]
+        assert signature is stored[row]
+        assert signature.features is restored.problem(key).features
+        live_signature = graph._signatures[row]
         assert np.array_equal(
             signature.sorted_columns, live_signature.sorted_columns
         )
         assert np.array_equal(signature.self_cdf, live_signature.self_cdf)
-    assert restored._signatures.builds == 0
     mine_ids, mine_rows = graph._sketch_index.export_rows()
     theirs_ids, theirs_rows = restored._sketch_index.export_rows()
     assert theirs_ids == mine_ids
@@ -429,9 +435,12 @@ morer.save(sys.argv[1])
 def test_graph_store_bytes_ignore_the_hash_seed(tmp_path):
     """An ingest-shaped fit past ``index_threshold`` plus three cov
     ticks, saved in processes under two string-hash seeds, writes a
-    byte-identical ``graph.npz``: the graph folds its vertices into the
-    sketch matrix in insertion order, not in the iteration order of a
-    set of keys, so ``sketch_order`` and ``sketch_rows`` agree too."""
+    byte-identical store: the graph folds its vertices into the sketch
+    matrix in insertion order, not in the iteration order of a set of
+    keys, so ``graph.npz``'s ``sketch_order`` and ``sketch_rows`` agree;
+    the persisted partition lists (and its aggregates sum) the vertices
+    in graph row order, not in the order of the community sets, so
+    ``morer.json`` agrees; and so does every repository file."""
     root = Path(__file__).resolve().parents[1]
     stored = []
     for hash_seed in (0, 1):
@@ -444,7 +453,15 @@ def test_graph_store_bytes_ignore_the_hash_seed(tmp_path):
             [sys.executable, "-c", _SAVE_INGEST_SHAPED, str(store)],
             env=env, cwd=root, check=True, timeout=300,
         )
-        stored.append((store / "graph.npz").read_bytes())
+        stored.append({
+            str(path.relative_to(store)): path.read_bytes()
+            for path in sorted(store.rglob("*")) if path.is_file()
+        })
         with np.load(store / "graph.npz") as arrays:
             assert "sketch_rows" in arrays.files
-    assert stored[0] == stored[1]
+    assert {"graph.npz", "morer.json", "repository/manifest.json"} <= set(
+        stored[0]
+    )
+    assert sorted(stored[0]) == sorted(stored[1])
+    for name, data in stored[0].items():
+        assert data == stored[1][name], name

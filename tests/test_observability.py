@@ -154,9 +154,10 @@ def test_access_log_writes_json_lines():
     buffer = io.StringIO()
     log = AccessLog(stream=buffer, level="info")
     log.info(endpoint="/solve", status=200, latency_ms=1.25)
-    log.debug(message="hidden at info level")
+    log.info(endpoint="/stats", status=200, latency_ms=0.5)
     lines = buffer.getvalue().splitlines()
-    assert len(lines) == 1
+    assert len(lines) == 2
+    assert json.loads(lines[1])["endpoint"] == "/stats"
     record = json.loads(lines[0])
     assert record["level"] == "info"
     assert record["endpoint"] == "/solve"
@@ -166,13 +167,16 @@ def test_access_log_writes_json_lines():
 
 def test_access_log_levels():
     buffer = io.StringIO()
-    log = AccessLog(stream=buffer, level="debug")
-    log.debug(message="visible")
-    assert "visible" in buffer.getvalue()
-    silent = AccessLog(stream=io.StringIO(), level="off")
+    log = AccessLog(stream=buffer)
+    assert log.level == "info" and log.enabled_for("info")
+    silent_buffer = io.StringIO()
+    silent = AccessLog(stream=silent_buffer, level="off")
     assert not silent.enabled_for("info")
-    with pytest.raises(ValueError, match="unknown access-log level"):
-        AccessLog(level="verbose")
+    silent.info(message="dropped")
+    assert silent_buffer.getvalue() == ""
+    for level in ("verbose", "debug"):
+        with pytest.raises(ValueError, match="unknown access-log level"):
+            AccessLog(level=level)
 
 
 def test_access_log_owns_file_path(tmp_path):
@@ -415,7 +419,7 @@ def test_instrumentation_and_limiting_do_not_change_decisions():
         if instrumented:
             server = ServiceHTTPServer(
                 service, ("127.0.0.1", 0),
-                access_log=AccessLog(stream=io.StringIO(), level="debug"),
+                access_log=AccessLog(stream=io.StringIO(), level="info"),
                 rate_limit_rps=1000.0, rate_burst=1000.0,
             )
             thread = threading.Thread(

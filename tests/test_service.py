@@ -73,8 +73,7 @@ def test_solve_response_round_trip_encodes_nan_as_null():
     assert np.array_equal(twin.predictions, response.predictions)
     assert np.isnan(twin.similarity)
     assert twin.retrained and twin.labels_spent == 7
-    result = twin.to_result()
-    assert result.cluster_id == 3 and result.coverage == 0.4
+    assert twin.cluster_id == 3 and twin.coverage == 0.4
 
 
 def test_fit_request_requires_labels():

@@ -529,6 +529,56 @@ def test_cli_force_bootstrap_discards_deliberately(tmp_path, monkeypatch):
     assert report.n_records == 0      # the stranded records are gone
 
 
+def test_cli_serve_closes_the_service_when_sigint_lands_on_startup(
+        tmp_path, monkeypatch):
+    """A SIGINT that arrives while ``_serve`` prints its serving line
+    (as soon as a supervisor reads it) still closes the gateway and the
+    service — the scheduler drains and the WAL takes its final fsync —
+    and ``_serve`` returns instead of waiting for a ``serve_forever``
+    that never started."""
+    import builtins
+
+    from repro import cli
+
+    services = []
+
+    class _Recorded(MoRERService):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            services.append(self)
+
+    def interrupted_print(*args, **kwargs):
+        if args and str(args[0]).startswith("serving "):
+            raise KeyboardInterrupt
+        builtins.print(*args, **kwargs)
+
+    monkeypatch.setattr("repro.service.MoRERService", _Recorded)
+    monkeypatch.setattr(cli, "print", interrupted_print, raising=False)
+    args = build_parser().parse_args([
+        "serve", "--demo", "4", "--port", "0",
+        "--store", str(tmp_path / "store"),
+        "--wal-dir", str(tmp_path / "wal"),
+    ])
+    outcome = {}
+
+    def run():
+        try:
+            outcome["server"] = cli._serve(args)
+        except KeyboardInterrupt as exc:
+            outcome["escaped"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "_serve hung after the start-up SIGINT"
+    assert "escaped" not in outcome, "the SIGINT escaped _serve"
+    (service,) = services
+    assert service._closed
+    assert not service._scheduler.is_alive()
+    assert service._wal._fh is None  # closed, after its final fsync
+    assert outcome["server"].socket.fileno() == -1
+
+
 #: Store formats this build refuses: an unknown one, format 4 (the
 #: last one with per-edge rows in ``graph.npz`` and per-tree model
 #: dicts), format 5 (the last one with timings in ``morer.json``) and

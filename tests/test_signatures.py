@@ -14,7 +14,6 @@ from repro.core import (
     ProblemSignature,
     SignatureStore,
     make_distribution_test,
-    pairwise_similarities,
 )
 from repro.ml import RandomForestClassifier
 from tests.conftest import make_problem, make_problem_family
@@ -129,7 +128,7 @@ def test_pairwise_similarities_matches_pair_loop():
     problems = make_problem_family(5)
     test = make_distribution_test("ks")
     signatures = [ProblemSignature(p) for p in problems]
-    matrix = pairwise_similarities(signatures, test)
+    matrix = test.signature_similarity_matrix(signatures)
     assert matrix.shape == (5, 5)
     assert np.array_equal(matrix, matrix.T)
     for i in range(5):
@@ -140,21 +139,20 @@ def test_pairwise_similarities_matches_pair_loop():
             assert abs(matrix[i, j] - raw) < TOLERANCE
 
 
-def test_pairwise_similarities_preserves_c2st_orientation():
-    """For order-asymmetric tests both triangles are computed, so
-    matrix[i, j] is always sim_p(i, j) in that orientation."""
+def test_c2st_one_vs_many_keeps_the_probe_first():
+    """C2ST's one-vs-many kernel scores each candidate in the
+    ``sim_p(probe, candidate)`` orientation, like its pair path."""
     problems = make_problem_family(3)
     test = make_distribution_test("c2st")
     signatures = [ProblemSignature(p) for p in problems]
-    matrix = pairwise_similarities(signatures, test)
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            raw = test.problem_similarity(
-                problems[i].features, problems[j].features
-            )
-            assert matrix[i, j] == pytest.approx(raw, abs=TOLERANCE), (i, j)
+    for i, probe in enumerate(signatures):
+        others = signatures[:i] + signatures[i + 1:]
+        values = test.signature_similarity_many(probe, others)
+        assert values.shape == (len(others),)
+        for value, other in zip(values, others):
+            raw = test.problem_similarity(probe.features, other.features)
+            assert value == raw
+    assert test.signature_similarity_many(signatures[0], []).shape == (0,)
 
 
 @settings(max_examples=20, deadline=None)
@@ -262,10 +260,9 @@ def test_wd_psi_matrix_rejects_feature_space_mismatch(name):
 
 @pytest.mark.parametrize("name", ["wd", "psi"])
 def test_graph_build_uses_batched_wd_psi(name):
-    """pairwise_similarities must route WD/PSI through their new matrix
-    kernels (KS already had one)."""
+    """The graph's fit-set build must route WD/PSI through their
+    all-pairs matrix kernels (KS has one too)."""
     problems = make_problem_family(5)
-    signatures = [ProblemSignature(p) for p in problems]
     test = make_distribution_test(name)
     calls = []
     original = test.signature_similarity_matrix
@@ -275,14 +272,16 @@ def test_graph_build_uses_batched_wd_psi(name):
         return original(sigs)
 
     test.signature_similarity_matrix = spy
-    matrix = pairwise_similarities(signatures, test)
+    graph = ERProblemGraph.build(problems, test)
     assert calls == [5]
     for i in range(5):
         for j in range(i):
             raw = test.problem_similarity(
                 problems[i].features, problems[j].features
             )
-            assert abs(matrix[i, j] - raw) < TOLERANCE
+            assert abs(
+                graph.similarity(problems[i].key, problems[j].key) - raw
+            ) < TOLERANCE
 
 
 def test_ks_matrix_handles_unequal_sizes_and_constant_features():
@@ -344,14 +343,7 @@ def test_signature_store_lru_eviction():
     assert "b" not in store
 
 
-def test_signature_store_invalidate_and_clear():
-    store = SignatureStore(max_size=4)
-    store.signature("a", np.ones((3, 2)) * 0.5)
-    assert store.invalidate("a")
-    assert not store.invalidate("a")
-    store.signature("a", np.ones((3, 2)) * 0.5)
-    store.clear()
-    assert len(store) == 0
+def test_signature_store_needs_room_for_one_signature():
     with pytest.raises(ValueError, match="max_size"):
         SignatureStore(max_size=0)
 
@@ -420,27 +412,25 @@ def test_graph_batch_pairs_run_through_the_matrix_kernel():
     assert test.matrix_calls == 2
 
 
-def test_graph_pair_cache_survives_signature_lru_eviction():
-    """Evicting a signature from the LRU store must not purge the
-    key's memoized pair similarities: with no pair above
-    ``min_similarity`` every pair lives in the pair cache, and the
-    pairs of an evicted problem are answered without a kernel call."""
+def test_graph_pair_cache_answers_unlinked_pairs():
+    """With no pair above ``min_similarity`` every evaluated pair lives
+    in the pair cache, and :meth:`pair_similarity` answers each one
+    without a kernel call; each row keeps its one signature."""
     test = _CountingKS()
     problems = make_problem_family(4)
-    graph = ERProblemGraph.build(
-        problems, test, min_similarity=1.0, signature_cache_size=2
-    )
+    graph = ERProblemGraph.build(problems, test, min_similarity=1.0)
     calls_after_build = test.calls
     assert calls_after_build == 6  # C(4, 2)
-    assert len(graph._signatures) == 2  # the other two were evicted
-    evicted = problems[0]
-    assert evicted.key not in graph._signatures
+    assert len(graph._signatures) == len(problems)
+    for signature, problem in zip(graph._signatures, problems):
+        assert signature.features is problem.features
     raw = make_distribution_test("ks")
-    for other in problems[1:]:
-        assert abs(
-            graph.pair_similarity(evicted.key, other.key)
-            - raw.problem_similarity(evicted.features, other.features)
-        ) < TOLERANCE
+    for i, problem in enumerate(problems):
+        for other in problems[i + 1:]:
+            assert abs(
+                graph.pair_similarity(problem.key, other.key)
+                - raw.problem_similarity(problem.features, other.features)
+            ) < TOLERANCE
     assert test.calls == calls_after_build
 
 
@@ -492,16 +482,25 @@ def test_psi_n_bins_mutation_keeps_paths_in_sync():
         test.n_bins = 1
 
 
-def test_repository_search_accepts_out_of_range_raw_probe():
-    """Raw ndarray probes outside [0, 1] fall back to the raw test
-    (which always accepted them) instead of raising."""
-    repo = _fitted_repo(make_problem_family(4))
+def test_repository_search_refuses_out_of_range_raw_probe():
+    """The exact search scores signatures only: a raw ndarray probe
+    outside [0, 1], the feature domain ERProblem enforces, is refused,
+    and so are training features outside it."""
+    problems = make_problem_family(4)
+    repo = _fitted_repo(problems)
+    assert not repo._indexed()
     rng = np.random.default_rng(8)
     probe = rng.normal(1.5, 2.0, (40, 4))  # clearly outside [0, 1]
-    entry, similarity = repo.search(probe)
-    raw_id, raw_similarity = _raw_search(repo, probe)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        repo.search(probe)
+    entry, similarity = repo.search(np.clip(probe, 0.0, 1.0))
+    raw_id, raw_similarity = _raw_search(repo, np.clip(probe, 0.0, 1.0))
     assert entry.cluster_id == raw_id
     assert abs(similarity - raw_similarity) < TOLERANCE
+    entries = len(repo)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        repo.add_entry({("X", "Y")}, None, probe, np.zeros(40, dtype=int))
+    assert len(repo) == entries
 
 
 def test_graph_pair_similarity_preserves_c2st_orientation():
@@ -631,12 +630,6 @@ def test_repository_key_index_consistency():
         entry = repo.entry_for_problem(problem.key)
         assert entry is not None and problem.key in entry.problem_keys
     assert repo.entry_for_problem(("nope", "nada")) is None
-    # Removal drops the keys from the index.
-    victim_id = next(iter(repo.entries))
-    victim_keys = set(repo.entries[victim_id].problem_keys)
-    repo.remove_entry(victim_id)
-    for key in victim_keys:
-        assert repo.entry_for_problem(key) is None
 
 
 def test_repository_reassign_cluster_updates_index():

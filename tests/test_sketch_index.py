@@ -285,7 +285,9 @@ def test_repository_save_load_preserves_index_settings(tmp_path):
     assert loaded.index_threshold == 2
 
 
-def test_repository_out_of_range_probe_falls_back_with_index():
+def test_repository_indexed_search_refuses_out_of_range_probe():
+    """The indexed search scores signatures only: a raw probe outside
+    [0, 1] is refused before the sketch prefilter runs."""
     problems = make_problem_family(6)
     repo = ModelRepository("ks", index_threshold=1)
     for problem in problems:
@@ -296,11 +298,15 @@ def test_repository_out_of_range_probe_falls_back_with_index():
         )
     rng = np.random.default_rng(8)
     probe = rng.normal(1.5, 2.0, (40, 4))  # outside [0, 1]
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        repo.search(probe)
+    assert len(repo._sketch_index) == 0  # refused before the prefilter
+    clipped = np.clip(probe, 0.0, 1.0)
     raw = [
-        repo.test.problem_similarity(probe, problem.features)
+        repo.test.problem_similarity(clipped, problem.features)
         for problem in problems
     ]
-    entry, similarity = repo.search(probe)
+    entry, similarity = repo.search(clipped)
     assert entry.cluster_id == int(np.argmax(raw))
     assert abs(similarity - max(raw)) < TOLERANCE
 
@@ -395,21 +401,3 @@ def test_sketch_index_export_bulk_load_round_trip():
     # Empty payload resets to a fresh index.
     restored.bulk_load([], np.empty((0, 0)))
     assert len(restored) == 0 and restored.dim is None
-
-
-def test_repository_remove_entry_evicts_sketch_row():
-    problems = make_problem_family(6)
-    repo = ModelRepository("ks", index_threshold=1)
-    for problem in problems:
-        repo.add_entry(
-            {problem.key}, None, problem.features,
-            np.zeros(problem.n_pairs, dtype=int),
-        )
-    repo.search(make_problem("X", "Y", seed=5))  # builds the index
-    assert len(repo._sketch_index) == 6
-    victim = next(iter(repo.entries))
-    repo.remove_entry(victim)
-    assert victim not in repo._sketch_index
-    entry, _ = repo.search(make_problem("X2", "Y2", seed=6))
-    assert entry.cluster_id != victim
-    assert len(repo._sketch_index) == 5
